@@ -13,10 +13,11 @@ Usage:
 
 import argparse
 import csv
-import os
 from pathlib import Path
 
-os.environ.setdefault("OMP_NUM_THREADS", os.environ.get("CAPGNN_THREADS", "1"))
+from capgnn.cli import _cap_threads
+
+_cap_threads()  # BLAS thread caps must be set before numpy loads
 
 import numpy as np
 

@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__
+
 
 class ConfigError(ValueError):
     """Invalid configuration file, flag value, or input artifact."""
@@ -151,31 +153,25 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
 
 
 def _train_config(resolved: dict, seed: int):
+    from dataclasses import fields
+
     from .perturb import PerturbConfig
     from .train import TrainConfig
 
+    # Config keys are named after the config fields they set, except these.
+    values = dict(
+        resolved,
+        steps=resolved["pgd_steps"],
+        hidden_dims=tuple(resolved["hidden_dims"]),
+        seed=seed,
+    )
+
+    def pick(cls) -> dict:
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
     try:
-        perturb = PerturbConfig(
-            rho_w=resolved["rho_w"],
-            rho_x=resolved["rho_x"],
-            beta=resolved["beta"],
-            steps=resolved["pgd_steps"],
-        )
-        return TrainConfig(
-            epochs=resolved["epochs"],
-            skip_epochs=resolved["skip_epochs"],
-            frequency=resolved["frequency"],
-            lr=resolved["lr"],
-            mode=resolved["mode"],
-            perturb=perturb,
-            optimizer=resolved["optimizer"],
-            weight_decay=resolved["weight_decay"],
-            seed=seed,
-            eval_every=resolved["eval_every"],
-            model_selection=resolved["model_selection"],
-            hidden_dims=tuple(resolved["hidden_dims"]),
-            dropout=resolved["dropout"],
-        )
+        perturb = PerturbConfig(**pick(PerturbConfig))
+        return TrainConfig(perturb=perturb, **pick(TrainConfig))
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -191,6 +187,10 @@ def dataset_fingerprint(directory: Path) -> str:
     return h.hexdigest()
 
 
+def _manifest(command: str, **fields) -> dict:
+    return {"tool": "capgnn", "version": __version__, "command": command, **fields}
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -204,10 +204,8 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from . import __version__
     from .graph import load_dataset
-    from .landscape import generalization_gap
-    from .model import evaluate, save_model
+    from .model import accuracy, forward, save_model
     from .train import train, write_metrics_csv, write_pgd_trace_csv
 
     file_values = parse_config_file(Path(args.config)) if args.config else {}
@@ -221,15 +219,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = {
-        "tool": "capgnn",
-        "version": __version__,
-        "command": "train",
-        "resolved_config": resolved,
-        "dataset_fingerprint": dataset_fingerprint(Path(resolved["dataset_dir"])),
-        "seeds": resolved["seeds"],
-        "out_dir": str(out_dir),
-    }
+    manifest = _manifest(
+        "train",
+        resolved_config=resolved,
+        dataset_fingerprint=dataset_fingerprint(Path(resolved["dataset_dir"])),
+        seeds=resolved["seeds"],
+        out_dir=str(out_dir),
+    )
     _write_json(out_dir / "manifest.json", manifest)
 
     per_seed = []
@@ -244,18 +240,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             write_pgd_trace_csv(pgd_trace, seed_dir / "pgd_trace.csv")
         ckpt = seed_dir / "checkpoint.json"
         save_model(model, ckpt)
-        train_acc = evaluate(model, dataset, dataset.train_mask)
-        test_acc = (
-            evaluate(model, dataset, dataset.test_mask)
-            if dataset.test_mask.any() else None
+        logits = forward(model, dataset.a_hat, dataset.features).logits
+        train_acc, val_acc, test_acc = (
+            accuracy(logits, dataset.labels, mask) if mask.any() else None
+            for mask in (dataset.train_mask, dataset.val_mask, dataset.test_mask)
         )
-        val_acc = (
-            evaluate(model, dataset, dataset.val_mask)
-            if dataset.val_mask.any() else None
-        )
-        gap = (
-            generalization_gap(model, dataset) if dataset.test_mask.any() else None
-        )
+        gap = train_acc - test_acc if test_acc is not None else None
         per_seed.append(
             {
                 "seed": seed,
@@ -321,7 +311,6 @@ def _load_checkpoint_and_dataset(args):
 def cmd_probe(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from . import __version__
     from .landscape import probe_landscape, sample_directions, sharpness
     from .linalg import make_rng
 
@@ -351,7 +340,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     for kind in kinds:
         rng = make_rng(args.seed)
         source = model if kind == "weight" else dataset.features
-        dirs = sample_directions(source, kind, args.directions, rng, seed=args.seed)
+        dirs = sample_directions(source, kind, args.directions, rng)
         profile = probe_landscape(model, dataset, dirs, alphas, loss_mask=args.loss_mask)
         profile.sharpness = sharpness(profile, args.alpha_ref)
         sharp[kind] = profile.sharpness
@@ -364,23 +353,21 @@ def cmd_probe(args: argparse.Namespace) -> int:
                 )
         csv_path.write_text("".join(lines), encoding="utf-8", newline="\n")
     _write_json(out_dir / "sharpness.json", sharp)
-    manifest = {
-        "tool": "capgnn",
-        "version": __version__,
-        "command": "probe",
-        "checkpoint": str(args.checkpoint),
-        "dataset_dir": str(args.dataset_dir),
-        "dataset_fingerprint": dataset_fingerprint(Path(args.dataset_dir)),
-        "kind": args.kind,
-        "alpha_min": args.alpha_min,
-        "alpha_max": args.alpha_max,
-        "grid_points": args.grid_points,
-        "alpha_ref": args.alpha_ref,
-        "directions": args.directions,
-        "seed": args.seed,
-        "loss_mask": args.loss_mask,
-        "row_normalize_features": args.row_normalize_features,
-    }
+    manifest = _manifest(
+        "probe",
+        checkpoint=str(args.checkpoint),
+        dataset_dir=str(args.dataset_dir),
+        dataset_fingerprint=dataset_fingerprint(Path(args.dataset_dir)),
+        kind=args.kind,
+        alpha_min=args.alpha_min,
+        alpha_max=args.alpha_max,
+        grid_points=args.grid_points,
+        alpha_ref=args.alpha_ref,
+        directions=args.directions,
+        seed=args.seed,
+        loss_mask=args.loss_mask,
+        row_normalize_features=args.row_normalize_features,
+    )
     _write_json(out_dir / "manifest.json", manifest)
     return 0
 
@@ -388,7 +375,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from . import __version__
     from .landscape import gaussian_attack_trials
     from .linalg import make_rng
 
@@ -415,25 +401,22 @@ def cmd_attack(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(lines), encoding="utf-8", newline="\n")
-    manifest = {
-        "tool": "capgnn",
-        "version": __version__,
-        "command": "attack",
-        "checkpoint": str(args.checkpoint),
-        "dataset_dir": str(args.dataset_dir),
-        "dataset_fingerprint": dataset_fingerprint(Path(args.dataset_dir)),
-        "sigmas": sigmas,
-        "trials": args.trials,
-        "seed": args.seed,
-        "row_normalize_features": args.row_normalize_features,
-        "out": str(out),
-    }
+    manifest = _manifest(
+        "attack",
+        checkpoint=str(args.checkpoint),
+        dataset_dir=str(args.dataset_dir),
+        dataset_fingerprint=dataset_fingerprint(Path(args.dataset_dir)),
+        sigmas=sigmas,
+        trials=args.trials,
+        seed=args.seed,
+        row_normalize_features=args.row_normalize_features,
+        out=str(out),
+    )
     _write_json(out.with_name(out.stem + "_manifest.json"), manifest)
     return 0
 
 
 def cmd_gen_sbm(args: argparse.Namespace) -> int:
-    from . import __version__
     from .graph import SbmParams, generate_sbm, save_dataset
     from .linalg import make_rng
 
@@ -455,21 +438,19 @@ def cmd_gen_sbm(args: argparse.Namespace) -> int:
         raise ConfigError(str(e)) from e
     out_dir = Path(args.out_dir)
     save_dataset(dataset, out_dir)
-    manifest = {
-        "tool": "capgnn",
-        "version": __version__,
-        "command": "gen-sbm",
-        "blocks": blocks,
-        "p_in": args.p_in,
-        "p_out": args.p_out,
-        "feature_noise": args.feature_noise,
-        "feature_dim": args.feature_dim,
-        "fractions": list(fractions),
-        "seed": args.seed,
-        "out_dir": str(out_dir),
-        "n": dataset.n,
-        "num_edges": dataset.num_edges,
-    }
+    manifest = _manifest(
+        "gen-sbm",
+        blocks=blocks,
+        p_in=args.p_in,
+        p_out=args.p_out,
+        feature_noise=args.feature_noise,
+        feature_dim=args.feature_dim,
+        fractions=list(fractions),
+        seed=args.seed,
+        out_dir=str(out_dir),
+        n=dataset.n,
+        num_edges=dataset.num_edges,
+    )
     _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {dataset.n}-node dataset ({dataset.num_edges} edges) to {out_dir}")
     return 0
@@ -485,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version="capgnn 0.1.0")
+    parser.add_argument("--version", action="version", version=f"capgnn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser(

@@ -296,12 +296,13 @@ def save_dataset(dataset: Dataset, directory) -> None:
         json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
 
-    pairs = set()
+    # The adjacency is symmetric and CSR storage order is lexicographic, so
+    # its upper triangle lists every undirected edge once, already sorted.
     adj = dataset.adjacency
-    for i in range(adj.rows):
-        for j in adj.col_idx[adj.row_ptr[i] : adj.row_ptr[i + 1]]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    lines = [f"{u}\t{v}\n" for u, v in sorted(pairs)]
+    rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_ptr))
+    upper = adj.col_idx >= rows
+    pairs = zip(rows[upper].tolist(), adj.col_idx[upper].tolist())
+    lines = [f"{u}\t{v}\n" for u, v in pairs]
     (directory / "edges.tsv").write_text("".join(lines), encoding="utf-8", newline="\n")
 
     with (directory / "features.csv").open("w", encoding="utf-8", newline="\n") as f:

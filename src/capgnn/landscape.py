@@ -34,7 +34,6 @@ class DirectionSet:
 
     kind: str
     directions: list
-    seed: int | None = None
 
 
 @dataclass
@@ -60,7 +59,6 @@ def sample_directions(
     kind: str,
     count: int,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> DirectionSet:
     """Draw ``count`` Gaussian directions rescaled to the source norms."""
     if count < 1:
@@ -78,7 +76,7 @@ def sample_directions(
         directions = [_scaled_like(features, rng) for _ in range(count)]
     else:
         raise ValueError(f"kind must be {WEIGHT_KIND!r} or {FEATURE_KIND!r}")
-    return DirectionSet(kind=kind, directions=directions, seed=seed)
+    return DirectionSet(kind=kind, directions=directions)
 
 
 def probe_landscape(

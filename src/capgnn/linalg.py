@@ -26,16 +26,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def as_dense(values, name: str = "matrix") -> np.ndarray:
-    """Validate user input as a finite 2-D float64 matrix (C-order copy)."""
-    a = np.array(values, dtype=np.float64, order="C")
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
     if out is a or out.base is a:
@@ -143,11 +133,7 @@ class CsrMatrix:
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        for i in range(self.rows):
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            out[i, self.col_idx[lo:hi]] = self.values[lo:hi]
-        return out
+        return self._sp.toarray()
 
 
 def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:

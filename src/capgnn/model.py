@@ -27,7 +27,7 @@ from .linalg import CsrMatrix, spmm
 
 @dataclass
 class GnnModel:
-    """Stack of dense layer weights plus architecture switches.
+    """Stack of dense GCN layer weights (ReLU between layers) plus dropout rate.
 
     ``weights[l]`` maps layer_dims[l] -> layer_dims[l + 1]; weights are
     the only mutable state and are replaced wholesale by the optimizer.
@@ -35,16 +35,10 @@ class GnnModel:
 
     weights: list[np.ndarray]
     dropout_rate: float = 0.5
-    backbone: str = "gcn"
-    activation: str = "relu"
 
     def __post_init__(self):
         if not self.weights:
             raise ValueError("model needs at least one layer")
-        if self.backbone != "gcn":
-            raise ValueError(f"unsupported backbone {self.backbone!r}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
         for l, w in enumerate(self.weights):
@@ -74,7 +68,6 @@ def init_model(
     layer_dims,
     rng: np.random.Generator,
     dropout_rate: float = 0.5,
-    backbone: str = "gcn",
 ) -> GnnModel:
     """Glorot-uniform initialization: entries uniform in +-sqrt(6/(fan_in+fan_out))."""
     dims = [int(d) for d in layer_dims]
@@ -84,7 +77,7 @@ def init_model(
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    return GnnModel(weights, dropout_rate=dropout_rate, backbone=backbone)
+    return GnnModel(weights, dropout_rate=dropout_rate)
 
 
 @dataclass
@@ -267,6 +260,8 @@ def evaluate(model: GnnModel, dataset: Dataset, mask) -> float:
 # ---------------------------------------------------------------------------
 
 _CKPT_FORMAT = "capgnn-checkpoint"
+# Architecture keys every checkpoint carries; the layer rule above is the only one.
+_ARCHITECTURE = {"backbone": "gcn", "activation": "relu"}
 
 
 def save_model(model: GnnModel, path) -> None:
@@ -278,8 +273,7 @@ def save_model(model: GnnModel, path) -> None:
     payload = {
         "format": _CKPT_FORMAT,
         "version": 1,
-        "backbone": model.backbone,
-        "activation": model.activation,
+        **_ARCHITECTURE,
         "dropout_rate": model.dropout_rate,
         "layer_dims": model.layer_dims,
         "dtype": "float64",
@@ -297,26 +291,38 @@ def save_model(model: GnnModel, path) -> None:
 
 
 def load_model(path) -> GnnModel:
+    """Read a checkpoint written by :func:`save_model`.
+
+    Malformed content (invalid JSON, another format, missing keys, a
+    foreign architecture, weight blobs whose count or byte length does
+    not match ``layer_dims``) raises ValueError naming ``path``.
+    """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        return _model_from_payload(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as e:
         raise ValueError(f"{path}: not a valid checkpoint ({e})") from e
-    if payload.get("format") != _CKPT_FORMAT:
-        raise ValueError(f"{path}: not a {_CKPT_FORMAT} file")
-    dims = payload["layer_dims"]
+
+
+def _model_from_payload(payload) -> GnnModel:
+    if not isinstance(payload, dict) or payload.get("format") != _CKPT_FORMAT:
+        raise ValueError(f"not a {_CKPT_FORMAT} file")
+    for key in ("layer_dims", "weights_b64"):
+        if key not in payload:
+            raise ValueError(f"missing key {key!r}")
+    for key, want in _ARCHITECTURE.items():
+        if payload.get(key, want) != want:
+            raise ValueError(f"unsupported {key} {payload[key]!r}, expected {want!r}")
+    dims, blobs = payload["layer_dims"], payload["weights_b64"]
+    if len(blobs) != len(dims) - 1:
+        raise ValueError(f"{len(blobs)} weight blobs for {len(dims) - 1} layers")
     weights = []
-    for (fan_in, fan_out), blob in zip(
-        zip(dims[:-1], dims[1:]), payload["weights_b64"]
-    ):
+    for l, (fan_in, fan_out, blob) in enumerate(zip(dims[:-1], dims[1:], blobs)):
         raw = base64.b64decode(blob)
+        if len(raw) != fan_in * fan_out * 8:
+            raise ValueError(
+                f"weight {l} has {len(raw)} bytes, expected {fan_in * fan_out * 8}"
+            )
         w = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(fan_in, fan_out)
         weights.append(np.ascontiguousarray(w))
-    if len(weights) != len(dims) - 1:
-        raise ValueError(f"{path}: weight count does not match layer_dims")
-    return GnnModel(
-        weights,
-        dropout_rate=float(payload.get("dropout_rate", 0.5)),
-        backbone=payload.get("backbone", "gcn"),
-        activation=payload.get("activation", "relu"),
-    )
+    return GnnModel(weights, dropout_rate=float(payload.get("dropout_rate", 0.5)))

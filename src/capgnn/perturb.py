@@ -28,17 +28,15 @@ _GRAD_NORM_FLOOR = 1e-12
 class PerturbConfig:
     """Ball radii and inner-loop schedule.
 
-    ``rho_w`` is dimensionless (scales each layer's weight norm);
-    ``rho_x`` is in feature units. ``beta`` may be zero, which
-    degenerates both loops to exact zero perturbations.
+    ``rho_w`` is dimensionless (scales each layer's l2 weight norm);
+    ``rho_x`` is an l-infinity radius in feature units. ``beta`` may be
+    zero, which degenerates both loops to exact zero perturbations.
     """
 
     rho_w: float = 0.01
     rho_x: float = 0.01
     beta: float = 1e-3
     steps: int = 3
-    p_w: float = 2.0
-    p_x: float = math.inf
 
     def __post_init__(self):
         if self.rho_w <= 0 or self.rho_x <= 0:
@@ -47,27 +45,6 @@ class PerturbConfig:
             raise ValueError("beta must be >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        for name, p in (("p_w", self.p_w), ("p_x", self.p_x)):
-            if p not in (2, 2.0, math.inf):
-                raise ValueError(f"{name} must be 2 or inf, got {p!r}")
-
-
-@dataclass
-class PerturbState:
-    """Current perturbation pair; the trainer only ever holds one side."""
-
-    eps_w: list[np.ndarray] | None = None
-    eps_x: np.ndarray | None = None
-
-    def within_balls(self, model: GnnModel, cfg: PerturbConfig) -> bool:
-        if self.eps_w is not None:
-            for w, e in zip(model.weights, self.eps_w):
-                if lp_norm(e, 2) > cfg.rho_w * lp_norm(w, 2) + 1e-9:
-                    return False
-        if self.eps_x is not None:
-            if lp_norm(self.eps_x, math.inf) > cfg.rho_x + 1e-12:
-                return False
-        return True
 
 
 @dataclass
@@ -121,11 +98,9 @@ def pgd_weight_perturbation(
             dataset.labels, dataset.train_mask,
         )
         for l, g in enumerate(grads.d_weights):
-            gn = lp_norm(g, cfg.p_w)
+            gn = lp_norm(g, 2)
             if gn >= _GRAD_NORM_FLOOR and radii[l] > 0.0:
-                eps[l] = project_ball(
-                    eps[l] + cfg.beta * (g / gn), radii[l], cfg.p_w
-                )
+                eps[l] = project_ball(eps[l] + cfg.beta * (g / gn), radii[l], 2)
             if trace is not None:
                 trace.append(
                     PgdTraceRow(t, f"w{l}", gn, lp_norm(eps[l], 2), loss)
@@ -155,12 +130,12 @@ def pgd_feature_perturbation(
             dataset.labels, dataset.train_mask,
         )
         eps = project_ball(
-            eps + cfg.beta * np.sign(grads.d_features), cfg.rho_x, cfg.p_x
+            eps + cfg.beta * np.sign(grads.d_features), cfg.rho_x, math.inf
         )
         if trace is not None:
             trace.append(
                 PgdTraceRow(
-                    t, "x", lp_norm(grads.d_features, cfg.p_x),
+                    t, "x", lp_norm(grads.d_features, math.inf),
                     lp_norm(eps, math.inf), loss,
                 )
             )

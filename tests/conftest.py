@@ -1,3 +1,7 @@
+import base64
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +39,34 @@ def two_node_dataset():
         val_mask=[False, False],
         test_mask=[False, True],
     )
+
+
+def _shorten_first_blob(payload):
+    raw = base64.b64decode(payload["weights_b64"][0])
+    payload["weights_b64"][0] = base64.b64encode(raw[:-4]).decode("ascii")
+
+
+# case -> (edit of a two-layer checkpoint payload, fragment of the load error)
+CHECKPOINT_CORRUPTIONS = {
+    "extra_blob": (
+        lambda p: p["weights_b64"].append(p["weights_b64"][-1]),
+        "3 weight blobs for 2 layers",
+    ),
+    "missing_blob": (lambda p: p["weights_b64"].pop(), "1 weight blobs for 2 layers"),
+    "short_blob": (_shorten_first_blob, "weight 0 has"),
+    "no_weights": (lambda p: p.pop("weights_b64"), "missing key 'weights_b64'"),
+    "no_layer_dims": (lambda p: p.pop("layer_dims"), "missing key 'layer_dims'"),
+    "foreign_backbone": (lambda p: p.update(backbone="gat"), "unsupported backbone 'gat'"),
+    "foreign_activation": (
+        lambda p: p.update(activation="tanh"), "unsupported activation 'tanh'"
+    ),
+}
+
+
+def corrupt_checkpoint(src, dst, case: str) -> str:
+    """Copy checkpoint ``src`` to ``dst`` with ``case`` applied; return its error fragment."""
+    edit, fragment = CHECKPOINT_CORRUPTIONS[case]
+    payload = json.loads(Path(src).read_text(encoding="utf-8"))
+    edit(payload)
+    Path(dst).write_text(json.dumps(payload), encoding="utf-8")
+    return fragment

@@ -12,6 +12,8 @@ from capgnn.cli import (
 from capgnn.graph import load_dataset
 from capgnn.model import evaluate, load_model
 
+from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint
+
 
 def run(*argv) -> int:
     return main(list(argv))
@@ -275,6 +277,18 @@ class TestProbe:
             "probe", "--checkpoint", str(checkpoint), "--dataset_dir", str(other),
             "--out_dir", str(tmp_path / "p"),
         ) == 2
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_malformed_checkpoint_exits_2_naming_path(
+        self, checkpoint, data_dir, tmp_path, capsys, case
+    ):
+        bad = tmp_path / "bad.json"
+        corrupt_checkpoint(checkpoint, bad, case)
+        assert run(
+            "probe", "--checkpoint", str(bad), "--dataset_dir", str(data_dir),
+            "--out_dir", str(tmp_path / "p"),
+        ) == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestAttack:

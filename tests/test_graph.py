@@ -110,6 +110,14 @@ class TestDatasetIO:
         assert np.array_equal(back.adjacency.to_dense(), ds.adjacency.to_dense())
         assert np.array_equal(back.a_hat.to_dense(), ds.a_hat.to_dense())
 
+    def test_edges_file_lists_each_edge_once_sorted(self, tmp_path):
+        ds = generate_sbm(SbmParams((6, 7, 5), 0.6, 0.1, 0.35), make_rng(21))
+        save_dataset(ds, tmp_path / "d")
+        nz = zip(*np.nonzero(ds.adjacency.to_dense()))
+        want = sorted({(min(i, j), max(i, j)) for i, j in nz})
+        got = (tmp_path / "d" / "edges.tsv").read_text().splitlines()
+        assert got == [f"{u}\t{v}" for u, v in want]
+
     @pytest.fixture
     def fixture_dir(self, tmp_path):
         d = tmp_path / "data"

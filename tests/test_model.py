@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from capgnn.model import (
     save_model,
 )
 
-from conftest import two_node_dataset
+from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint, two_node_dataset
 from oracles import (
     assert_close_to_fd,
     fd_feature_grad,
@@ -223,3 +224,13 @@ class TestCheckpoint:
         path.write_text('{"hello": 1}')
         with pytest.raises(ValueError, match="checkpoint"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_rejects_malformed_checkpoint_naming_path(self, tmp_path, case):
+        good = tmp_path / "good.json"
+        save_model(init_model([7, 5, 3], make_rng(13)), good)
+        bad = tmp_path / "bad.json"
+        fragment = corrupt_checkpoint(good, bad, case)
+        with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
+            load_model(bad)
+        assert fragment in str(info.value)
