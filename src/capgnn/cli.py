@@ -147,8 +147,13 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             merged[key] = parse(raw)
         except ValueError as e:
             raise ConfigError(f"config key {key!r}: {e}") from e
-    if not merged["seeds"]:
+    seeds = merged["seeds"]
+    if not seeds:
         raise ConfigError("config key 'seeds' must list at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"config key 'seeds': seed {min(seeds)} is negative")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("config key 'seeds' lists a seed more than once")
     return merged
 
 
@@ -292,9 +297,11 @@ def _load_checkpoint_and_dataset(args):
     from .graph import load_dataset
     from .model import load_model
 
+    if args.seed < 0:  # probe and attack both draw from make_rng(args.seed)
+        raise ConfigError("--seed must be >= 0")
     try:
         model = load_model(args.checkpoint)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise ConfigError(f"cannot load checkpoint: {e}") from e
     dataset = load_dataset(
         args.dataset_dir, row_normalize_features=args.row_normalize_features

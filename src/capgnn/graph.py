@@ -242,8 +242,10 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     split_path = directory / "split.json"
     try:
         split = json.loads(split_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid JSON or not UTF-8
         raise _fail(split_path, f"invalid JSON ({e})") from e
+    if not isinstance(split, dict):
+        raise _fail(split_path, "expected a JSON object of train/val/test id lists")
     masks = {}
     for part in ("train", "val", "test"):
         ids = split.get(part)
@@ -251,8 +253,8 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
             raise _fail(split_path, f"missing or non-list {part!r} ids")
         mask = np.zeros(n, dtype=bool)
         for i in ids:
-            if not isinstance(i, int) or not (0 <= i < n):
-                raise _fail(split_path, f"{part} id {i!r} out of range")
+            if type(i) is not int or not (0 <= i < n):
+                raise _fail(split_path, f"{part} id {i!r} is not a node id in [0, {n})")
             if mask[i]:
                 raise _fail(split_path, f"{part} id {i} listed twice")
             mask[i] = True

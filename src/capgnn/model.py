@@ -7,9 +7,10 @@ weight matrix and with respect to the input features; both are exact
 (verified against central finite differences in the test suite), which
 is what the inner ascent loops and the outer descent both consume.
 
-Effective inputs: ``forward``/``backward`` accept optional ``w_eff`` and
-an explicit feature matrix, so callers can evaluate at (W + eps_w, X) or
-(W, X + eps_x) without touching stored state.
+Effective inputs: ``forward`` takes an explicit feature matrix and an
+optional ``w_eff``, so callers can evaluate at (W + eps_w, X) or
+(W, X + eps_x) without touching stored state; ``backward`` differentiates
+at the point recorded in the forward cache, never at re-passed inputs.
 """
 
 from __future__ import annotations
@@ -84,12 +85,15 @@ def init_model(
 class ForwardCache:
     """Intermediates of one forward pass, as consumed by ``backward``.
 
+    ``weights`` are the effective weights the pass used, in a list of its
+    own so an optimizer step on ``model.weights`` leaves it unchanged;
     ``layer_inputs[l]`` is the matrix fed into layer l (index 0 holds the
     effective features), ``pre_acts[l]`` its pre-activation output, and
     ``drop_scales[l]`` the inverted-dropout multiplier applied after the
     ReLU of layer l (None when dropout was off).
     """
 
+    weights: list[np.ndarray]
     layer_inputs: list[np.ndarray]
     pre_acts: list[np.ndarray]
     drop_scales: list[np.ndarray | None]
@@ -119,7 +123,7 @@ def forward(
     ``training`` is set (requires ``rng``); with ``training=False`` the
     pass is a deterministic pure function of its arguments.
     """
-    ws = model.weights if w_eff is None else list(w_eff)
+    ws = list(model.weights if w_eff is None else w_eff)
     if len(ws) != model.depth:
         raise ValueError(f"w_eff has {len(ws)} layers, model has {model.depth}")
     for l, (w, ref) in enumerate(zip(ws, model.weights)):
@@ -137,24 +141,29 @@ def forward(
     layer_inputs = [x_eff]
     pre_acts: list[np.ndarray] = []
     drop_scales: list[np.ndarray | None] = []
-    cur = x_eff
     last = model.depth - 1
     for l, w in enumerate(ws):
-        z = spmm(a_hat, cur @ w)
+        z = spmm(a_hat, layer_inputs[-1] @ w)
         pre_acts.append(z)
         if l == last:
             break
         h = np.maximum(z, 0.0)
+        scale = None
         if use_dropout:
             keep = 1.0 - model.dropout_rate
             scale = (rng.random(h.shape) < keep).astype(np.float64) / keep
             h = h * scale
-            drop_scales.append(scale)
-        else:
-            drop_scales.append(None)
+        drop_scales.append(scale)
         layer_inputs.append(h)
-        cur = h
-    return ForwardCache(layer_inputs, pre_acts, drop_scales)
+    return ForwardCache(ws, layer_inputs, pre_acts, drop_scales)
+
+
+def _masked_rows(labels, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the masked nodes and their integer labels."""
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if idx.size == 0:
+        raise ValueError("mask selects no nodes")
+    return idx, np.asarray(labels, dtype=np.int64)[idx]
 
 
 def masked_cross_entropy(logits: np.ndarray, labels, mask) -> float:
@@ -163,28 +172,22 @@ def masked_cross_entropy(logits: np.ndarray, labels, mask) -> float:
     Uses max-subtraction log-sum-exp, so arbitrarily large logits stay
     finite.
     """
-    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if idx.size == 0:
-        raise ValueError("mask selects no nodes")
-    labels = np.asarray(labels, dtype=np.int64)
+    idx, y = _masked_rows(labels, mask)
     sub = logits[idx]
     m = sub.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(sub - m).sum(axis=1))
-    picked = sub[np.arange(idx.size), labels[idx]]
+    picked = sub[np.arange(idx.size), y]
     return float(np.mean(lse - picked))
 
 
 def _loss_grad_logits(logits: np.ndarray, labels, mask) -> np.ndarray:
     """d(masked cross-entropy)/d(logits): (softmax - onehot)/count on masked rows."""
-    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if idx.size == 0:
-        raise ValueError("mask selects no nodes")
-    labels = np.asarray(labels, dtype=np.int64)
+    idx, y = _masked_rows(labels, mask)
     sub = logits[idx]
     shifted = sub - sub.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(idx.size), labels[idx]] -= 1.0
+    p[np.arange(idx.size), y] -= 1.0
     grad = np.zeros_like(logits)
     grad[idx] = p / idx.size
     return grad
@@ -193,47 +196,34 @@ def _loss_grad_logits(logits: np.ndarray, labels, mask) -> np.ndarray:
 def backward(
     model: GnnModel,
     a_hat: CsrMatrix,
-    x_eff: np.ndarray,
-    w_eff: list[np.ndarray] | None,
     cache: ForwardCache,
     labels,
     mask,
 ) -> Gradients:
-    """Exact gradients of the masked cross-entropy through the layer rule.
+    """Exact gradients of the masked cross-entropy at the point ``cache`` evaluated.
 
-    Relies on the normalized adjacency being symmetric, so its transpose
-    in the chain rule is itself. The per-layer weight gradient is
+    That point is (``cache.weights``, ``cache.layer_inputs[0]``). Relies
+    on the normalized adjacency being symmetric, so its transpose in the
+    chain rule is itself. The per-layer weight gradient is
     ``layer_input.T @ (A_hat @ delta)`` and the feature gradient
     propagates the first layer's delta back through W_0.
     """
-    ws = model.weights if w_eff is None else list(w_eff)
-    if len(cache.pre_acts) != len(ws):
+    ws = cache.weights
+    if len(ws) != model.depth:
         raise ValueError("cache does not match the model depth")
-    x0 = cache.layer_inputs[0]
-    if x0 is not x_eff and (
-        x0.shape != x_eff.shape or not np.array_equal(x0, x_eff)
-    ):
-        raise ValueError("cache was produced for different effective features")
-    for l, w in enumerate(ws):
-        expect = (cache.layer_inputs[l].shape[1], cache.pre_acts[l].shape[1])
-        if w.shape != expect:
-            raise ValueError(f"cache/w_eff mismatch at layer {l}")
-
     delta = _loss_grad_logits(cache.logits, labels, mask)
     d_weights: list[np.ndarray] = [np.empty(0)] * len(ws)
-    d_features = None
     for l in range(len(ws) - 1, -1, -1):
         g = spmm(a_hat, delta)
         d_weights[l] = cache.layer_inputs[l].T @ g
         back = g @ ws[l].T
-        if l == 0:
-            d_features = back
-        else:
+        if l:
             scale = cache.drop_scales[l - 1]
             if scale is not None:
                 back = back * scale
             delta = back * (cache.pre_acts[l - 1] > 0.0)
-    return Gradients(d_weights, d_features)
+    # After layer 0, ``back`` is the gradient with respect to the features.
+    return Gradients(d_weights, back)
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:
@@ -241,12 +231,9 @@ def accuracy(logits: np.ndarray, labels, mask) -> float:
 
     Ties resolve to the lowest class index (argmax convention).
     """
-    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if idx.size == 0:
-        raise ValueError("mask selects no nodes")
-    labels = np.asarray(labels, dtype=np.int64)
+    idx, y = _masked_rows(labels, mask)
     pred = np.argmax(logits[idx], axis=1)
-    return float(np.mean(pred == labels[idx]))
+    return float(np.mean(pred == y))
 
 
 def evaluate(model: GnnModel, dataset: Dataset, mask) -> float:

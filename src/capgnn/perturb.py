@@ -94,17 +94,14 @@ def pgd_weight_perturbation(
         cache = forward(model, dataset.a_hat, dataset.features, w_eff, training=False)
         loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
         grads = backward(
-            model, dataset.a_hat, dataset.features, w_eff, cache,
-            dataset.labels, dataset.train_mask,
+            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask
         )
         for l, g in enumerate(grads.d_weights):
             gn = lp_norm(g, 2)
             if gn >= _GRAD_NORM_FLOOR and radii[l] > 0.0:
                 eps[l] = project_ball(eps[l] + cfg.beta * (g / gn), radii[l], 2)
             if trace is not None:
-                trace.append(
-                    PgdTraceRow(t, f"w{l}", gn, lp_norm(eps[l], 2), loss)
-                )
+                trace.append(PgdTraceRow(t, f"w{l}", gn, lp_norm(eps[l], 2), loss))
     return eps
 
 
@@ -122,21 +119,15 @@ def pgd_feature_perturbation(
     """
     eps = np.zeros_like(dataset.features)
     for t in range(cfg.steps):
-        x_eff = dataset.features + eps
-        cache = forward(model, dataset.a_hat, x_eff, training=False)
+        cache = forward(model, dataset.a_hat, dataset.features + eps, training=False)
         loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
         grads = backward(
-            model, dataset.a_hat, x_eff, None, cache,
-            dataset.labels, dataset.train_mask,
+            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask
         )
         eps = project_ball(
             eps + cfg.beta * np.sign(grads.d_features), cfg.rho_x, math.inf
         )
         if trace is not None:
-            trace.append(
-                PgdTraceRow(
-                    t, "x", lp_norm(grads.d_features, math.inf),
-                    lp_norm(eps, math.inf), loss,
-                )
-            )
+            gn = lp_norm(grads.d_features, math.inf)
+            trace.append(PgdTraceRow(t, "x", gn, lp_norm(eps, math.inf), loss))
     return eps

@@ -197,15 +197,14 @@ def train_step(
     labels, train_mask = dataset.labels, dataset.train_mask
     rows = None if pgd_trace is None else []
 
-    if mode_used == STANDARD:
-        x_eff, w_eff = x, None
-    elif mode_used == WEIGHT_PERTURB:
+    x_eff, w_eff = x, None
+    if mode_used == WEIGHT_PERTURB:
         eps_w = pgd_weight_perturbation(model, dataset, cfg.perturb, trace=rows)
-        x_eff, w_eff = x, [w + e for w, e in zip(model.weights, eps_w)]
+        w_eff = [w + e for w, e in zip(model.weights, eps_w)]
     elif mode_used == FEATURE_PERTURB:
         eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows)
-        x_eff, w_eff = x + eps_x, None
-    else:
+        x_eff = x + eps_x
+    elif mode_used != STANDARD:
         raise ValueError(f"unknown epoch mode {mode_used!r}")
     if pgd_trace is not None and rows:
         pgd_trace.extend((epoch, row) for row in rows)
@@ -216,7 +215,7 @@ def train_step(
         raise TrainingDivergedError(
             f"non-finite training loss at epoch {epoch} ({mode_used})"
         )
-    grads = backward(model, a_hat, x_eff, w_eff, cache, labels, train_mask)
+    grads = backward(model, a_hat, cache, labels, train_mask)
     optimizer.step(model.weights, grads.d_weights)
 
     train_loss = train_acc = val_acc = test_acc = None

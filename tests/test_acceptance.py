@@ -104,10 +104,7 @@ def test_c1_gradient_oracle():
         for seed in range(20):
             model, ds = random_instance(seed)
             cache = forward(model, ds.a_hat, ds.features, training=False)
-            grads = backward(
-                model, ds.a_hat, ds.features, None, cache,
-                ds.labels, ds.train_mask,
-            )
+            grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
             for layer in range(model.depth):
                 fd = fd_weight_grad(
                     model, ds.a_hat, ds.features, ds.labels, ds.train_mask, layer

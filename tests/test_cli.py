@@ -234,6 +234,28 @@ def checkpoint(data_dir, tmp_path_factory):
     return out / "seed_1" / "checkpoint.json"
 
 
+BAD_SEEDS = {
+    "train_negative": (["train", "--seeds=-1"], "seed -1 is negative"),
+    "train_repeated": (["train", "--seeds", "1,1"], "lists a seed more than once"),
+    "probe_negative": (["probe", "--seed=-2"], "--seed must be >= 0"),
+    "attack_negative": (["attack", "--seed=-2", "--sigmas", "0"], "--seed must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEEDS))
+def test_bad_seed_exits_2(case, checkpoint, data_dir, tmp_path, capsys):
+    argv, message = BAD_SEEDS[case]
+    out = tmp_path / "out"
+    paths = {
+        "train": ["--out_dir", str(out)],
+        "probe": ["--checkpoint", str(checkpoint), "--out_dir", str(out)],
+        "attack": ["--checkpoint", str(checkpoint), "--out", str(out / "a.csv")],
+    }[argv[0]]
+    assert run(*argv, *paths, "--dataset_dir", str(data_dir)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestProbe:
     def test_both_kinds_emit_two_profiles(self, checkpoint, data_dir, tmp_path):
         out = tmp_path / "p"

@@ -178,6 +178,23 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="disjoint"):
             load_dataset(fixture_dir)
 
+    def test_split_array_rejected(self, fixture_dir):
+        (fixture_dir / "split.json").write_text(json.dumps([[0], [], [1]]))
+        with pytest.raises(DatasetError, match=r"split\.json: expected a JSON object"):
+            load_dataset(fixture_dir)
+
+    def test_split_not_utf8_rejected(self, fixture_dir):
+        (fixture_dir / "split.json").write_bytes(b"\xff{")
+        with pytest.raises(DatasetError, match=r"split\.json: invalid JSON"):
+            load_dataset(fixture_dir)
+
+    def test_split_bool_id_rejected(self, fixture_dir):
+        (fixture_dir / "split.json").write_text(
+            json.dumps({"train": [True], "val": [], "test": [1]})
+        )
+        with pytest.raises(DatasetError, match=r"split\.json: train id True is not"):
+            load_dataset(fixture_dir)
+
     def test_row_normalize_flag(self, fixture_dir):
         (fixture_dir / "features.csv").write_text("2.0,2.0\n0.0,0.0\n")
         ds = load_dataset(fixture_dir, row_normalize_features=True)

@@ -32,9 +32,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_weight_and_feature_grads(self, seed):
         model, ds = random_instance(seed)
         cache = forward(model, ds.a_hat, ds.features, training=False)
-        grads = backward(
-            model, ds.a_hat, ds.features, None, cache, ds.labels, ds.train_mask
-        )
+        grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
         for layer in range(model.depth):
             fd = fd_weight_grad(
                 model, ds.a_hat, ds.features, ds.labels, ds.train_mask, layer
@@ -49,11 +47,27 @@ class TestGradientsAgainstFiniteDifferences:
         model = GnnModel([np.eye(2) * 200.0], dropout_rate=0.0)
         cache = forward(model, CsrMatrix.identity(2), ds.features, training=False)
         grads = backward(
-            model, CsrMatrix.identity(2), ds.features, None, cache,
-            ds.labels, np.array([True, True]),
+            model, CsrMatrix.identity(2), cache, ds.labels, np.array([True, True])
         )
         assert np.max(np.abs(grads.d_weights[0])) < 1e-8
         assert np.max(np.abs(grads.d_features)) < 1e-8
+
+    def test_gradient_is_taken_at_the_cached_point(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 6, 2], make_rng(4), dropout_rate=0.0)
+        rng = make_rng(5)
+        w_eff = [w + 0.1 * rng.standard_normal(w.shape) for w in model.weights]
+        x_eff = ds.features + 0.1 * rng.standard_normal(ds.features.shape)
+        cache = forward(model, ds.a_hat, x_eff, w_eff)
+        assert cache.weights is not model.weights
+        assert all(a is b for a, b in zip(cache.weights, w_eff))
+        moved = GnnModel(w_eff, dropout_rate=0.0)
+        moved_cache = forward(moved, ds.a_hat, x_eff)
+        want = backward(moved, ds.a_hat, moved_cache, ds.labels, ds.train_mask)
+        got = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        for a, b in zip(got.d_weights, want.d_weights):
+            assert a.tobytes() == b.tobytes()
+        assert got.d_features.tobytes() == want.d_features.tobytes()
 
     def test_out_of_receptive_field_rows_exactly_zero(self):
         # Two disconnected triangles; only the first is supervised. With two
@@ -68,9 +82,7 @@ class TestGradientsAgainstFiniteDifferences:
         ds = make_dataset(adj, x, labels, 2, mask, np.zeros(6, bool), ~mask)
         model = init_model([3, 4, 2], rng, dropout_rate=0.0)
         cache = forward(model, ds.a_hat, ds.features, training=False)
-        grads = backward(
-            model, ds.a_hat, ds.features, None, cache, ds.labels, ds.train_mask
-        )
+        grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
         assert np.array_equal(grads.d_features[3:], np.zeros((3, 3)))
         assert np.abs(grads.d_features[:3]).max() > 0
 

@@ -22,9 +22,7 @@ def train_loss(model, ds, w_eff=None, x_eff=None):
 
 def clean_gradients(model, ds):
     cache = forward(model, ds.a_hat, ds.features, training=False)
-    return backward(
-        model, ds.a_hat, ds.features, None, cache, ds.labels, ds.train_mask
-    )
+    return backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +109,7 @@ class TestWeightPgd:
             w_eff = [w + e for w, e in zip(model.weights, eps)]
             cache = forward(model, fixture_8.a_hat, fixture_8.features, w_eff)
             grads = backward(
-                model, fixture_8.a_hat, fixture_8.features, w_eff, cache,
-                fixture_8.labels, fixture_8.train_mask,
+                model, fixture_8.a_hat, cache, fixture_8.labels, fixture_8.train_mask
             )
             for l, g in enumerate(grads.d_weights):
                 gn = lp_norm(g, 2)

@@ -156,8 +156,7 @@ class TestTrainStep:
         w_eff = [w + e for w, e in zip(old, eps)]
         cache = forward(replay, small_sbm.a_hat, small_sbm.features, w_eff)
         grads = backward(
-            replay, small_sbm.a_hat, small_sbm.features, w_eff, cache,
-            small_sbm.labels, small_sbm.train_mask,
+            replay, small_sbm.a_hat, cache, small_sbm.labels, small_sbm.train_mask
         )
         for l in range(len(old)):
             want = old[l] - cfg.lr * grads.d_weights[l]
