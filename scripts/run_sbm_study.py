@@ -24,13 +24,12 @@ import numpy as np
 from capgnn.graph import SbmParams, generate_sbm
 from capgnn.landscape import (
     gaussian_attack_eval,
-    generalization_gap,
     probe_landscape,
     sample_directions,
     sharpness,
 )
 from capgnn.linalg import make_rng
-from capgnn.model import evaluate
+from capgnn.model import accuracy, forward
 from capgnn.perturb import PerturbConfig
 from capgnn.train import TrainConfig, train
 
@@ -94,10 +93,12 @@ def main():
                             profiles.append(
                                 (mode, kind, i, float(alpha), float(profile.losses[i, j]))
                             )
+            logits = forward(model, ds.a_hat, ds.features).logits
+            test_acc = accuracy(logits, ds.labels, ds.test_mask)
             metrics.append(
                 (
-                    evaluate(model, ds, ds.test_mask),
-                    generalization_gap(model, ds),
+                    test_acc,
+                    accuracy(logits, ds.labels, ds.train_mask) - test_acc,
                     sharps["weight"],
                     sharps["feature"],
                     gaussian_attack_eval(model, ds, args.attack_sigma, 10, make_rng(3)),

@@ -151,12 +151,22 @@ def _fail(path: Path, msg: str, line: int | None = None) -> DatasetError:
     return DatasetError(f"{where}: {msg}")
 
 
+def _numbered_lines(path: Path):
+    """(line number, line) pairs of a UTF-8 text file; other bytes raise DatasetError."""
+    try:
+        with path.open(encoding="utf-8") as f:
+            yield from enumerate(f, start=1)
+    except UnicodeDecodeError as e:
+        raise _fail(path, f"not UTF-8 text ({e})") from e
+
+
 def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
     Raises :class:`DatasetError` naming the file (and line, where it
-    applies) for any missing file, malformed line, out-of-range index,
-    duplicate edge, or self-loop.
+    applies) for any missing file, bytes that are not UTF-8, sizes in
+    ``meta.json`` that are not JSON integers >= 1, malformed line,
+    out-of-range index, duplicate edge, or self-loop.
     """
     directory = Path(directory)
     for name in _FILES:
@@ -166,41 +176,41 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     meta_path = directory / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        n, d, num_classes = int(meta["n"]), int(meta["d"]), int(meta["num_classes"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        n, d, num_classes = meta["n"], meta["d"], meta["num_classes"]
+    except (KeyError, TypeError, ValueError) as e:  # ValueError: bad JSON or UTF-8
         raise _fail(meta_path, f"invalid meta.json ({e})") from e
-    if n < 1 or d < 1 or num_classes < 1:
-        raise _fail(meta_path, "n, d, num_classes must all be >= 1")
+    for key, v in (("n", n), ("d", d), ("num_classes", num_classes)):
+        if type(v) is not int or v < 1:
+            raise _fail(meta_path, f"{key} must be an integer >= 1, got {v!r}")
 
     edges_path = directory / "edges.tsv"
     seen = set()
     us, vs = [], []
-    with edges_path.open(encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise _fail(edges_path, f"expected 'u<TAB>v', got {line!r}", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise _fail(edges_path, f"non-integer endpoint in {line!r}", lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise _fail(edges_path, f"node index out of range in {line!r}", lineno)
-            if u == v:
-                raise _fail(edges_path, f"self-loop {u}-{v} not allowed", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise _fail(
-                    edges_path,
-                    f"duplicate undirected edge {u}-{v} (each edge listed once)",
-                    lineno,
-                )
-            seen.add(key)
-            us.append(u)
-            vs.append(v)
+    for lineno, raw in _numbered_lines(edges_path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise _fail(edges_path, f"expected 'u<TAB>v', got {line!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise _fail(edges_path, f"non-integer endpoint in {line!r}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _fail(edges_path, f"node index out of range in {line!r}", lineno)
+        if u == v:
+            raise _fail(edges_path, f"self-loop {u}-{v} not allowed", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise _fail(
+                edges_path,
+                f"duplicate undirected edge {u}-{v} (each edge listed once)",
+                lineno,
+            )
+        seen.add(key)
+        us.append(u)
+        vs.append(v)
 
     feat_path = directory / "features.csv"
     try:
@@ -220,22 +230,21 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
 
     labels_path = directory / "labels.txt"
     labels = np.empty(n, dtype=np.int64)
-    with labels_path.open(encoding="utf-8") as f:
-        count = 0
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if count >= n:
-                raise _fail(labels_path, f"more than {n} labels", lineno)
-            try:
-                lab = int(line)
-            except ValueError:
-                raise _fail(labels_path, f"non-integer label {line!r}", lineno)
-            if not (0 <= lab < num_classes):
-                raise _fail(labels_path, f"label {lab} out of range", lineno)
-            labels[count] = lab
-            count += 1
+    count = 0
+    for lineno, raw in _numbered_lines(labels_path):
+        line = raw.strip()
+        if not line:
+            continue
+        if count >= n:
+            raise _fail(labels_path, f"more than {n} labels", lineno)
+        try:
+            lab = int(line)
+        except ValueError:
+            raise _fail(labels_path, f"non-integer label {line!r}", lineno)
+        if not (0 <= lab < num_classes):
+            raise _fail(labels_path, f"label {lab} out of range", lineno)
+        labels[count] = lab
+        count += 1
     if count != n:
         raise _fail(labels_path, f"expected {n} labels, found {count}")
 
@@ -272,16 +281,15 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
 
 
 def _locate_bad_csv_line(path: Path, d: int) -> None:
-    with path.open(encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            parts = raw.rstrip("\n").split(",")
-            if len(parts) != d:
-                raise _fail(path, f"expected {d} values, got {len(parts)}", lineno)
-            for p in parts:
-                try:
-                    float(p)
-                except ValueError:
-                    raise _fail(path, f"non-numeric value {p!r}", lineno)
+    for lineno, raw in _numbered_lines(path):
+        parts = raw.rstrip("\n").split(",")
+        if len(parts) != d:
+            raise _fail(path, f"expected {d} values, got {len(parts)}", lineno)
+        for p in parts:
+            try:
+                float(p)
+            except ValueError:
+                raise _fail(path, f"non-numeric value {p!r}", lineno)
 
 
 def save_dataset(dataset: Dataset, directory) -> None:

@@ -3,9 +3,11 @@
 The layer rule is ``H_l = act(A_hat @ H_{l-1} @ W_l)`` with ReLU between
 layers and no activation or bias on the output layer. ``backward``
 returns the gradient of the masked cross-entropy with respect to every
-weight matrix and with respect to the input features; both are exact
-(verified against central finite differences in the test suite), which
-is what the inner ascent loops and the outer descent both consume.
+weight matrix and, on request, with respect to the input features; both
+are exact (verified against central finite differences in the test
+suite). Only the feature ascent loop reads the feature gradient, an
+n x d product as costly as a weight gradient, so the weight ascent loop
+and the outer descent ask for the weight gradients alone.
 
 Effective inputs: ``forward`` takes an explicit feature matrix and an
 optional ``w_eff``, so callers can evaluate at (W + eps_w, X) or
@@ -106,7 +108,7 @@ class ForwardCache:
 @dataclass
 class Gradients:
     d_weights: list[np.ndarray]
-    d_features: np.ndarray
+    d_features: np.ndarray | None
 
 
 def forward(
@@ -199,31 +201,35 @@ def backward(
     cache: ForwardCache,
     labels,
     mask,
+    *,
+    need_features: bool = True,
 ) -> Gradients:
     """Exact gradients of the masked cross-entropy at the point ``cache`` evaluated.
 
     That point is (``cache.weights``, ``cache.layer_inputs[0]``). Relies
     on the normalized adjacency being symmetric, so its transpose in the
     chain rule is itself. The per-layer weight gradient is
-    ``layer_input.T @ (A_hat @ delta)`` and the feature gradient
-    propagates the first layer's delta back through W_0.
+    ``layer_input.T @ g`` with ``g = A_hat @ delta``, and the feature
+    gradient is the first layer's ``g @ W_0.T``. That last product is as
+    large as the features and only feature PGD reads it, so it is
+    computed only when ``need_features`` is set; otherwise
+    ``d_features`` is None. The weight gradients are the same bytes
+    either way.
     """
     ws = cache.weights
     if len(ws) != model.depth:
         raise ValueError("cache does not match the model depth")
-    delta = _loss_grad_logits(cache.logits, labels, mask)
     d_weights: list[np.ndarray] = [np.empty(0)] * len(ws)
-    for l in range(len(ws) - 1, -1, -1):
-        g = spmm(a_hat, delta)
+    g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
+    for l in range(len(ws) - 1, 0, -1):
         d_weights[l] = cache.layer_inputs[l].T @ g
         back = g @ ws[l].T
-        if l:
-            scale = cache.drop_scales[l - 1]
-            if scale is not None:
-                back = back * scale
-            delta = back * (cache.pre_acts[l - 1] > 0.0)
-    # After layer 0, ``back`` is the gradient with respect to the features.
-    return Gradients(d_weights, back)
+        scale = cache.drop_scales[l - 1]
+        if scale is not None:
+            back = back * scale
+        g = spmm(a_hat, back * (cache.pre_acts[l - 1] > 0.0))
+    d_weights[0] = cache.layer_inputs[0].T @ g
+    return Gradients(d_weights, g @ ws[0].T if need_features else None)
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:

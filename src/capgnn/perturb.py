@@ -94,7 +94,8 @@ def pgd_weight_perturbation(
         cache = forward(model, dataset.a_hat, dataset.features, w_eff, training=False)
         loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
         grads = backward(
-            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask
+            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
+            need_features=False,
         )
         for l, g in enumerate(grads.d_weights):
             gn = lp_norm(g, 2)

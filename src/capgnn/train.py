@@ -215,7 +215,7 @@ def train_step(
         raise TrainingDivergedError(
             f"non-finite training loss at epoch {epoch} ({mode_used})"
         )
-    grads = backward(model, a_hat, cache, labels, train_mask)
+    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False)
     optimizer.step(model.weights, grads.d_weights)
 
     train_loss = train_acc = val_acc = test_acc = None

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,26 @@ class TestTrain:
             "train", "--dataset_dir", str(tmp_path / "nope"),
             "--out_dir", str(tmp_path / "x"), "--seeds", "1", "--epochs", "2",
         ) == 2
+
+    @pytest.mark.parametrize(
+        "name", ["edges.tsv", "labels.txt", "features.csv", "meta.json"]
+    )
+    def test_malformed_dataset_file_exits_2_naming_it(
+        self, data_dir, tmp_path, capsys, name
+    ):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir, bad)
+        if name == "meta.json":
+            meta = json.loads((bad / name).read_text())
+            (bad / name).write_text(json.dumps({**meta, "n": meta["n"] + 0.7}))
+        else:
+            (bad / name).write_bytes((bad / name).read_bytes() + b"\xff\n")
+        assert run(
+            "train", "--dataset_dir", str(bad), "--out_dir", str(tmp_path / "x"),
+            "--seeds", "1", "--epochs", "2",
+        ) == 2
+        assert str(bad / name) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,25 @@ class TestDatasetIO:
     def test_split_not_utf8_rejected(self, fixture_dir):
         (fixture_dir / "split.json").write_bytes(b"\xff{")
         with pytest.raises(DatasetError, match=r"split\.json: invalid JSON"):
+            load_dataset(fixture_dir)
+
+    @pytest.mark.parametrize("name", ["edges.tsv", "labels.txt", "features.csv"])
+    def test_line_file_not_utf8_rejected(self, fixture_dir, name):
+        path = fixture_dir / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(DatasetError, match=rf"{re.escape(name)}: not UTF-8"):
+            load_dataset(fixture_dir)
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None, 0])
+    @pytest.mark.parametrize("key", ["n", "d", "num_classes"])
+    def test_meta_size_must_be_json_integer(self, fixture_dir, key, value):
+        meta_path = fixture_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(
+            DatasetError, match=rf"meta\.json: {key} must be an integer >= 1, got "
+        ):
             load_dataset(fixture_dir)
 
     def test_split_bool_id_rejected(self, fixture_dir):

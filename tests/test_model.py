@@ -69,6 +69,21 @@ class TestGradientsAgainstFiniteDifferences:
             assert a.tobytes() == b.tobytes()
         assert got.d_features.tobytes() == want.d_features.tobytes()
 
+    def test_weight_gradients_alone_are_the_same_bytes(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 8, 4, ds.num_classes], make_rng(6), dropout_rate=0.5)
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7))
+        assert all(s is not None for s in cache.drop_scales)
+        full = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        alone = backward(
+            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=False
+        )
+        assert alone.d_features is None
+        assert full.d_features.shape == ds.features.shape
+        assert [w.tobytes() for w in alone.d_weights] == [
+            w.tobytes() for w in full.d_weights
+        ]
+
     def test_out_of_receptive_field_rows_exactly_zero(self):
         # Two disconnected triangles; only the first is supervised. With two
         # layers, nodes of the second triangle cannot reach any masked node.

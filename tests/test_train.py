@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capgnn.perturb as perturb_mod
 import capgnn.train as train_mod
 from capgnn.graph import SbmParams, generate_sbm
 from capgnn.linalg import make_rng
@@ -218,6 +219,40 @@ class TestTrain:
         assert calls == {"w": 2, "x": 1}
         assert all(r.adv_loss is None for r in hist[:3])
         assert all(r.adv_loss is not None for r in hist[3:])
+
+    def test_only_feature_pgd_asks_for_the_feature_gradient(
+        self, small_sbm, monkeypatch
+    ):
+        # Per epoch, the (module, need_features) of every backward call.
+        calls: list[tuple[str, list]] = []
+        real_step, real_backward = train_mod.train_step, train_mod.backward
+
+        def step_spy(model, dataset, mode_used, *a, **k):
+            calls.append((mode_used, []))
+            return real_step(model, dataset, mode_used, *a, **k)
+
+        def backward_spy(where):
+            def spy(*a, need_features=True, **k):
+                calls[-1][1].append((where, need_features))
+                return real_backward(*a, need_features=need_features, **k)
+
+            return spy
+
+        monkeypatch.setattr(train_mod, "train_step", step_spy)
+        monkeypatch.setattr(train_mod, "backward", backward_spy("train"))
+        monkeypatch.setattr(perturb_mod, "backward", backward_spy("perturb"))
+        steps = 2
+        cfg = quick_cfg(epochs=8, skip_epochs=2, frequency=3,
+                        perturb=PerturbConfig(steps=steps))
+        train(small_sbm, cfg)
+
+        assert [mode for mode, _ in calls] == [schedule(e, cfg) for e in range(1, 9)]
+        assert sum(mode == FEATURE_PERTURB for mode, _ in calls) == 2
+        for mode, backwards in calls:
+            pgd = [("perturb", mode == FEATURE_PERTURB)] * steps
+            if mode == STANDARD:
+                pgd = []
+            assert backwards == pgd + [("train", False)]
 
     def test_cap_with_full_skip_equals_vanilla(self, small_sbm):
         cap = quick_cfg(mode="cap", epochs=7, skip_epochs=7, dropout=0.5)
