@@ -2,12 +2,14 @@
 
 The layer rule is ``H_l = act(A_hat @ H_{l-1} @ W_l)`` with ReLU between
 layers and no activation or bias on the output layer. ``backward``
-returns the gradient of the masked cross-entropy with respect to every
-weight matrix and, on request, with respect to the input features; both
-are exact (verified against central finite differences in the test
-suite). Only the feature ascent loop reads the feature gradient, an
-n x d product as costly as a weight gradient, so the weight ascent loop
-and the outer descent ask for the weight gradients alone.
+returns the exact gradient of the masked cross-entropy with respect to
+the weight matrices, the input features, or both (verified against
+central finite differences in the test suite). Each loop asks only for
+what it reads: the outer descent and the weight ascent loop read the
+weight gradients alone, and the feature ascent loop reads the feature
+gradient alone. Both kinds cost n x d work at the first layer (the
+feature gradient ``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
+computing the one nobody reads would nearly double that layer's cost.
 
 Effective inputs: ``forward`` takes an explicit feature matrix and an
 optional ``w_eff``, so callers can evaluate at (W + eps_w, X) or
@@ -107,7 +109,7 @@ class ForwardCache:
 
 @dataclass
 class Gradients:
-    d_weights: list[np.ndarray]
+    d_weights: list[np.ndarray] | None
     d_features: np.ndarray | None
 
 
@@ -203,6 +205,7 @@ def backward(
     mask,
     *,
     need_features: bool = True,
+    need_weights: bool = True,
 ) -> Gradients:
     """Exact gradients of the masked cross-entropy at the point ``cache`` evaluated.
 
@@ -210,25 +213,28 @@ def backward(
     on the normalized adjacency being symmetric, so its transpose in the
     chain rule is itself. The per-layer weight gradient is
     ``layer_input.T @ g`` with ``g = A_hat @ delta``, and the feature
-    gradient is the first layer's ``g @ W_0.T``. That last product is as
-    large as the features and only feature PGD reads it, so it is
-    computed only when ``need_features`` is set; otherwise
-    ``d_features`` is None. The weight gradients are the same bytes
-    either way.
+    gradient is the first layer's ``g @ W_0.T``. Both first-layer
+    products are as large as the features, so each is computed only on
+    request: the outer descent and weight PGD pass
+    ``need_features=False`` (``d_features`` is None), feature PGD passes
+    ``need_weights=False`` (``d_weights`` is None). What is computed is
+    the same bytes whichever flags are set.
     """
     ws = cache.weights
     if len(ws) != model.depth:
         raise ValueError("cache does not match the model depth")
-    d_weights: list[np.ndarray] = [np.empty(0)] * len(ws)
+    d_weights = [np.empty(0)] * len(ws) if need_weights else None
     g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
     for l in range(len(ws) - 1, 0, -1):
-        d_weights[l] = cache.layer_inputs[l].T @ g
+        if need_weights:
+            d_weights[l] = cache.layer_inputs[l].T @ g
         back = g @ ws[l].T
         scale = cache.drop_scales[l - 1]
         if scale is not None:
             back = back * scale
         g = spmm(a_hat, back * (cache.pre_acts[l - 1] > 0.0))
-    d_weights[0] = cache.layer_inputs[0].T @ g
+    if need_weights:
+        d_weights[0] = cache.layer_inputs[0].T @ g
     return Gradients(d_weights, g @ ws[0].T if need_features else None)
 
 

@@ -8,6 +8,13 @@ weight norm; the feature loop uses sign steps inside an absolute
 l-infinity ball. Stored model weights and dataset features are never
 mutated; perturbations are returned for the caller to apply through the
 forward pass's effective-input channel.
+
+Each loop asks ``backward`` only for the gradient its step reads. The
+feature loop runs on n x d arrays, so it reuses its buffers: one for
+the perturbation and one for the effective features, built in place,
+and it turns each feature gradient into its step in place. At most
+three n x d arrays are live at once. The returned perturbation owns its
+memory and belongs to the caller, who may overwrite it.
 """
 
 from __future__ import annotations
@@ -116,19 +123,29 @@ def pgd_feature_perturbation(
 
     Steps are ``beta * sign(grad)`` with sign(0) = 0, so feature rows
     outside the masked nodes' receptive field stay exactly zero; the
-    projection clamps entrywise to [-rho_x, rho_x].
+    projection clamps entrywise to [-rho_x, rho_x]. Every step works in
+    place on reused buffers (see the module docstring) and gives the
+    bytes of ``np.clip(eps + beta * np.sign(grad), -rho_x, rho_x)``. The
+    returned ``eps`` is the caller's to keep or overwrite.
     """
-    eps = np.zeros_like(dataset.features)
+    x = dataset.features
+    eps = np.zeros_like(x)
+    x_eff = np.empty_like(x)
     for t in range(cfg.steps):
-        cache = forward(model, dataset.a_hat, dataset.features + eps, training=False)
+        np.add(x, eps, out=x_eff)
+        cache = forward(model, dataset.a_hat, x_eff, training=False)
         loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
-        grads = backward(
-            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask
-        )
-        eps = project_ball(
-            eps + cfg.beta * np.sign(grads.d_features), cfg.rho_x, math.inf
-        )
+        step = backward(
+            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
+            need_weights=False,
+        ).d_features
         if trace is not None:
-            gn = lp_norm(grads.d_features, math.inf)
+            gn = lp_norm(step, math.inf)
+        np.sign(step, out=step)
+        step *= cfg.beta
+        eps += step
+        np.clip(eps, -cfg.rho_x, cfg.rho_x, out=eps)
+        del step  # so the next backward's gradient is the only one alive
+        if trace is not None:
             trace.append(PgdTraceRow(t, "x", gn, lp_norm(eps, math.inf), loss))
     return eps

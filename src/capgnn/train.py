@@ -189,6 +189,8 @@ def train_step(
     take the descent gradient at the displaced point and apply it to the
     stored weights; the perturbation itself is discarded. Clean metrics,
     when requested, are evaluated after the update with dropout off.
+    A non-finite loss, before the update or clean after it, raises
+    ``TrainingDivergedError`` naming the epoch.
     When ``pgd_trace`` is given, per-step inner-loop rows are appended
     as (epoch, PgdTraceRow) pairs.
     """
@@ -203,7 +205,7 @@ def train_step(
         w_eff = [w + e for w, e in zip(model.weights, eps_w)]
     elif mode_used == FEATURE_PERTURB:
         eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows)
-        x_eff = x + eps_x
+        x_eff = np.add(x, eps_x, out=eps_x)  # eps_x is discarded after this step
     elif mode_used != STANDARD:
         raise ValueError(f"unknown epoch mode {mode_used!r}")
     if pgd_trace is not None and rows:
@@ -222,6 +224,10 @@ def train_step(
     if evaluate_metrics:
         clean = forward(model, a_hat, x, training=False)
         train_loss = masked_cross_entropy(clean.logits, labels, train_mask)
+        if not np.isfinite(train_loss):
+            raise TrainingDivergedError(
+                f"non-finite clean training loss after epoch {epoch} ({mode_used})"
+            )
         train_acc = accuracy(clean.logits, labels, train_mask)
         if dataset.val_mask.any():
             val_acc = accuracy(clean.logits, labels, dataset.val_mask)

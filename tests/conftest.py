@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,24 @@ from capgnn.train import TrainConfig, train
 def small_sbm():
     """40-node two-block graph with overlapping (noisy) features."""
     return generate_sbm(SbmParams((20, 20), 0.4, 0.05, 1.5), make_rng(11))
+
+
+@pytest.fixture(scope="session")
+def wide_sbm():
+    """1,200 nodes with d=300 features, so n x d arrays dwarf every n x hidden one."""
+    return generate_sbm(
+        SbmParams((600, 600), 0.01, 0.002, 1.0, feature_dim=300), make_rng(12)
+    )
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` (numpy reports its buffers) while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

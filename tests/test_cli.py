@@ -219,6 +219,20 @@ class TestTrain:
         assert str(bad / name) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exits_3_naming_the_epoch(self, data_dir, tmp_path, capsys):
+        # The pre-update loss of epoch 1 is finite; the update is what diverges.
+        out = tmp_path / "diverged"
+        assert run(
+            "train", "--dataset_dir", str(data_dir), "--out_dir", str(out),
+            "--seeds", "1", "--epochs", "1", "--lr", "1e308", "--mode", "vanilla",
+            "--model_selection", "last",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "training diverged" in err and "epoch 1" in err
+        assert not (out / "seed_1").exists()
+        assert not (out / "summary.json").exists()
+
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():
             return {

@@ -84,6 +84,17 @@ class TestGradientsAgainstFiniteDifferences:
             w.tobytes() for w in full.d_weights
         ]
 
+    def test_feature_gradient_alone_is_the_same_bytes(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 8, 4, ds.num_classes], make_rng(6), dropout_rate=0.5)
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7))
+        full = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        alone = backward(
+            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_weights=False
+        )
+        assert alone.d_weights is None
+        assert alone.d_features.tobytes() == full.d_features.tobytes()
+
     def test_out_of_receptive_field_rows_exactly_zero(self):
         # Two disconnected triangles; only the first is supervised. With two
         # layers, nodes of the second triangle cannot reach any masked node.

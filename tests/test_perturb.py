@@ -13,6 +13,8 @@ from capgnn.perturb import (
     project_ball,
 )
 
+from conftest import peak_traced_bytes
+
 
 def train_loss(model, ds, w_eff=None, x_eff=None):
     x = ds.features if x_eff is None else x_eff
@@ -149,6 +151,41 @@ class TestWeightPgd:
 
 
 class TestFeaturePgd:
+    @pytest.mark.parametrize("hidden", [(5,), (6, 4)], ids=["2-layer", "3-layer"])
+    @pytest.mark.parametrize("dataset", ["fixture_8", "small_sbm"])
+    def test_matches_reference_loop(self, hidden, dataset, request):
+        ds = request.getfixturevalue(dataset)
+        snapshot = ds.features.tobytes()
+        model = init_model([ds.d, *hidden, ds.num_classes], make_rng(9), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=4)
+        trace = []
+        got = pgd_feature_perturbation(model, ds, cfg, trace=trace)
+
+        eps = np.zeros_like(ds.features)
+        want_trace = []
+        for t in range(cfg.steps):
+            cache = forward(model, ds.a_hat, ds.features + eps)
+            loss = masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
+            g = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask).d_features
+            eps = np.clip(eps + cfg.beta * np.sign(g), -cfg.rho_x, cfg.rho_x)
+            want_trace.append((t, "x", lp_norm(g, math.inf), lp_norm(eps, math.inf), loss))
+        assert got.tobytes() == eps.tobytes()
+        assert np.any(eps == cfg.rho_x)  # the clamp was exercised
+        assert [
+            (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
+        ] == want_trace
+        assert ds.features.tobytes() == snapshot
+        assert got.flags.owndata and not np.shares_memory(got, ds.features)
+
+    def test_peak_memory_is_three_feature_arrays(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
+        peak = peak_traced_bytes(
+            lambda: pgd_feature_perturbation(model, wide_sbm, cfg)
+        )
+        # eps, X + eps and one feature gradient; n x hidden arrays are ~5% each.
+        assert peak < 3.5 * wide_sbm.features.nbytes
+
     def test_single_step_is_sign_of_gradient(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(2), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=1.0, beta=0.01, steps=1)

@@ -8,7 +8,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["run_sbm_study.py", "export_pubmed.py"])
+@pytest.mark.parametrize(
+    "script", ["run_sbm_study.py", "export_pubmed.py", "replay_digests.py"]
+)
 def test_script_help_exits_0(script):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))

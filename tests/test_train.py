@@ -23,6 +23,7 @@ from capgnn.train import (
     train_step,
     write_metrics_csv,
 )
+from conftest import peak_traced_bytes
 from oracles import reference_schedule
 
 
@@ -163,6 +164,17 @@ class TestTrainStep:
             want = old[l] - cfg.lr * grads.d_weights[l]
             assert np.array_equal(model.weights[l], want)
 
+    def test_feature_step_peak_memory_is_three_feature_arrays(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        cfg = quick_cfg(perturb=PerturbConfig(rho_x=0.05, beta=0.02, steps=3))
+        peak = peak_traced_bytes(
+            lambda: train_step(
+                model, wide_sbm, FEATURE_PERTURB, cfg, SgdOptimizer(cfg.lr),
+                make_rng(2), epoch=1,
+            )
+        )
+        assert peak < 3.5 * wide_sbm.features.nbytes
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, small_sbm):
         cfg = quick_cfg(mode="vanilla", lr=1e150, epochs=4, skip_epochs=0)
@@ -223,7 +235,7 @@ class TestTrain:
     def test_only_feature_pgd_asks_for_the_feature_gradient(
         self, small_sbm, monkeypatch
     ):
-        # Per epoch, the (module, need_features) of every backward call.
+        # Per epoch, the (module, need_features, need_weights) of every backward call.
         calls: list[tuple[str, list]] = []
         real_step, real_backward = train_mod.train_step, train_mod.backward
 
@@ -232,9 +244,11 @@ class TestTrain:
             return real_step(model, dataset, mode_used, *a, **k)
 
         def backward_spy(where):
-            def spy(*a, need_features=True, **k):
-                calls[-1][1].append((where, need_features))
-                return real_backward(*a, need_features=need_features, **k)
+            def spy(*a, need_features=True, need_weights=True, **k):
+                calls[-1][1].append((where, need_features, need_weights))
+                return real_backward(
+                    *a, need_features=need_features, need_weights=need_weights, **k
+                )
 
             return spy
 
@@ -249,10 +263,12 @@ class TestTrain:
         assert [mode for mode, _ in calls] == [schedule(e, cfg) for e in range(1, 9)]
         assert sum(mode == FEATURE_PERTURB for mode, _ in calls) == 2
         for mode, backwards in calls:
-            pgd = [("perturb", mode == FEATURE_PERTURB)] * steps
+            # Feature PGD reads only the feature gradient, the rest only weights.
+            is_fp = mode == FEATURE_PERTURB
+            pgd = [("perturb", is_fp, not is_fp)] * steps
             if mode == STANDARD:
                 pgd = []
-            assert backwards == pgd + [("train", False)]
+            assert backwards == pgd + [("train", False, True)]
 
     def test_cap_with_full_skip_equals_vanilla(self, small_sbm):
         cap = quick_cfg(mode="cap", epochs=7, skip_epochs=7, dropout=0.5)
