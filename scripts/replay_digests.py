@@ -4,8 +4,10 @@
 Inside OUT_DIR this generates the README's 400-node SBM, trains it four
 ways (cap with a PGD trace; vanilla with best_val selection; fp with a
 PGD trace; cap with dropout, weight decay, Adam and two hidden layers),
-probes and attacks one checkpoint, and runs ``run_sbm_study.py``. It
-then prints one ``sha256  relpath`` line per file written, sorted by
+probes and attacks one checkpoint, runs ``run_sbm_study.py``, and saves
+a seeded ~10%-dense dataset (repeated values, a -0.0, exponent-form
+reprs) with ``save_dataset``, the path that formats sparse features.
+It then prints one ``sha256  relpath`` line per file written, sorted by
 path, with the wall-clock column cut from every ``metrics.csv``, and a
 last line for the commands' joint stdout. All paths are relative to
 OUT_DIR, so two replays compare line for line:
@@ -47,6 +49,25 @@ COMMANDS = [
 ]
 STUDY = ["--out_dir", "runs/sbm_study", "--seeds", "2", "--epochs", "60",
          "--skip_epochs", "20"]
+# 1,300 rows of 60 features, so the writer's last row block is a partial one.
+SPARSE_SAVE = """
+import numpy as np
+from capgnn.graph import make_dataset, random_split, save_dataset
+from capgnn.linalg import CsrMatrix, make_rng
+
+rng = make_rng(31)
+n, d = 1300, 60
+x = np.where(rng.random((n, d)) < 0.1, np.round(rng.standard_normal((n, d)), 2), 0.0)
+x[::7] *= 1e-5
+x[5, 3] = -0.0
+x[1299, 59] = 5e-324
+labels = rng.integers(0, 3, n)
+us = np.arange(n - 1)
+adjacency = CsrMatrix.from_coo(
+    n, n, np.r_[us, us + 1], np.r_[us + 1, us], np.ones(2 * (n - 1)))
+split = random_split(labels, (0.6, 0.2, 0.2), rng)
+save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/sparse")
+"""
 
 
 def build_parser():
@@ -80,6 +101,7 @@ def main():
 
     runs = [[sys.executable, "-m", "capgnn.cli", *c] for c in COMMANDS]
     runs.append([sys.executable, str(repo / "scripts" / "run_sbm_study.py"), *STUDY])
+    runs.append([sys.executable, "-c", SPARSE_SAVE])
     stdout = []
     for cmd in runs:
         print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)

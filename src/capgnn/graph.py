@@ -9,7 +9,11 @@ A dataset directory is plain text (UTF-8, LF line endings):
     split.json      {"train": [ids], "val": [ids], "test": [ids]}
 
 The loader mirrors every edge, rejects duplicates and self-loops, and
-reports the offending file and line on malformed input.
+reports the offending file and line on malformed input. The writer
+prints each feature as its shortest round-trip ``repr``, but formats
+each distinct nonzero value of a row block once and emits the zeros
+(most cells of bag-of-words features) as ready-made "0.0" text, so its
+Python work grows with the distinct nonzeros, not with n*d.
 """
 
 from __future__ import annotations
@@ -292,12 +296,36 @@ def _locate_bad_csv_line(path: Path, d: int) -> None:
                 raise _fail(path, f"non-numeric value {p!r}", lineno)
 
 
+_CSV_BLOCK_ROWS = 512  # feature rows formatted per write: a few MB at d=500
+
+
+def _write_features_csv(features: np.ndarray, path: Path) -> None:
+    """Write one line per row, ``",".join(repr(float(x)) for x in row)``.
+
+    Each block of rows formats every distinct nonzero float64 bit pattern
+    once and writes every all-zero pattern (+0.0) as the text "0.0".
+    -0.0 has a nonzero pattern, so it keeps its sign.
+    """
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        for start in range(0, len(features), _CSV_BLOCK_ROWS):
+            bits = features[start:start + _CSV_BLOCK_ROWS].view(np.int64)
+            nonzero = bits != 0
+            distinct, which = np.unique(bits[nonzero], return_inverse=True)
+            text = ["0.0"] + [repr(x) for x in distinct.view(np.float64).tolist()]
+            codes = np.zeros(bits.shape, dtype=np.intp)
+            codes[nonzero] = which + 1
+            cells = np.array(text, dtype=object)[codes].tolist()
+            f.write("".join([",".join(row) + "\n" for row in cells]))
+
+
 def save_dataset(dataset: Dataset, directory) -> None:
     """Write ``dataset`` in the documented directory layout (LF endings).
 
     Inverse of :func:`load_dataset`: floats are serialized with
     shortest round-trip repr, so load(save(ds)) reproduces content
-    exactly.
+    exactly. Formatting work is per distinct nonzero feature value and
+    zeros are written as text directly; the bytes are those of a
+    per-cell ``repr``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -315,16 +343,15 @@ def save_dataset(dataset: Dataset, directory) -> None:
     lines = [f"{u}\t{v}\n" for u, v in pairs]
     (directory / "edges.tsv").write_text("".join(lines), encoding="utf-8", newline="\n")
 
-    with (directory / "features.csv").open("w", encoding="utf-8", newline="\n") as f:
-        for row in dataset.features:
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
-    with (directory / "labels.txt").open("w", encoding="utf-8", newline="\n") as f:
-        for lab in dataset.labels:
-            f.write(f"{int(lab)}\n")
+    _write_features_csv(dataset.features, directory / "features.csv")
+    (directory / "labels.txt").write_text(
+        "".join(f"{lab}\n" for lab in dataset.labels.tolist()),
+        encoding="utf-8", newline="\n",
+    )
     split = {
-        "train": [int(i) for i in np.flatnonzero(dataset.train_mask)],
-        "val": [int(i) for i in np.flatnonzero(dataset.val_mask)],
-        "test": [int(i) for i in np.flatnonzero(dataset.test_mask)],
+        "train": np.flatnonzero(dataset.train_mask).tolist(),
+        "val": np.flatnonzero(dataset.val_mask).tolist(),
+        "test": np.flatnonzero(dataset.test_mask).tolist(),
     }
     (directory / "split.json").write_text(
         json.dumps(split, sort_keys=True) + "\n", encoding="utf-8", newline="\n"

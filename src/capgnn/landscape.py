@@ -89,8 +89,9 @@ def probe_landscape(
     """Evaluate the masked loss along every direction at every magnitude.
 
     The grid must be strictly increasing and contain 0; the alpha=0
-    column is evaluated at the stored weights/features, so it equals the
-    unperturbed loss bit-exactly. Dropout is always off here.
+    column is the unperturbed loss, from one clean forward per call
+    shared by every direction, so it is bit-exact. Dropout is always
+    off here.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or len(alphas) < 1:
@@ -106,24 +107,21 @@ def probe_landscape(
     else:
         raise ValueError(f"loss_mask must be 'train' or 'test', got {loss_mask!r}")
 
+    def loss_at(x_eff, w_eff=None) -> float:
+        cache = forward(model, dataset.a_hat, x_eff, w_eff)
+        return masked_cross_entropy(cache.logits, dataset.labels, mask)
+
     losses = np.empty((len(dirs.directions), len(alphas)))
+    losses[:, alphas == 0.0] = loss_at(dataset.features)
     for i, direction in enumerate(dirs.directions):
         for j, alpha in enumerate(alphas):
+            if alpha == 0.0:
+                continue
             if dirs.kind == WEIGHT_KIND:
-                w_eff = (
-                    None
-                    if alpha == 0.0
-                    else [w + alpha * d for w, d in zip(model.weights, direction)]
-                )
-                cache = forward(model, dataset.a_hat, dataset.features, w_eff)
+                w_eff = [w + alpha * d for w, d in zip(model.weights, direction)]
+                losses[i, j] = loss_at(dataset.features, w_eff)
             else:
-                x_eff = (
-                    dataset.features
-                    if alpha == 0.0
-                    else dataset.features + alpha * direction
-                )
-                cache = forward(model, dataset.a_hat, x_eff)
-            losses[i, j] = masked_cross_entropy(cache.logits, dataset.labels, mask)
+                losses[i, j] = loss_at(dataset.features + alpha * direction)
     return LandscapeProfile(kind=dirs.kind, alphas=alphas, losses=losses)
 
 
@@ -165,8 +163,13 @@ def gaussian_attack_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     accs = np.empty(trials)
+    # Every trial draws, scales and shifts in this one buffer; x + e and
+    # e + x have the same bits, so accs match sigma * draw + features.
+    noisy = np.empty_like(dataset.features)
     for t in range(trials):
-        noisy = dataset.features + sigma * rng.standard_normal(dataset.features.shape)
+        rng.standard_normal(out=noisy)
+        noisy *= sigma
+        noisy += dataset.features
         cache = forward(model, dataset.a_hat, noisy)
         accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
     return accs

@@ -162,7 +162,9 @@ def lp_norm(m: np.ndarray, p) -> float:
         # np.sum is pairwise and BLAS-free, hence thread-count independent.
         return float(np.sqrt(np.sum(np.square(m, dtype=np.float64))))
     if p == math.inf:
-        return float(np.max(np.abs(m)))
+        # The largest |entry| is |max| or |min|; no n x d np.abs(m) temporary,
+        # and a NaN entry still gives NaN.
+        return float(np.maximum(np.abs(m.max()), np.abs(m.min())))
     raise ValueError(f"unsupported norm order {p!r}; use 2 or math.inf")
 
 

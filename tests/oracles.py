@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
-These stay deliberately naive: dense finite differences for gradients
-and a literal re-reading of the two-stage epoch rule. They must not
+These stay deliberately naive: dense finite differences for gradients,
+a literal re-reading of the two-stage epoch rule and a per-cell
+``features.csv`` writer. They must not
 share code paths with the implementations they verify.
 """
 
@@ -77,3 +78,8 @@ def reference_schedule(epoch, mode, skip, freq):
     if mode in ("wp", "fp"):
         return "weight_perturb" if mode == "wp" else "feature_perturb"
     return "feature_perturb" if epoch % freq == 0 else "weight_perturb"
+
+
+def reference_features_csv(features) -> str:
+    """features.csv text written cell by cell with shortest round-trip repr."""
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in features)

@@ -4,7 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from capgnn import graph
 from capgnn.graph import (
     DatasetError,
     SbmParams,
@@ -19,6 +23,7 @@ from capgnn.graph import (
 from capgnn.linalg import CsrMatrix, make_rng
 
 from conftest import two_node_dataset
+from oracles import reference_features_csv
 
 
 def normalize_oracle(dense_adj: np.ndarray) -> np.ndarray:
@@ -226,6 +231,84 @@ class TestDatasetIO:
         out = row_normalize(x)
         assert np.allclose(out[0], [0.75, -0.25])
         assert np.array_equal(out[1], [0.0, 0.0])
+
+
+def edgeless_dataset(features):
+    """A dataset around ``features``: no edges, one class, every node in train."""
+    n = len(features)
+    return make_dataset(
+        CsrMatrix.from_coo(n, n, [], [], []), features, np.zeros(n, dtype=np.int64),
+        1, np.ones(n, bool), np.zeros(n, bool), np.zeros(n, bool),
+    )
+
+
+class TestFeaturesCsv:
+    """features.csv bytes equal the per-cell repr writer's, block by block."""
+
+    def assert_written_as_reference(self, features, directory):
+        ds = edgeless_dataset(features)
+        save_dataset(ds, directory)
+        got = (directory / "features.csv").read_bytes()
+        assert got == reference_features_csv(ds.features).encode("utf-8")
+        back = load_dataset(directory)
+        assert back.features.tobytes() == ds.features.tobytes()
+
+    def test_repr_edge_values(self, tmp_path):
+        # Both repr exponent switches (1e-4 / 1e-5 and 1e15 / 1e16), the
+        # smallest subnormal and a negative zero, which must keep its sign.
+        row = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e15, -1e-7, 0.1, -2.5, 0.0]
+        self.assert_written_as_reference(np.array([row, row[::-1]]), tmp_path / "d")
+        text = (tmp_path / "d" / "features.csv").read_text()
+        assert text.startswith("-0.0,5e-324,1e-05,0.0001,1e+16,1000000000000000.0,")
+
+    def test_zero_row_full_row_and_single_column(self, tmp_path):
+        x = np.array([[0.0, 0.0, 0.0], [1.5, -3.0, 7e-9], [0.0, 2.0, 0.0]])
+        self.assert_written_as_reference(x, tmp_path / "wide")
+        self.assert_written_as_reference(x[:, 1:2], tmp_path / "d1")
+        assert (tmp_path / "wide" / "features.csv").read_text().splitlines()[0] == (
+            "0.0,0.0,0.0"
+        )
+
+    def test_rows_not_a_multiple_of_the_block(self, tmp_path):
+        block = graph._CSV_BLOCK_ROWS
+        rng = make_rng(4)
+        x = rng.standard_normal((2 * block + 3, 6))
+        x[rng.random(x.shape) < 0.8] = 0.0
+        # One value in the first block, the last row and a middle block.
+        x[0, 0] = x[-1, 5] = x[block + 1, 2] = 0.3
+        x[-1, 0] = -0.0
+        self.assert_written_as_reference(x, tmp_path / "d")
+        lines = (tmp_path / "d" / "features.csv").read_text().splitlines()
+        assert len(lines) == 2 * block + 3
+        assert lines[-1].startswith("-0.0,") and lines[-1].endswith(",0.3")
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+            elements=st.one_of(
+                st.just(0.0),
+                st.just(-0.0),
+                st.sampled_from([1.0, -0.5, 1e-5, 1e16]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_matrices_match_reference(self, tmp_path_factory, x):
+        self.assert_written_as_reference(x, tmp_path_factory.mktemp("d"))
+
+    def test_labels_and_split_bytes(self, tmp_path):
+        ds = generate_sbm(SbmParams((6, 7, 5), 0.6, 0.1, 0.35), make_rng(21))
+        save_dataset(ds, tmp_path)
+        labels = "".join(f"{int(lab)}\n" for lab in ds.labels)
+        assert (tmp_path / "labels.txt").read_text() == labels
+        split = {
+            part: [int(i) for i in np.flatnonzero(getattr(ds, f"{part}_mask"))]
+            for part in ("train", "val", "test")
+        }
+        want = json.dumps(split, sort_keys=True) + "\n"
+        assert (tmp_path / "split.json").read_text() == want
 
 
 class TestRandomSplit:

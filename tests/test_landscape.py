@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capgnn import landscape
 from capgnn.landscape import (
     LandscapeProfile,
     gaussian_attack_eval,
@@ -11,7 +12,23 @@ from capgnn.landscape import (
     sharpness,
 )
 from capgnn.linalg import lp_norm, make_rng
-from capgnn.model import GnnModel, evaluate, forward, masked_cross_entropy
+from capgnn.model import (
+    GnnModel, accuracy, evaluate, forward, init_model, masked_cross_entropy,
+)
+
+from conftest import peak_traced_bytes
+
+
+def count_forwards(monkeypatch) -> list:
+    """Record the ``x_eff`` bytes of every forward that landscape runs."""
+    seen = []
+
+    def spy(model, a_hat, x_eff, *args, **kwargs):
+        seen.append(x_eff.tobytes())
+        return forward(model, a_hat, x_eff, *args, **kwargs)
+
+    monkeypatch.setattr(landscape, "forward", spy)
+    return seen
 
 
 def grid(lo=-1.0, hi=1.0, num=9):
@@ -69,6 +86,27 @@ class TestProbeLandscape:
         )
         zero_col = profile.losses[:, list(profile.alphas).index(0.0)]
         assert all(v == base for v in zero_col)
+
+    @pytest.mark.parametrize("kind", ["weight", "feature"])
+    def test_one_clean_forward_per_call(self, kind, monkeypatch, small_sbm, trained_small):
+        source = trained_small if kind == "weight" else small_sbm.features
+        dirs = sample_directions(source, kind, 3, make_rng(7))
+        alphas = grid(num=5)
+        seen = count_forwards(monkeypatch)
+        profile = probe_landscape(trained_small, small_sbm, dirs, alphas)
+        assert len(seen) == 3 * (len(alphas) - 1) + 1
+
+        # Reference: one forward per grid point, alpha=0 included.
+        ds, model = small_sbm, trained_small
+        for i, direction in enumerate(dirs.directions):
+            for j, alpha in enumerate(alphas):
+                if kind == "weight":
+                    ws = [w + alpha * d for w, d in zip(model.weights, direction)]
+                    cache = forward(model, ds.a_hat, ds.features, ws)
+                else:
+                    cache = forward(model, ds.a_hat, ds.features + alpha * direction)
+                want = masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
+                assert profile.losses[i, j] == want
 
     def test_zero_directions_give_constant_profile(self, small_sbm, trained_small):
         dirs = sample_directions(trained_small, "weight", 2, make_rng(0))
@@ -177,6 +215,24 @@ class TestGaussianAttack:
     def test_huge_noise_approaches_chance(self, small_sbm, trained_small):
         acc = gaussian_attack_eval(trained_small, small_sbm, 1e3, 40, make_rng(5))
         assert abs(acc - 0.5) <= 0.1  # two classes
+
+    def test_noise_matches_reference_draws(self, monkeypatch, small_sbm, trained_small):
+        seen = count_forwards(monkeypatch)
+        accs = gaussian_attack_trials(trained_small, small_sbm, 0.7, 3, make_rng(9))
+        rng = make_rng(9)
+        for t in range(3):
+            noisy = small_sbm.features + 0.7 * rng.standard_normal(small_sbm.features.shape)
+            assert seen[t] == noisy.tobytes()
+            logits = forward(trained_small, small_sbm.a_hat, noisy).logits
+            assert accs[t] == accuracy(logits, small_sbm.labels, small_sbm.test_mask)
+
+    def test_peak_memory_is_one_feature_array(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        peak = peak_traced_bytes(
+            lambda: gaussian_attack_trials(model, wide_sbm, 0.5, 2, make_rng(0))
+        )
+        # One noisy-feature buffer for all trials; n x hidden arrays are ~5% each.
+        assert peak < 1.5 * wide_sbm.features.nbytes
 
     def test_validation(self, small_sbm, trained_small):
         with pytest.raises(ValueError):

@@ -68,6 +68,17 @@ class TestLpNorm:
         assert lp_norm(np.array([[-7.0, 2.0]]), math.inf) == 7.0
 
     @pytest.mark.parametrize("p", [2, math.inf])
+    def test_nan_entry_gives_nan(self, p):
+        assert math.isnan(lp_norm(np.array([[1.0, -np.inf], [np.nan, 2.0]]), p))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_max_abs_of_zeros_is_positive_zero(self, zero):
+        # np.maximum(m.max(), -m.min()) would give -0.0 here, which prints
+        # differently in a PGD trace.
+        got = lp_norm(np.full((2, 3), zero), math.inf)
+        assert math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("p", [2, math.inf])
     def test_zero_matrix(self, p):
         assert lp_norm(np.zeros((3, 2)), p) == 0.0
 

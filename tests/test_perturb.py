@@ -186,6 +186,17 @@ class TestFeaturePgd:
         # eps, X + eps and one feature gradient; n x hidden arrays are ~5% each.
         assert peak < 3.5 * wide_sbm.features.nbytes
 
+    def test_traced_peak_memory_is_three_feature_arrays(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
+        trace = []
+        peak = peak_traced_bytes(
+            lambda: pgd_feature_perturbation(model, wide_sbm, cfg, trace=trace)
+        )
+        # The trace's max-abs norms of the gradient and of eps add no n x d array.
+        assert len(trace) == cfg.steps
+        assert peak < 3.5 * wide_sbm.features.nbytes
+
     def test_single_step_is_sign_of_gradient(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(2), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=1.0, beta=0.01, steps=1)
