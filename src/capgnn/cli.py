@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -210,7 +211,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from .graph import load_dataset
-    from .model import accuracy, forward, save_model
+    from .model import forward, save_model, split_metrics
     from .train import train, write_metrics_csv, write_pgd_trace_csv
 
     file_values = parse_config_file(Path(args.config)) if args.config else {}
@@ -246,10 +247,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         ckpt = seed_dir / "checkpoint.json"
         save_model(model, ckpt)
         logits = forward(model, dataset.a_hat, dataset.features).logits
-        train_acc, val_acc, test_acc = (
-            accuracy(logits, dataset.labels, mask) if mask.any() else None
-            for mask in (dataset.train_mask, dataset.val_mask, dataset.test_mask)
-        )
+        _, train_acc, val_acc, test_acc = split_metrics(logits, dataset)
         gap = train_acc - test_acc if test_acc is not None else None
         per_seed.append(
             {
@@ -315,6 +313,12 @@ def _load_checkpoint_and_dataset(args):
     return model, dataset
 
 
+def _require_test_nodes(args, dataset, command: str) -> None:
+    if not dataset.test_mask.any():
+        split = Path(args.dataset_dir) / "split.json"
+        raise ConfigError(f"{split}: 'test' is empty; {command} needs test nodes")
+
+
 def cmd_probe(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -322,6 +326,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     from .linalg import make_rng
 
     model, dataset = _load_checkpoint_and_dataset(args)
+    if args.loss_mask == "test":
+        _require_test_nodes(args, dataset, "probe --loss_mask test")
     if args.directions < 1:
         raise ConfigError("--directions must be >= 1")
     if args.grid_points < 3 or args.alpha_min >= args.alpha_max:
@@ -349,8 +355,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         source = model if kind == "weight" else dataset.features
         dirs = sample_directions(source, kind, args.directions, rng)
         profile = probe_landscape(model, dataset, dirs, alphas, loss_mask=args.loss_mask)
-        profile.sharpness = sharpness(profile, args.alpha_ref)
-        sharp[kind] = profile.sharpness
+        sharp[kind] = sharpness(profile, args.alpha_ref)
         csv_path = out_dir / f"profile_{kind}.csv"
         lines = ["kind,direction_id,alpha,loss\n"]
         for i in range(profile.losses.shape[0]):
@@ -391,11 +396,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sigmas: {e}") from e
     if not sigmas:
         raise ConfigError("--sigmas must list at least one value")
-    if any(s < 0 for s in sigmas):
-        raise ConfigError("--sigmas must be >= 0")
+    if not all(0 <= s < math.inf for s in sigmas):
+        raise ConfigError("--sigmas must be finite and >= 0")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     model, dataset = _load_checkpoint_and_dataset(args)
+    _require_test_nodes(args, dataset, "attack")
 
     rng = make_rng(args.seed)
     lines = ["sigma,mean_acc,std_acc\n"]

@@ -1,4 +1,4 @@
-"""Diagnostics: loss-landscape profiles, sharpness, generalization gap, noise attack.
+"""Diagnostics: loss-landscape profiles, sharpness, Gaussian noise attack.
 
 A landscape profile traces the masked loss while displacing either the
 weights (per-layer, each random direction rescaled to the corresponding
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import lp_norm, sample_gaussian_like
+from .linalg import lp_norm
 from .model import GnnModel, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
@@ -38,20 +38,20 @@ class DirectionSet:
 
 @dataclass
 class LandscapeProfile:
-    """Loss values over [direction x alpha], plus an optional sharpness summary."""
+    """Loss values over [direction x alpha]."""
 
     kind: str
     alphas: np.ndarray
     losses: np.ndarray
-    sharpness: float | None = None
 
 
 def _scaled_like(template: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     target = lp_norm(template, 2) if template.size else 0.0
     if target == 0.0:
         return np.zeros_like(template)
-    g = sample_gaussian_like(template.shape[0], template.shape[1], rng)
-    return g * (target / lp_norm(g, 2))
+    g = rng.standard_normal(template.shape)
+    g *= target / lp_norm(g, 2)  # in place: no second n x d array
+    return g
 
 
 def sample_directions(
@@ -141,15 +141,6 @@ def sharpness(profile: LandscapeProfile, alpha_ref: float) -> float:
     return float(np.mean(rise))
 
 
-def generalization_gap(model: GnnModel, dataset: Dataset) -> float:
-    """Train accuracy minus test accuracy of the model on this dataset."""
-    if not dataset.train_mask.any() or not dataset.test_mask.any():
-        raise ValueError("need non-empty train and test masks")
-    logits = forward(model, dataset.a_hat, dataset.features).logits
-    train_acc = accuracy(logits, dataset.labels, dataset.train_mask)
-    return train_acc - accuracy(logits, dataset.labels, dataset.test_mask)
-
-
 def gaussian_attack_trials(
     model: GnnModel,
     dataset: Dataset,
@@ -173,14 +164,3 @@ def gaussian_attack_trials(
         cache = forward(model, dataset.a_hat, noisy)
         accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
     return accs
-
-
-def gaussian_attack_eval(
-    model: GnnModel,
-    dataset: Dataset,
-    sigma: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Mean attacked test accuracy over ``trials`` noise draws."""
-    return float(np.mean(gaussian_attack_trials(model, dataset, sigma, trials, rng)))

@@ -1,4 +1,4 @@
-"""Dense/sparse numeric kernels and seeded Gaussian sampling.
+"""Dense/sparse numeric kernels and the seeded generator.
 
 Dense matrices are plain 2-D float64 numpy arrays (row-major). Sparse
 matrices use a validated canonical CSR layout (sorted, duplicate-free
@@ -121,20 +121,6 @@ class CsrMatrix:
         np.cumsum(np.bincount(r, minlength=rows), out=row_ptr[1:])
         return cls(rows, cols, row_ptr, c, v)
 
-    @classmethod
-    def from_dense(cls, a) -> "CsrMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        r, c = np.nonzero(a)
-        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
-
-    @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    def to_dense(self) -> np.ndarray:
-        return self._sp.toarray()
-
 
 def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     """CSR @ dense product.
@@ -166,10 +152,3 @@ def lp_norm(m: np.ndarray, p) -> float:
         # and a NaN entry still gives NaN.
         return float(np.maximum(np.abs(m.max()), np.abs(m.min())))
     raise ValueError(f"unsupported norm order {p!r}; use 2 or math.inf")
-
-
-def sample_gaussian_like(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. standard-normal matrix drawn from ``rng`` (ziggurat method)."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"invalid sample shape {rows}x{cols}")
-    return rng.standard_normal((rows, cols))

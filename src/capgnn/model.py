@@ -1,4 +1,4 @@
-"""Graph convolutional model: forward pass, masked loss, exact reverse-mode gradients.
+"""Graph convolutional model: forward pass, masked loss, exact gradients, split metrics.
 
 The layer rule is ``H_l = act(A_hat @ H_{l-1} @ W_l)`` with ReLU between
 layers and no activation or bias on the output layer. ``backward``
@@ -10,6 +10,9 @@ weight gradients alone, and the feature ascent loop reads the feature
 gradient alone. Both kinds cost n x d work at the first layer (the
 feature gradient ``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
 computing the one nobody reads would nearly double that layer's cost.
+
+Clean metrics and the generalization gap are read from one forward's
+logits by ``split_metrics``, the one path for them.
 
 Effective inputs: ``forward`` takes an explicit feature matrix and an
 optional ``w_eff``, so callers can evaluate at (W + eps_w, X) or
@@ -248,10 +251,22 @@ def accuracy(logits: np.ndarray, labels, mask) -> float:
     return float(np.mean(pred == y))
 
 
-def evaluate(model: GnnModel, dataset: Dataset, mask) -> float:
-    """Clean accuracy of the model on the masked nodes (dropout off)."""
-    cache = forward(model, dataset.a_hat, dataset.features, training=False)
-    return accuracy(cache.logits, dataset.labels, mask)
+def split_metrics(
+    logits: np.ndarray, dataset: Dataset
+) -> tuple[float, float, float | None, float | None]:
+    """``(train_loss, train_acc, val_acc, test_acc)`` of one forward's logits.
+
+    The loss is the masked cross-entropy on the train split. A val or
+    test accuracy is None when that split selects no node; the train
+    split never does. The generalization gap is ``train_acc - test_acc``.
+    """
+    labels, train = dataset.labels, dataset.train_mask
+    val_acc, test_acc = (
+        accuracy(logits, labels, mask) if mask.any() else None
+        for mask in (dataset.val_mask, dataset.test_mask)
+    )
+    loss = masked_cross_entropy(logits, labels, train)
+    return loss, accuracy(logits, labels, train), val_acc, test_acc
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,11 @@ class PerturbConfig:
     steps: int = 3
 
     def __post_init__(self):
-        if self.rho_w <= 0 or self.rho_x <= 0:
-            raise ValueError("ball radii must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        for key in ("rho_w", "rho_x"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

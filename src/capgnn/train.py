@@ -12,6 +12,7 @@ the displaced point and the update is applied to the stored weights.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,11 +23,11 @@ from .graph import Dataset
 from .linalg import make_rng
 from .model import (
     GnnModel,
-    accuracy,
     backward,
     forward,
     init_model,
     masked_cross_entropy,
+    split_metrics,
 )
 from .perturb import PerturbConfig, pgd_feature_perturbation, pgd_weight_perturbation
 
@@ -68,8 +69,8 @@ class TrainConfig:
             )
         if self.frequency < 1:
             raise ValueError("frequency must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.optimizer not in _OPTIMIZERS:
@@ -78,8 +79,8 @@ class TrainConfig:
             raise ValueError(f"model_selection must be one of {_SELECTIONS}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden_dims must be positive")
         if not (0.0 <= self.dropout < 1.0):
@@ -223,16 +224,11 @@ def train_step(
     train_loss = train_acc = val_acc = test_acc = None
     if evaluate_metrics:
         clean = forward(model, a_hat, x, training=False)
-        train_loss = masked_cross_entropy(clean.logits, labels, train_mask)
+        train_loss, train_acc, val_acc, test_acc = split_metrics(clean.logits, dataset)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(
                 f"non-finite clean training loss after epoch {epoch} ({mode_used})"
             )
-        train_acc = accuracy(clean.logits, labels, train_mask)
-        if dataset.val_mask.any():
-            val_acc = accuracy(clean.logits, labels, dataset.val_mask)
-        if dataset.test_mask.any():
-            test_acc = accuracy(clean.logits, labels, dataset.test_mask)
 
     return EpochRecord(
         epoch=epoch,

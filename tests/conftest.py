@@ -8,6 +8,7 @@ import pytest
 
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import CsrMatrix, make_rng
+from capgnn.model import forward, split_metrics
 from capgnn.train import TrainConfig, train
 
 
@@ -44,6 +45,11 @@ def trained_small(small_sbm):
     )
     model, _ = train(small_sbm, cfg)
     return model
+
+
+def clean_metrics(model, ds):
+    """``split_metrics`` of the model's clean forward on ``ds``."""
+    return split_metrics(forward(model, ds.a_hat, ds.features).logits, ds)
 
 
 def two_node_dataset():

@@ -1,8 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
 These stay deliberately naive: dense finite differences for gradients,
-a literal re-reading of the two-stage epoch rule and a per-cell
-``features.csv`` writer. They must not
+a literal re-reading of the two-stage epoch rule, a per-cell
+``features.csv`` writer and dense <-> CSR conversions. They must not
 share code paths with the implementations they verify.
 """
 
@@ -11,6 +11,23 @@ import numpy as np
 from capgnn.graph import make_dataset
 from capgnn.linalg import CsrMatrix, make_rng
 from capgnn.model import forward, init_model, masked_cross_entropy
+
+
+def csr_from_dense(a) -> CsrMatrix:
+    a = np.asarray(a, dtype=np.float64)
+    r, c = np.nonzero(a)
+    return CsrMatrix.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
+
+
+def csr_identity(n: int) -> CsrMatrix:
+    return CsrMatrix(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
+
+
+def csr_to_dense(m: CsrMatrix) -> np.ndarray:
+    """Scatter of the stored entries; shares no code with the scipy handle."""
+    out = np.zeros(m.shape)
+    out[np.repeat(np.arange(m.rows), np.diff(m.row_ptr)), m.col_idx] = m.values
+    return out
 
 
 def loss_at(model, a_hat, x, ws, labels, mask) -> float:
@@ -60,7 +77,7 @@ def random_instance(seed):
     hidden = int(rng.integers(2, 6))
     dense = (rng.random((n, n)) < 0.4).astype(float)
     dense = np.triu(dense, 1)
-    adj = CsrMatrix.from_dense(dense + dense.T)
+    adj = csr_from_dense(dense + dense.T)
     x = rng.standard_normal((n, d))
     labels = rng.integers(0, k, size=n)
     mask = rng.random(n) < 0.6

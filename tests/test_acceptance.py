@@ -19,14 +19,13 @@ import pytest
 
 from capgnn.graph import SbmParams, generate_sbm, load_dataset, make_dataset
 from capgnn.landscape import (
-    gaussian_attack_eval,
-    generalization_gap,
+    gaussian_attack_trials,
     probe_landscape,
     sample_directions,
     sharpness,
 )
 from capgnn.linalg import lp_norm, make_rng
-from capgnn.model import backward, evaluate, forward, init_model, masked_cross_entropy
+from capgnn.model import backward, forward, init_model, masked_cross_entropy
 from capgnn.perturb import (
     PerturbConfig,
     pgd_feature_perturbation,
@@ -35,6 +34,7 @@ from capgnn.perturb import (
 )
 from capgnn.train import TrainConfig, schedule, train
 
+from conftest import clean_metrics
 from oracles import (
     assert_close_to_fd,
     fd_feature_grad,
@@ -89,6 +89,10 @@ def train_loss(model, ds, w_eff=None, x_eff=None):
     x = ds.features if x_eff is None else x_eff
     cache = forward(model, ds.a_hat, x, w_eff, training=False)
     return masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
+
+
+def attacked_acc(model, ds, sigma):
+    return float(np.mean(gaussian_attack_trials(model, ds, sigma, 10, make_rng(3))))
 
 
 def mean_sharpness(model, ds, kind, directions=10, seed=0):
@@ -196,10 +200,11 @@ def test_c5_sbm_directional_reproduction(sbm400):
         for seed in range(1, 11):
             for mode, skip in (("vanilla", 0), ("cap", 50)):
                 model, _ = train(sbm400, fixture_cfg(mode, seed, skip))
+                _, train_acc, _, test_acc = clean_metrics(model, sbm400)
                 stats[mode].append(
                     (
-                        evaluate(model, sbm400, sbm400.test_mask),
-                        generalization_gap(model, sbm400),
+                        test_acc,
+                        train_acc - test_acc,
                         mean_sharpness(model, sbm400, "weight"),
                         mean_sharpness(model, sbm400, "feature"),
                     )
@@ -261,7 +266,7 @@ def test_c6_pubmed_reproduction():
             for mode, skip in (("vanilla", 0), ("cap", 100)):
                 cfg = TrainConfig(mode=mode, seed=seed, skip_epochs=skip, **common)
                 model, _ = train(ds, cfg)
-                accs[mode].append(evaluate(model, ds, ds.test_mask))
+                accs[mode].append(clean_metrics(model, ds)[3])
         van = float(np.mean(accs["vanilla"]))
         cap = float(np.mean(accs["cap"]))
         print(f"  pubmed vanilla={van:.4f} cap={cap:.4f}")
@@ -273,13 +278,10 @@ def test_c7_skip_epoch_trend(sbm400):
     with criterion(7, "skip-epoch trend", budget_s=300):
         means = {}
         for skip in (0, 50, 120, 200):
-            accs = [
-                evaluate(
-                    train(sbm400, fixture_cfg("cap", seed, skip))[0],
-                    sbm400, sbm400.test_mask,
-                )
-                for seed in range(1, 6)
+            models = [
+                train(sbm400, fixture_cfg("cap", seed, skip))[0] for seed in range(1, 6)
             ]
+            accs = [clean_metrics(model, sbm400)[3] for model in models]
             means[skip] = float(np.mean(accs))
         print(f"  skip-epoch means: {means}")
         best_mid = max(means[50], means[120])
@@ -294,13 +296,9 @@ def test_c8_attack_robustness_direction(sbm400):
         for seed in range(1, 6):
             vanilla, _ = train(sbm400, fixture_cfg("vanilla", seed, 0))
             fp, _ = train(sbm400, fixture_cfg("fp", seed, 50))
-            clean_v.append(evaluate(vanilla, sbm400, sbm400.test_mask))
-            attacked_v.append(
-                gaussian_attack_eval(vanilla, sbm400, sigma, 10, make_rng(3))
-            )
-            attacked_f.append(
-                gaussian_attack_eval(fp, sbm400, sigma, 10, make_rng(3))
-            )
+            clean_v.append(clean_metrics(vanilla, sbm400)[3])
+            attacked_v.append(attacked_acc(vanilla, sbm400, sigma))
+            attacked_f.append(attacked_acc(fp, sbm400, sigma))
         drop = np.mean(clean_v) - np.mean(attacked_v)
         print(
             f"  sigma={sigma}: vanilla clean={np.mean(clean_v):.4f} "

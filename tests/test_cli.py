@@ -11,9 +11,9 @@ from capgnn.cli import (
     resolve_config,
 )
 from capgnn.graph import load_dataset
-from capgnn.model import evaluate, load_model
+from capgnn.model import load_model
 
-from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint
+from conftest import CHECKPOINT_CORRUPTIONS, clean_metrics, corrupt_checkpoint
 
 
 def run(*argv) -> int:
@@ -188,6 +188,24 @@ class TestTrain:
             "--epochs", "5", "--skip_epochs", "9", "--seeds", "1",
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "wp", "--rho_w", "nan"],
+            ["--rho_x", "inf"],
+            ["--beta", "nan"],
+            ["--lr", "nan"],
+            ["--weight_decay", "inf"],
+        ],
+        ids=["rho_w", "rho_x", "beta", "lr", "weight_decay"],
+    )
+    def test_non_finite_value_exits_2(self, data_dir, tmp_path, capsys, flags):
+        assert run(
+            "train", "--dataset_dir", str(data_dir),
+            "--out_dir", str(tmp_path / "x"), "--seeds", "1", "--epochs", "2", *flags,
+        ) == 2
+        assert f"{flags[-2][2:]} must be" in capsys.readouterr().err
+
     def test_missing_dataset_dir_exits_2(self, tmp_path):
         assert run(
             "train", "--out_dir", str(tmp_path / "x"), "--seeds", "1",
@@ -291,6 +309,37 @@ def test_bad_seed_exits_2(case, checkpoint, data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def no_test_dir(tmp_path_factory):
+    """The data_dir graph family split 0.8/0.2/0.0, so 'test' is empty."""
+    d = tmp_path_factory.mktemp("cli") / "no_test"
+    assert run(
+        "gen-sbm", "--blocks", "20,20", "--p_in", "0.3", "--p_out", "0.05",
+        "--fractions", "0.8,0.2,0.0", "--out_dir", str(d),
+    ) == 0
+    return d
+
+
+EMPTY_TEST_SPLIT = {
+    "attack": (["attack", "--sigmas", "0.5"], "attack needs test nodes"),
+    "probe": (["probe", "--loss_mask", "test"], "probe --loss_mask test needs"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_TEST_SPLIT))
+def test_empty_test_split_exits_2(command, checkpoint, no_test_dir, tmp_path, capsys):
+    argv, message = EMPTY_TEST_SPLIT[command]
+    out = tmp_path / "out"
+    dest = {"attack": ["--out", str(out / "a.csv")], "probe": ["--out_dir", str(out)]}
+    assert run(
+        *argv, *dest[command],
+        "--checkpoint", str(checkpoint), "--dataset_dir", str(no_test_dir),
+    ) == 2
+    err = capsys.readouterr().err
+    assert str(no_test_dir / "split.json") in err and message in err
+    assert not out.exists()
+
+
 class TestProbe:
     def test_both_kinds_emit_two_profiles(self, checkpoint, data_dir, tmp_path):
         out = tmp_path / "p"
@@ -362,7 +411,7 @@ class TestAttack:
         sigma, mean_acc, std_acc = rows[1].split(",")
         model = load_model(checkpoint)
         ds = load_dataset(data_dir)
-        assert float(mean_acc) == evaluate(model, ds, ds.test_mask)
+        assert float(mean_acc) == clean_metrics(model, ds)[3]
         assert float(std_acc) == 0.0
 
     def test_accuracy_trend_is_non_increasing_within_jitter(
@@ -388,6 +437,18 @@ class TestAttack:
             "attack", "--checkpoint", str(checkpoint), "--dataset_dir", str(data_dir),
             "--sigmas", "0.5,-1", "--out", str(tmp_path / "a.csv"),
         ) == 2
+
+    @pytest.mark.parametrize("sigmas", ["nan", "0.5,inf"])
+    def test_non_finite_sigma_exits_2(
+        self, checkpoint, data_dir, tmp_path, capsys, sigmas
+    ):
+        out = tmp_path / "a.csv"
+        assert run(
+            "attack", "--checkpoint", str(checkpoint), "--dataset_dir", str(data_dir),
+            "--sigmas", sigmas, "--out", str(out),
+        ) == 2
+        assert "--sigmas must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigParsing:

@@ -23,7 +23,7 @@ from capgnn.graph import (
 from capgnn.linalg import CsrMatrix, make_rng
 
 from conftest import two_node_dataset
-from oracles import reference_features_csv
+from oracles import csr_from_dense, csr_to_dense, reference_features_csv
 
 
 def normalize_oracle(dense_adj: np.ndarray) -> np.ndarray:
@@ -50,23 +50,24 @@ def cycle_graph(n: int) -> CsrMatrix:
 class TestNormalizeAdjacency:
     def test_single_isolated_node(self):
         a = CsrMatrix.from_coo(1, 1, [], [], [])
-        assert np.array_equal(normalize_adjacency(a).to_dense(), [[1.0]])
+        assert np.array_equal(csr_to_dense(normalize_adjacency(a)), [[1.0]])
 
     def test_two_nodes_one_edge(self):
-        got = normalize_adjacency(path_graph(2)).to_dense()
+        got = csr_to_dense(normalize_adjacency(path_graph(2)))
         assert np.allclose(got, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_three_node_path_hand_values(self):
-        got = normalize_adjacency(path_graph(3)).to_dense()
+        got = csr_to_dense(normalize_adjacency(path_graph(3)))
         assert got[0, 1] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
         assert got[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert got[1, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert np.allclose(got, normalize_oracle(path_graph(3).to_dense()), atol=1e-14)
+        want = normalize_oracle(csr_to_dense(path_graph(3)))
+        assert np.allclose(got, want, atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_cycle_rows_sum_to_one(self, n):
         got = normalize_adjacency(cycle_graph(n))
-        sums = got.to_dense().sum(axis=1)
+        sums = csr_to_dense(got).sum(axis=1)
         # r-regular graph: row sum = (1 + r)/(1 + r) = 1.
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
@@ -75,7 +76,7 @@ class TestNormalizeAdjacency:
         dense = (rng.random((6, 6)) < 0.4).astype(float)
         dense = np.triu(dense, 1)
         dense = dense + dense.T
-        got = normalize_adjacency(CsrMatrix.from_dense(dense)).to_dense()
+        got = csr_to_dense(normalize_adjacency(csr_from_dense(dense)))
         assert np.allclose(got, got.T, atol=0)
         assert (np.diag(got) > 0).all()
         assert np.allclose(got, normalize_oracle(dense), atol=1e-14)
@@ -100,7 +101,7 @@ class TestDatasetIO:
     def test_two_node_fixture_composition(self):
         ds = two_node_dataset()
         assert ds.n == 2 and ds.d == 2 and ds.num_classes == 2
-        assert np.allclose(ds.a_hat.to_dense(), 0.5)
+        assert np.allclose(csr_to_dense(ds.a_hat), 0.5)
 
     def test_round_trip_is_identity(self, tmp_path):
         ds = generate_sbm(SbmParams((6, 7, 5), 0.6, 0.1, 0.35), make_rng(21))
@@ -113,13 +114,13 @@ class TestDatasetIO:
         assert np.array_equal(back.train_mask, ds.train_mask)
         assert np.array_equal(back.val_mask, ds.val_mask)
         assert np.array_equal(back.test_mask, ds.test_mask)
-        assert np.array_equal(back.adjacency.to_dense(), ds.adjacency.to_dense())
-        assert np.array_equal(back.a_hat.to_dense(), ds.a_hat.to_dense())
+        assert np.array_equal(csr_to_dense(back.adjacency), csr_to_dense(ds.adjacency))
+        assert np.array_equal(csr_to_dense(back.a_hat), csr_to_dense(ds.a_hat))
 
     def test_edges_file_lists_each_edge_once_sorted(self, tmp_path):
         ds = generate_sbm(SbmParams((6, 7, 5), 0.6, 0.1, 0.35), make_rng(21))
         save_dataset(ds, tmp_path / "d")
-        nz = zip(*np.nonzero(ds.adjacency.to_dense()))
+        nz = zip(*np.nonzero(csr_to_dense(ds.adjacency)))
         want = sorted({(min(i, j), max(i, j)) for i, j in nz})
         got = (tmp_path / "d" / "edges.tsv").read_text().splitlines()
         assert got == [f"{u}\t{v}" for u, v in want]
@@ -133,7 +134,7 @@ class TestDatasetIO:
     def test_loads_two_node_fixture(self, fixture_dir):
         ds = load_dataset(fixture_dir)
         assert ds.n == 2
-        assert np.allclose(ds.a_hat.to_dense(), 0.5)
+        assert np.allclose(csr_to_dense(ds.a_hat), 0.5)
         assert list(ds.train_mask) == [True, False]
         assert list(ds.test_mask) == [False, True]
 
@@ -348,7 +349,7 @@ class TestRandomSplit:
 class TestGenerateSbm:
     def test_extreme_probabilities_give_two_cliques(self):
         ds = generate_sbm(SbmParams((4, 4), 1.0, 0.0), make_rng(0))
-        dense = ds.adjacency.to_dense()
+        dense = csr_to_dense(ds.adjacency)
         within = dense[:4, :4]
         assert np.array_equal(within, np.ones((4, 4)) - np.eye(4))
         assert np.array_equal(dense[4:, 4:], np.ones((4, 4)) - np.eye(4))
@@ -357,11 +358,11 @@ class TestGenerateSbm:
 
     def test_edgeless_graph_normalizes_to_identity(self):
         ds = generate_sbm(SbmParams((5, 5), 0.0, 0.0), make_rng(0))
-        assert np.array_equal(ds.a_hat.to_dense(), np.eye(10))
+        assert np.array_equal(csr_to_dense(ds.a_hat), np.eye(10))
 
     def test_block_diagonal_when_p_out_zero(self):
         ds = generate_sbm(SbmParams((15, 10), 0.3, 0.0), make_rng(4))
-        dense = ds.adjacency.to_dense()
+        dense = csr_to_dense(ds.adjacency)
         assert np.array_equal(dense[:15, 15:], np.zeros((15, 10)))
 
     def test_edge_counts_within_binomial_bounds(self):
@@ -369,7 +370,7 @@ class TestGenerateSbm:
         # -> mean 495, sd 21.1, 3 sd window [432, 558].
         # Cross pairs: 100*100 = 10000 at p=0.01 -> 3 sd window [71, 129].
         ds = generate_sbm(SbmParams((100, 100), 0.1, 0.01), make_rng(12))
-        dense = ds.adjacency.to_dense()
+        dense = csr_to_dense(ds.adjacency)
         blk0 = int(np.triu(dense[:100, :100], 1).sum())
         blk1 = int(np.triu(dense[100:, 100:], 1).sum())
         cross = int(dense[:100, 100:].sum())
@@ -399,7 +400,7 @@ class TestGenerateSbm:
         a = generate_sbm(SbmParams((10, 10), 0.5, 0.1, 0.5), make_rng(99))
         b = generate_sbm(SbmParams((10, 10), 0.5, 0.1, 0.5), make_rng(99))
         assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.adjacency.to_dense(), b.adjacency.to_dense())
+        assert np.array_equal(csr_to_dense(a.adjacency), csr_to_dense(b.adjacency))
         assert np.array_equal(a.train_mask, b.train_mask)
 
     def test_param_validation(self):

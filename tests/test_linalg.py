@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgnn.linalg import CsrMatrix, lp_norm, make_rng, sample_gaussian_like, spmm
+from capgnn.landscape import FEATURE_KIND, sample_directions
+from capgnn.linalg import CsrMatrix, lp_norm, make_rng, spmm
+
+from oracles import csr_from_dense, csr_identity, csr_to_dense
 
 
 def spmm_oracle(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     """Naive dense triple loop; the independent reference for spmm."""
-    dense = a.to_dense()
+    dense = csr_to_dense(a)
     out = np.zeros((a.rows, b.shape[1]))
     for i in range(a.rows):
         for j in range(b.shape[1]):
@@ -24,22 +27,22 @@ def spmm_oracle(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
 def random_csr(rng, rows, cols, density=0.4) -> CsrMatrix:
     mask = rng.random((rows, cols)) < density
     vals = rng.standard_normal((rows, cols)) * mask
-    return CsrMatrix.from_dense(vals)
+    return csr_from_dense(vals)
 
 
 class TestSpmm:
     def test_identity_leaves_dense_unchanged(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = spmm(CsrMatrix.identity(3), b)
+        out = spmm(csr_identity(3), b)
         assert np.array_equal(out, b)
 
     def test_permutation_swap(self):
-        a = CsrMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        a = csr_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = spmm(a, np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(out, np.array([[3.0, 4.0], [1.0, 2.0]]))
 
     def test_zero_row_gives_zero_output_row(self):
-        a = CsrMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        a = csr_from_dense(np.array([[1.0, 2.0], [0.0, 0.0]]))
         out = spmm(a, np.arange(6.0).reshape(2, 3))
         assert np.array_equal(out[1], np.zeros(3))
         assert out[0, 0] != 0.0
@@ -55,7 +58,7 @@ class TestSpmm:
         assert np.max(np.abs(got - want) / denom) <= 1e-12
 
     def test_dimension_mismatch_names_both_shapes(self):
-        a = CsrMatrix.identity(3)
+        a = csr_identity(3)
         with pytest.raises(ValueError, match=r"3x3 @ 2x2"):
             spmm(a, np.zeros((2, 2)))
 
@@ -100,33 +103,41 @@ class TestLpNorm:
         assert lp_norm(c * m, 2) == pytest.approx(abs(c) * lp_norm(m, 2), rel=1e-12)
 
 
+def feature_direction(rows: int, cols: int, seed: int) -> np.ndarray:
+    """One Gaussian direction with the norm of an all-ones rows x cols matrix."""
+    dirs = sample_directions(np.ones((rows, cols)), FEATURE_KIND, 1, make_rng(seed))
+    return dirs.directions[0]
+
+
 class TestGaussianSampling:
     def test_same_seed_bit_identical(self):
-        a = sample_gaussian_like(7, 5, make_rng(42))
-        b = sample_gaussian_like(7, 5, make_rng(42))
+        a = feature_direction(7, 5, 42)
+        b = feature_direction(7, 5, 42)
         assert a.tobytes() == b.tobytes()
+        # The draw is the generator's own stream, scaled to the source norm.
+        g = make_rng(42).standard_normal((7, 5))
+        want = g * (lp_norm(np.ones((7, 5)), 2) / lp_norm(g, 2))
+        assert a.tobytes() == want.tobytes()
 
     def test_different_seeds_differ(self):
-        a = sample_gaussian_like(4, 4, make_rng(1))
-        b = sample_gaussian_like(4, 4, make_rng(2))
+        a = feature_direction(4, 4, 1)
+        b = feature_direction(4, 4, 2)
         assert (a != b).any()
 
     def test_sample_statistics(self):
-        m = sample_gaussian_like(100, 100, make_rng(123))
+        # The norm of ones((100, 100)) is 100, so entries have unit RMS.
+        m = feature_direction(100, 100, 123)
         assert abs(m.mean()) < 0.05
         assert abs(m.std() - 1.0) < 0.05
-
-    def test_rejects_empty_shape(self):
-        with pytest.raises(ValueError):
-            sample_gaussian_like(0, 3, make_rng(0))
+        assert abs(np.mean(np.abs(m) < 1.0) - 0.6827) < 0.02  # Gaussian mass
 
 
 class TestCsrValidation:
     def test_canonical_round_trip(self):
         rng = make_rng(9)
         dense = rng.standard_normal((6, 4)) * (rng.random((6, 4)) < 0.5)
-        m = CsrMatrix.from_dense(dense)
-        assert np.array_equal(m.to_dense(), dense)
+        m = csr_from_dense(dense)
+        assert np.array_equal(csr_to_dense(m), dense)
         assert m.nnz == int((dense != 0).sum())
 
     def test_rejects_unsorted_columns(self):
@@ -156,9 +167,9 @@ class TestCsrValidation:
         dense = np.zeros((4, 3))
         dense[0, 2] = 5.0
         dense[3, 0] = 7.0
-        assert np.array_equal(m.to_dense(), dense)
+        assert np.array_equal(csr_to_dense(m), dense)
 
     def test_arrays_are_frozen(self):
-        m = CsrMatrix.identity(3)
+        m = csr_identity(3)
         with pytest.raises(ValueError):
             m.values[0] = 2.0

@@ -10,17 +10,20 @@ from capgnn.model import (
     GnnModel,
     accuracy,
     backward,
-    evaluate,
     forward,
     init_model,
     load_model,
     masked_cross_entropy,
     save_model,
+    split_metrics,
 )
 
 from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint, two_node_dataset
 from oracles import (
     assert_close_to_fd,
+    csr_from_dense,
+    csr_identity,
+    csr_to_dense,
     fd_feature_grad,
     fd_weight_grad,
     random_instance,
@@ -45,9 +48,9 @@ class TestGradientsAgainstFiniteDifferences:
         ds = two_node_dataset()
         # One layer mapping the one-hot features straight to huge correct logits.
         model = GnnModel([np.eye(2) * 200.0], dropout_rate=0.0)
-        cache = forward(model, CsrMatrix.identity(2), ds.features, training=False)
+        cache = forward(model, csr_identity(2), ds.features, training=False)
         grads = backward(
-            model, CsrMatrix.identity(2), cache, ds.labels, np.array([True, True])
+            model, csr_identity(2), cache, ds.labels, np.array([True, True])
         )
         assert np.max(np.abs(grads.d_weights[0])) < 1e-8
         assert np.max(np.abs(grads.d_features)) < 1e-8
@@ -117,11 +120,11 @@ class TestForward:
     def test_identity_composition(self):
         x = make_rng(1).standard_normal((3, 3))
         model = GnnModel([np.eye(3)], dropout_rate=0.0)
-        cache = forward(model, CsrMatrix.identity(3), x, training=False)
+        cache = forward(model, csr_identity(3), x, training=False)
         assert np.array_equal(cache.logits, x)
 
     def test_uniform_adjacency_averages_rows(self):
-        a = CsrMatrix.from_dense(np.full((2, 2), 0.5))
+        a = csr_from_dense(np.full((2, 2), 0.5))
         x = np.array([[2.0, 4.0], [6.0, 8.0]])
         model = GnnModel([np.eye(2)], dropout_rate=0.0)
         cache = forward(model, a, x, training=False)
@@ -155,9 +158,9 @@ class TestForward:
         model = init_model([ds.d, 5, ds.num_classes], rng, dropout_rate=0.0)
         base = forward(model, ds.a_hat, ds.features, training=False).logits
         perm = make_rng(9).permutation(ds.n)
-        dense = ds.a_hat.to_dense()[np.ix_(perm, perm)]
+        dense = csr_to_dense(ds.a_hat)[np.ix_(perm, perm)]
         permuted = forward(
-            model, CsrMatrix.from_dense(dense), ds.features[perm], training=False
+            model, csr_from_dense(dense), ds.features[perm], training=False
         ).logits
         assert np.max(np.abs(permuted - base[perm])) <= 1e-10
         loss_a = masked_cross_entropy(base, ds.labels, ds.train_mask)
@@ -212,13 +215,26 @@ class TestEvaluate:
         mask = np.array([True, True, True, True, False])
         assert accuracy(logits, labels, mask) == 0.75
 
-    def test_evaluate_on_dataset(self, small_sbm, trained_small):
-        acc = evaluate(trained_small, small_sbm, small_sbm.train_mask)
-        assert 0.0 <= acc <= 1.0
+    def test_split_metrics_match_per_mask_bits(self, small_sbm):
+        ds = small_sbm
+        logits = make_rng(0).standard_normal((ds.n, ds.num_classes))
+        masks = (ds.train_mask, ds.val_mask, ds.test_mask)
+        want = (
+            masked_cross_entropy(logits, ds.labels, ds.train_mask),
+            *(accuracy(logits, ds.labels, m) for m in masks),
+        )
+        assert len(set(want[1:])) == 3  # distinct, so a swapped split shows
+        assert split_metrics(logits, ds) == want
+        none = np.zeros(ds.n, bool)
+        train_only = make_dataset(
+            ds.adjacency, ds.features, ds.labels, 2, ds.train_mask, none, none
+        )
+        assert split_metrics(logits, train_only) == (*want[:2], None, None)
 
     def test_empty_mask_rejected(self, small_sbm, trained_small):
+        logits = forward(trained_small, small_sbm.a_hat, small_sbm.features).logits
         with pytest.raises(ValueError):
-            evaluate(trained_small, small_sbm, np.zeros(small_sbm.n, bool))
+            accuracy(logits, small_sbm.labels, np.zeros(small_sbm.n, bool))
 
 
 class TestInitModel:

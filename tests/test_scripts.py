@@ -8,15 +8,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, *args):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script", ["run_sbm_study.py", "export_pubmed.py", "replay_digests.py"]
 )
 def test_script_help_exits_0(script):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--help"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_sbm_study_smoke_run(tmp_path):
+    proc = run_script(
+        "run_sbm_study.py", "--out_dir", str(tmp_path), "--seeds", "1",
+        "--epochs", "4", "--skip_epochs", "2",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "study.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["vanilla", "wp", "fp", "cap"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from capgnn.train import (
     train_step,
     write_metrics_csv,
 )
-from conftest import peak_traced_bytes
+from conftest import clean_metrics, peak_traced_bytes
 from oracles import reference_schedule
 
 
@@ -89,6 +91,13 @@ class TestConfigValidation:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "rho_w", "rho_x", "beta"])
+    def test_non_finite_value_rejected(self, key, value):
+        cls = TrainConfig if key in ("lr", "weight_decay") else PerturbConfig
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            cls(**{key: value})
 
 
 def quick_cfg(**kw):
@@ -295,9 +304,7 @@ class TestTrain:
         cfg = quick_cfg(epochs=10, model_selection="best_val", dropout=0.5)
         model, hist = train(small_sbm, cfg)
         best = max(r.val_acc for r in hist if r.val_acc is not None)
-        from capgnn.model import evaluate
-
-        assert evaluate(model, small_sbm, small_sbm.val_mask) == best
+        assert clean_metrics(model, small_sbm)[2] == best
 
     def test_eval_every_skips_metrics(self, small_sbm):
         cfg = quick_cfg(epochs=7, eval_every=3)
