@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Replay a fixed list of CLI runs and print a digest of every artefact.
 
-Inside OUT_DIR this generates the README's 400-node SBM, trains it four
+Inside OUT_DIR this generates the README's 400-node SBM, trains it five
 ways (cap with a PGD trace; vanilla with best_val selection; fp with a
-PGD trace; cap with dropout, weight decay, Adam and two hidden layers),
-probes and attacks one checkpoint, runs ``run_sbm_study.py``, and saves
-a seeded ~10%-dense dataset (repeated values, a -0.0, exponent-form
-reprs) with ``save_dataset``, the path that formats sparse features.
+PGD trace; cap with dropout, weight decay, Adam and two hidden layers;
+every key but the paths and seeds at its default), probes and attacks
+one checkpoint, runs ``run_sbm_study.py``, and saves a seeded
+~10%-dense dataset (repeated values, a -0.0, exponent-form reprs) with
+``save_dataset``, the path that formats sparse features.
 It then prints one ``sha256  relpath`` line per file written, sorted by
 path, with the wall-clock column cut from every ``metrics.csv``, and a
 last line for the commands' joint stdout. All paths are relative to
@@ -44,6 +45,7 @@ COMMANDS = [
      "--optimizer", "adam", "--hidden_dims", "16,8", "--seeds", "4,7",
      "--epochs", "30", "--skip_epochs", "5", "--out_dir", "runs/sbm_cap_adam",
      "--pgd_trace"],
+    ["train", "--dataset_dir", "data/sbm", "--out_dir", "runs/defaults", "--seeds", "1,2"],
     ["probe", *CKPT, "--directions", "4", "--out_dir", "runs/probe"],
     ["attack", *CKPT, "--sigmas", "0,0.5,1.5", "--trials", "5", "--out", "runs/attack.csv"],
 ]

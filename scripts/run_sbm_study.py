@@ -15,10 +15,7 @@ import argparse
 import csv
 from pathlib import Path
 
-from capgnn.cli import _cap_threads
-
-_cap_threads()  # BLAS thread caps must be set before numpy loads
-
+import capgnn  # noqa: F401  (caps BLAS threads on import, so it precedes numpy)
 import numpy as np
 
 from capgnn.graph import SbmParams, generate_sbm

@@ -3,9 +3,9 @@
 Every run is driven by explicit seeds and a resolved configuration that
 is echoed to ``manifest.json``, so re-running a manifest reproduces all
 metric files byte for byte (wall-clock columns aside). The environment
-variable ``CAPGNN_THREADS`` (default 1) caps BLAS thread pools; it must
-be honored before numpy loads, which is why this module imports the
-numeric stack lazily.
+variable ``CAPGNN_THREADS`` (default 1) caps BLAS thread pools; the
+``capgnn`` package applies it on import, before numpy loads. A train
+config is validated in full before the output directory is created.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (divergence), 4 IO failure.
@@ -14,30 +14,31 @@ failure (divergence), 4 IO failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from .graph import (
+    DatasetError, SbmParams, dataset_fingerprint, generate_sbm, load_dataset, save_dataset,
+)
+from .landscape import (
+    gaussian_attack_trials, probe_landscape, sample_directions, sharpness,
+)
+from .linalg import make_rng
+from .model import forward, load_model, save_model, split_metrics
+from .perturb import PerturbConfig
+from .train import (
+    TrainConfig, TrainingDivergedError, train, write_metrics_csv, write_pgd_trace_csv,
+)
 
 
 class ConfigError(ValueError):
     """Invalid configuration file, flag value, or input artifact."""
-
-
-def _cap_threads() -> None:
-    n = os.environ.get("CAPGNN_THREADS", "1")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, n)
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +66,28 @@ def _parse_float_list(s: str) -> list[float]:
     return [float(p) for p in str(s).split(",") if p.strip() != ""]
 
 
+_TRAIN, _PERTURB = TrainConfig(), PerturbConfig()
+
 # key -> (parser, default); None default means the key is required.
 CONFIG_KEYS: dict = {
-    "mode": (str, "vanilla"),
-    "epochs": (int, 200),
-    "skip_epochs": (int, 0),
-    "frequency": (int, 5),
-    "lr": (float, 0.01),
-    "optimizer": (str, "sgd"),
-    "weight_decay": (float, 0.0),
-    "hidden_dims": (_parse_int_list, [64]),
-    "dropout": (float, 0.5),
-    "rho_w": (float, 0.01),
-    "rho_x": (float, 0.01),
-    "beta": (float, 0.001),
-    "pgd_steps": (int, 3),
+    "mode": (str, _TRAIN.mode),
+    "epochs": (int, _TRAIN.epochs),
+    "skip_epochs": (int, _TRAIN.skip_epochs),
+    "frequency": (int, _TRAIN.frequency),
+    "lr": (float, _TRAIN.lr),
+    "optimizer": (str, _TRAIN.optimizer),
+    "weight_decay": (float, _TRAIN.weight_decay),
+    "hidden_dims": (_parse_int_list, list(_TRAIN.hidden_dims)),
+    "dropout": (float, _TRAIN.dropout),
+    "rho_w": (float, _PERTURB.rho_w),
+    "rho_x": (float, _PERTURB.rho_x),
+    "beta": (float, _PERTURB.beta),
+    "pgd_steps": (int, _PERTURB.steps),
     "seeds": (_parse_int_list, list(range(1, 11))),
     "dataset_dir": (str, None),
     "out_dir": (str, None),
-    "eval_every": (int, 1),
-    "model_selection": (str, "best_val"),
+    "eval_every": (int, _TRAIN.eval_every),
+    "model_selection": (str, _TRAIN.model_selection),
     "row_normalize_features": (_parse_bool, False),
 }
 
@@ -93,7 +96,7 @@ def parse_config_file(path: Path) -> dict:
     """Read a flat ``key = value`` config, or a manifest.json to replay."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if text.lstrip().startswith("{"):
         try:
@@ -158,18 +161,14 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
     return merged
 
 
-def _train_config(resolved: dict, seed: int):
-    from dataclasses import fields
-
-    from .perturb import PerturbConfig
-    from .train import TrainConfig
-
+def _train_config(resolved: dict) -> TrainConfig:
+    """The run's config, seeded with its first seed; other seeds ``replace`` it."""
     # Config keys are named after the config fields they set, except these.
     values = dict(
         resolved,
         steps=resolved["pgd_steps"],
         hidden_dims=tuple(resolved["hidden_dims"]),
-        seed=seed,
+        seed=resolved["seeds"][0],
     )
 
     def pick(cls) -> dict:
@@ -182,19 +181,8 @@ def _train_config(resolved: dict, seed: int):
         raise ConfigError(str(e)) from e
 
 
-def dataset_fingerprint(directory: Path) -> str:
-    """SHA-256 over the dataset files, in a fixed order."""
-    h = hashlib.sha256()
-    for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt", "split.json"):
-        f = directory / name
-        h.update(name.encode())
-        if f.is_file():
-            h.update(f.read_bytes())
-    return h.hexdigest()
-
-
-def _manifest(command: str, **fields) -> dict:
-    return {"tool": "capgnn", "version": __version__, "command": command, **fields}
+def _manifest(command: str, **entries) -> dict:
+    return {"tool": "capgnn", "version": __version__, "command": command, **entries}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -210,13 +198,10 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .graph import load_dataset
-    from .model import forward, save_model, split_metrics
-    from .train import train, write_metrics_csv, write_pgd_trace_csv
-
     file_values = parse_config_file(Path(args.config)) if args.config else {}
     overrides = {k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k) is not None}
     resolved = resolve_config(file_values, overrides)
+    cfg = _train_config(resolved)
 
     dataset = load_dataset(
         resolved["dataset_dir"],
@@ -228,7 +213,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = _manifest(
         "train",
         resolved_config=resolved,
-        dataset_fingerprint=dataset_fingerprint(Path(resolved["dataset_dir"])),
+        dataset_fingerprint=dataset_fingerprint(resolved["dataset_dir"]),
         seeds=resolved["seeds"],
         out_dir=str(out_dir),
     )
@@ -236,9 +221,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     per_seed = []
     for seed in resolved["seeds"]:
-        cfg = _train_config(resolved, seed)
         pgd_trace = [] if args.pgd_trace else None
-        model, history = train(dataset, cfg, pgd_trace=pgd_trace)
+        model, history = train(dataset, replace(cfg, seed=seed), pgd_trace=pgd_trace)
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(history, seed_dir / "metrics.csv")
@@ -292,9 +276,6 @@ def _std(xs) -> float | None:
 
 
 def _load_checkpoint_and_dataset(args):
-    from .graph import load_dataset
-    from .model import load_model
-
     if args.seed < 0:  # probe and attack both draw from make_rng(args.seed)
         raise ConfigError("--seed must be >= 0")
     try:
@@ -320,11 +301,6 @@ def _require_test_nodes(args, dataset, command: str) -> None:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .landscape import probe_landscape, sample_directions, sharpness
-    from .linalg import make_rng
-
     model, dataset = _load_checkpoint_and_dataset(args)
     if args.loss_mask == "test":
         _require_test_nodes(args, dataset, "probe --loss_mask test")
@@ -369,7 +345,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         "probe",
         checkpoint=str(args.checkpoint),
         dataset_dir=str(args.dataset_dir),
-        dataset_fingerprint=dataset_fingerprint(Path(args.dataset_dir)),
+        dataset_fingerprint=dataset_fingerprint(args.dataset_dir),
         kind=args.kind,
         alpha_min=args.alpha_min,
         alpha_max=args.alpha_max,
@@ -385,11 +361,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .landscape import gaussian_attack_trials
-    from .linalg import make_rng
-
     try:
         sigmas = _parse_float_list(args.sigmas)
     except ValueError as e:
@@ -418,7 +389,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         "attack",
         checkpoint=str(args.checkpoint),
         dataset_dir=str(args.dataset_dir),
-        dataset_fingerprint=dataset_fingerprint(Path(args.dataset_dir)),
+        dataset_fingerprint=dataset_fingerprint(args.dataset_dir),
         sigmas=sigmas,
         trials=args.trials,
         seed=args.seed,
@@ -430,9 +401,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_sbm(args: argparse.Namespace) -> int:
-    from .graph import SbmParams, generate_sbm, save_dataset
-    from .linalg import make_rng
-
     try:
         blocks = _parse_int_list(args.blocks)
         fractions = tuple(_parse_float_list(args.fractions))
@@ -443,9 +411,6 @@ def cmd_gen_sbm(args: argparse.Namespace) -> int:
             feature_noise=args.feature_noise,
             feature_dim=args.feature_dim,
         )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    try:
         dataset = generate_sbm(params, make_rng(args.seed), fractions=fractions)
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -552,12 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from .graph import DatasetError
-    from .train import TrainingDivergedError
-
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

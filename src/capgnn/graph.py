@@ -18,6 +18,7 @@ Python work grows with the distinct nonzeros, not with n*d.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,6 +151,17 @@ def row_normalize(features: np.ndarray) -> np.ndarray:
 _FILES = ("meta.json", "edges.tsv", "features.csv", "labels.txt", "split.json")
 
 
+def dataset_fingerprint(directory) -> str:
+    """SHA-256 over the dataset files, in a fixed order."""
+    h = hashlib.sha256()
+    for name in _FILES:
+        f = Path(directory) / name
+        h.update(name.encode())
+        if f.is_file():
+            h.update(f.read_bytes())
+    return h.hexdigest()
+
+
 def _fail(path: Path, msg: str, line: int | None = None) -> DatasetError:
     where = f"{path}:{line}" if line is not None else str(path)
     return DatasetError(f"{where}: {msg}")
@@ -170,7 +182,8 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     Raises :class:`DatasetError` naming the file (and line, where it
     applies) for any missing file, bytes that are not UTF-8, sizes in
     ``meta.json`` that are not JSON integers >= 1, malformed line,
-    out-of-range index, duplicate edge, or self-loop.
+    out-of-range index, duplicate edge, self-loop, node in two splits,
+    or empty train split.
     """
     directory = Path(directory)
     for name in _FILES:
@@ -271,7 +284,16 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
             if mask[i]:
                 raise _fail(split_path, f"{part} id {i} listed twice")
             mask[i] = True
+        for other, taken in masks.items():
+            both = np.flatnonzero(mask & taken)
+            if both.size:
+                raise _fail(
+                    split_path,
+                    f"id {both[0]} is in both {other} and {part}; splits must be disjoint",
+                )
         masks[part] = mask
+    if not masks["train"].any():
+        raise _fail(split_path, "'train' must list at least one node")
 
     adjacency = CsrMatrix.from_coo(
         n, n, us + vs, vs + us, np.ones(2 * len(us))

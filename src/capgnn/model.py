@@ -274,8 +274,12 @@ def split_metrics(
 # ---------------------------------------------------------------------------
 
 _CKPT_FORMAT = "capgnn-checkpoint"
-# Architecture keys every checkpoint carries; the layer rule above is the only one.
-_ARCHITECTURE = {"backbone": "gcn", "activation": "relu"}
+# Header keys every checkpoint carries, each with the one value this reader accepts;
+# the layer rule above is the only architecture.
+_HEADER = {
+    "version": 1, "backbone": "gcn", "activation": "relu",
+    "dtype": "float64", "byte_order": "little",
+}
 
 
 def save_model(model: GnnModel, path) -> None:
@@ -286,12 +290,9 @@ def save_model(model: GnnModel, path) -> None:
     """
     payload = {
         "format": _CKPT_FORMAT,
-        "version": 1,
-        **_ARCHITECTURE,
+        **_HEADER,
         "dropout_rate": model.dropout_rate,
         "layer_dims": model.layer_dims,
-        "dtype": "float64",
-        "byte_order": "little",
         "weights_b64": [
             base64.b64encode(
                 np.ascontiguousarray(w, dtype="<f8").tobytes()
@@ -308,8 +309,9 @@ def load_model(path) -> GnnModel:
     """Read a checkpoint written by :func:`save_model`.
 
     Malformed content (invalid JSON, another format, missing keys, a
-    foreign architecture, weight blobs whose count or byte length does
-    not match ``layer_dims``) raises ValueError naming ``path``.
+    foreign version, architecture, dtype or byte order, weight blobs
+    whose count or byte length does not match ``layer_dims``) raises
+    ValueError naming ``path``.
     """
     path = Path(path)
     try:
@@ -324,7 +326,7 @@ def _model_from_payload(payload) -> GnnModel:
     for key in ("layer_dims", "weights_b64"):
         if key not in payload:
             raise ValueError(f"missing key {key!r}")
-    for key, want in _ARCHITECTURE.items():
+    for key, want in _HEADER.items():
         if payload.get(key, want) != want:
             raise ValueError(f"unsupported {key} {payload[key]!r}, expected {want!r}")
     dims, blobs = payload["layer_dims"], payload["weights_b64"]

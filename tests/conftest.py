@@ -85,6 +85,11 @@ CHECKPOINT_CORRUPTIONS = {
     "foreign_activation": (
         lambda p: p.update(activation="tanh"), "unsupported activation 'tanh'"
     ),
+    "foreign_version": (lambda p: p.update(version=99), "unsupported version 99"),
+    "foreign_dtype": (lambda p: p.update(dtype="float32"), "unsupported dtype 'float32'"),
+    "foreign_byte_order": (
+        lambda p: p.update(byte_order="big"), "unsupported byte_order 'big'"
+    ),
 }
 
 

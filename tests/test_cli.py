@@ -1,17 +1,22 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from capgnn.cli import (
     ConfigError,
+    _train_config,
     main,
     parse_config_file,
     resolve_config,
 )
 from capgnn.graph import load_dataset
 from capgnn.model import load_model
+from capgnn.train import TrainConfig
 
 from conftest import CHECKPOINT_CORRUPTIONS, clean_metrics, corrupt_checkpoint
 
@@ -187,6 +192,7 @@ class TestTrain:
             "--out_dir", str(tmp_path / "x"),
             "--epochs", "5", "--skip_epochs", "9", "--seeds", "1",
         ) == 2
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -205,6 +211,7 @@ class TestTrain:
             "--out_dir", str(tmp_path / "x"), "--seeds", "1", "--epochs", "2", *flags,
         ) == 2
         assert f"{flags[-2][2:]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_dataset_dir_exits_2(self, tmp_path):
         assert run(
@@ -458,6 +465,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(cfg)
 
+    def test_non_utf8_config_rejected(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"mode = caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config_file(cfg)
+
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs = 5\nepochs = 6\n")
@@ -476,7 +489,29 @@ class TestConfigParsing:
         assert resolved["mode"] == "vanilla"
         assert resolved["pgd_steps"] == 3
         assert resolved["row_normalize_features"] is False
+        assert _train_config(resolved) == TrainConfig(seed=1)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="dataset_dir"):
             resolve_config({"out_dir": "o"}, {})
+
+
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+
+def test_import_caps_unset_blas_thread_vars():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(CAPGNN_THREADS="3", OMP_NUM_THREADS="2", PYTHONPATH=src)
+    code = (
+        "import os, capgnn; "
+        f"print(' '.join(os.environ[v] for v in {BLAS_THREAD_VARS!r}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "3", "3", "3", "3"]

@@ -182,7 +182,14 @@ class TestDatasetIO:
         (fixture_dir / "split.json").write_text(
             json.dumps({"train": [0], "val": [0], "test": [1]})
         )
-        with pytest.raises(DatasetError, match="disjoint"):
+        with pytest.raises(DatasetError, match=r"split\.json: .*disjoint"):
+            load_dataset(fixture_dir)
+
+    def test_split_empty_train_rejected(self, fixture_dir):
+        (fixture_dir / "split.json").write_text(
+            json.dumps({"train": [], "val": [0], "test": [1]})
+        )
+        with pytest.raises(DatasetError, match=r"split\.json: 'train' must list"):
             load_dataset(fixture_dir)
 
     def test_split_array_rejected(self, fixture_dir):
