@@ -4,10 +4,12 @@
 Inside OUT_DIR this generates the README's 400-node SBM, trains it five
 ways (cap with a PGD trace; vanilla with best_val selection; fp with a
 PGD trace; cap with dropout, weight decay, Adam and two hidden layers;
-every key but the paths and seeds at its default), probes and attacks
-one checkpoint, runs ``run_sbm_study.py``, and saves a seeded
-~10%-dense dataset (repeated values, a -0.0, exponent-form reprs) with
-``save_dataset``, the path that formats sparse features.
+every key but the paths and seeds at its default), probes one
+checkpoint twice (both kinds on the train loss; then feature-only on the
+test loss with another grid, alpha_ref and seed) and attacks it, runs
+``run_sbm_study.py``, and saves a seeded ~10%-dense dataset (repeated
+values, a -0.0, exponent-form reprs) with ``save_dataset``, the path
+that formats sparse features.
 It then prints one ``sha256  relpath`` line per file written, sorted by
 path, with the wall-clock column cut from every ``metrics.csv``, and a
 last line for the commands' joint stdout. All paths are relative to
@@ -47,6 +49,9 @@ COMMANDS = [
      "--pgd_trace"],
     ["train", "--dataset_dir", "data/sbm", "--out_dir", "runs/defaults", "--seeds", "1,2"],
     ["probe", *CKPT, "--directions", "4", "--out_dir", "runs/probe"],
+    ["probe", *CKPT, "--kind", "feature", "--loss_mask", "test", "--directions", "2",
+     "--grid_points", "11", "--alpha_ref", "0.4", "--seed", "3",
+     "--out_dir", "runs/probe_feature"],
     ["attack", *CKPT, "--sigmas", "0,0.5,1.5", "--trials", "5", "--out", "runs/attack.csv"],
 ]
 STUDY = ["--out_dir", "runs/sbm_study", "--seeds", "2", "--epochs", "60",

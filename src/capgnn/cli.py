@@ -1,11 +1,14 @@
 """Experiment command line: train / probe / attack / gen-sbm.
 
-Every run is driven by explicit seeds and a resolved configuration that
-is echoed to ``manifest.json``, so re-running a manifest reproduces all
-metric files byte for byte (wall-clock columns aside). The environment
-variable ``CAPGNN_THREADS`` (default 1) caps BLAS thread pools; the
-``capgnn`` package applies it on import, before numpy loads. A train
-config is validated in full before the output directory is created.
+Every run is driven by explicit seeds and writes a manifest of what ran.
+``train`` echoes its resolved configuration, so re-running its manifest
+reproduces all metric files byte for byte (wall-clock columns aside);
+``probe``, ``attack`` and ``gen-sbm`` record every parsed flag, with the
+values derived from them (parsed lists, dataset fingerprint, graph size)
+in place of the raw strings. The environment variable ``CAPGNN_THREADS``
+(default 1) caps BLAS thread pools; the ``capgnn`` package applies it on
+import, before numpy loads. A train config is validated in full before
+the output directory is created.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (divergence), 4 IO failure.
@@ -17,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from copy import copy
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -145,7 +149,7 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         if raw is None:
             if default is None:
                 raise ConfigError(f"missing required config key {key!r}")
-            merged[key] = default
+            merged[key] = copy(default)  # fresh lists: callers may edit theirs
             continue
         try:
             merged[key] = parse(raw)
@@ -183,6 +187,11 @@ def _train_config(resolved: dict) -> TrainConfig:
 
 def _manifest(command: str, **entries) -> dict:
     return {"tool": "capgnn", "version": __version__, "command": command, **entries}
+
+
+def _flags(args: argparse.Namespace, **derived) -> dict:
+    """Parsed flags (``command`` included), ``derived`` values replacing raw strings."""
+    return {**{k: v for k, v in vars(args).items() if k != "func"}, **derived}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -341,21 +350,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
                 )
         csv_path.write_text("".join(lines), encoding="utf-8", newline="\n")
     _write_json(out_dir / "sharpness.json", sharp)
-    manifest = _manifest(
-        "probe",
-        checkpoint=str(args.checkpoint),
-        dataset_dir=str(args.dataset_dir),
-        dataset_fingerprint=dataset_fingerprint(args.dataset_dir),
-        kind=args.kind,
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        grid_points=args.grid_points,
-        alpha_ref=args.alpha_ref,
-        directions=args.directions,
-        seed=args.seed,
-        loss_mask=args.loss_mask,
-        row_normalize_features=args.row_normalize_features,
-    )
+    manifest = _manifest(**_flags(
+        args, dataset_fingerprint=dataset_fingerprint(args.dataset_dir)
+    ))
     _write_json(out_dir / "manifest.json", manifest)
     return 0
 
@@ -385,17 +382,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(lines), encoding="utf-8", newline="\n")
-    manifest = _manifest(
-        "attack",
-        checkpoint=str(args.checkpoint),
-        dataset_dir=str(args.dataset_dir),
-        dataset_fingerprint=dataset_fingerprint(args.dataset_dir),
-        sigmas=sigmas,
-        trials=args.trials,
-        seed=args.seed,
-        row_normalize_features=args.row_normalize_features,
-        out=str(out),
-    )
+    manifest = _manifest(**_flags(
+        args, dataset_fingerprint=dataset_fingerprint(args.dataset_dir), sigmas=sigmas
+    ))
     _write_json(out.with_name(out.stem + "_manifest.json"), manifest)
     return 0
 
@@ -403,7 +392,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_gen_sbm(args: argparse.Namespace) -> int:
     try:
         blocks = _parse_int_list(args.blocks)
-        fractions = tuple(_parse_float_list(args.fractions))
+        fractions = _parse_float_list(args.fractions)
         params = SbmParams(
             block_sizes=tuple(blocks),
             p_in=args.p_in,
@@ -416,19 +405,9 @@ def cmd_gen_sbm(args: argparse.Namespace) -> int:
         raise ConfigError(str(e)) from e
     out_dir = Path(args.out_dir)
     save_dataset(dataset, out_dir)
-    manifest = _manifest(
-        "gen-sbm",
-        blocks=blocks,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        feature_noise=args.feature_noise,
-        feature_dim=args.feature_dim,
-        fractions=list(fractions),
-        seed=args.seed,
-        out_dir=str(out_dir),
-        n=dataset.n,
-        num_edges=dataset.num_edges,
-    )
+    manifest = _manifest(**_flags(
+        args, blocks=blocks, fractions=fractions, n=dataset.n, num_edges=dataset.num_edges
+    ))
     _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {dataset.n}-node dataset ({dataset.num_edges} edges) to {out_dir}")
     return 0

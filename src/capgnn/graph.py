@@ -74,11 +74,8 @@ class Dataset:
 
     @property
     def num_edges(self) -> int:
-        """Undirected edge count (off-diagonal nnz / 2)."""
-        adj = self.adjacency
-        rows_of = np.repeat(np.arange(adj.rows), np.diff(adj.row_ptr))
-        diag = int((rows_of == adj.col_idx).sum())
-        return (adj.nnz - diag) // 2
+        """Undirected edge count: the adjacency is symmetric with an empty diagonal."""
+        return self.adjacency.nnz // 2
 
 
 def _frozen_arr(a, dtype) -> np.ndarray:
@@ -106,6 +103,10 @@ def make_dataset(
         )
     if labels.shape != (n,):
         raise DatasetError(f"labels must have length {n}")
+    rows_of = np.repeat(np.arange(n), np.diff(adjacency.row_ptr))
+    loops = rows_of[rows_of == adjacency.col_idx]
+    if loops.size:
+        raise DatasetError(f"self-loop at node {loops[0]} not allowed")
     if num_classes < 1:
         raise DatasetError("num_classes must be >= 1")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):

@@ -40,7 +40,6 @@ class DirectionSet:
 class LandscapeProfile:
     """Loss values over [direction x alpha]."""
 
-    kind: str
     alphas: np.ndarray
     losses: np.ndarray
 
@@ -122,7 +121,7 @@ def probe_landscape(
                 losses[i, j] = loss_at(dataset.features, w_eff)
             else:
                 losses[i, j] = loss_at(dataset.features + alpha * direction)
-    return LandscapeProfile(kind=dirs.kind, alphas=alphas, losses=losses)
+    return LandscapeProfile(alphas=alphas, losses=losses)
 
 
 def _grid_index(alphas: np.ndarray, value: float) -> int:

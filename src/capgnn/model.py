@@ -323,11 +323,11 @@ def load_model(path) -> GnnModel:
 def _model_from_payload(payload) -> GnnModel:
     if not isinstance(payload, dict) or payload.get("format") != _CKPT_FORMAT:
         raise ValueError(f"not a {_CKPT_FORMAT} file")
-    for key in ("layer_dims", "weights_b64"):
+    for key in ("layer_dims", "weights_b64", "dropout_rate", *_HEADER):
         if key not in payload:
             raise ValueError(f"missing key {key!r}")
     for key, want in _HEADER.items():
-        if payload.get(key, want) != want:
+        if payload[key] != want:
             raise ValueError(f"unsupported {key} {payload[key]!r}, expected {want!r}")
     dims, blobs = payload["layer_dims"], payload["weights_b64"]
     if len(blobs) != len(dims) - 1:
@@ -341,4 +341,4 @@ def _model_from_payload(payload) -> GnnModel:
             )
         w = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(fan_in, fan_out)
         weights.append(np.ascontiguousarray(w))
-    return GnnModel(weights, dropout_rate=float(payload.get("dropout_rate", 0.5)))
+    return GnnModel(weights, dropout_rate=float(payload["dropout_rate"]))

@@ -134,17 +134,11 @@ class SgdOptimizer:
 class AdamOptimizer:
     """Adam with bias correction; weight decay is classic L2-into-gradient."""
 
-    def __init__(
-        self,
-        lr: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None

@@ -71,6 +71,11 @@ def _shorten_first_blob(payload):
     payload["weights_b64"][0] = base64.b64encode(raw[:-4]).decode("ascii")
 
 
+def _drop_header(payload):
+    for key in ("version", "backbone", "activation", "dtype", "byte_order"):
+        del payload[key]
+
+
 # case -> (edit of a two-layer checkpoint payload, fragment of the load error)
 CHECKPOINT_CORRUPTIONS = {
     "extra_blob": (
@@ -90,6 +95,8 @@ CHECKPOINT_CORRUPTIONS = {
     "foreign_byte_order": (
         lambda p: p.update(byte_order="big"), "unsupported byte_order 'big'"
     ),
+    "no_header": (_drop_header, "missing key 'version'"),
+    "no_dropout_rate": (lambda p: p.pop("dropout_rate"), "missing key 'dropout_rate'"),
 }
 
 

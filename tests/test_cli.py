@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from capgnn import __version__
 from capgnn.cli import (
     ConfigError,
     _train_config,
@@ -14,7 +15,7 @@ from capgnn.cli import (
     parse_config_file,
     resolve_config,
 )
-from capgnn.graph import load_dataset
+from capgnn.graph import dataset_fingerprint, load_dataset
 from capgnn.model import load_model
 from capgnn.train import TrainConfig
 
@@ -347,6 +348,47 @@ def test_empty_test_split_exits_2(command, checkpoint, no_test_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["attack", "gen-sbm", "probe"])
+def test_manifest_holds_every_flag_and_derived_value(
+    command, checkpoint, data_dir, tmp_path
+):
+    out = tmp_path / "out"
+    inputs = {"checkpoint": str(checkpoint), "dataset_dir": str(data_dir)}
+    fingerprint = {"dataset_fingerprint": dataset_fingerprint(data_dir)}
+    # command -> (every flag at a non-default value, derived values, manifest path)
+    flags, derived, manifest = {
+        "attack": (
+            {**inputs, "sigmas": "0.25,1", "trials": 3, "seed": 6,
+             "out": str(out / "a.csv"), "row_normalize_features": True},
+            {**fingerprint, "sigmas": [0.25, 1.0]},
+            out / "a_manifest.json",
+        ),
+        "gen-sbm": (
+            {"blocks": "6,5,4", "p_in": 0.7, "p_out": 0.1, "feature_noise": 0.3,
+             "feature_dim": 5, "fractions": "0.5,0.25,0.25", "seed": 9,
+             "out_dir": str(out)},
+            {"blocks": [6, 5, 4], "fractions": [0.5, 0.25, 0.25]},
+            out / "manifest.json",
+        ),
+        "probe": (
+            {**inputs, "out_dir": str(out), "kind": "weight", "directions": 2,
+             "grid_points": 5, "alpha_min": -0.5, "alpha_max": 0.5, "alpha_ref": 0.25,
+             "seed": 4, "loss_mask": "test", "row_normalize_features": True},
+            fingerprint,
+            out / "manifest.json",
+        ),
+    }[command]
+    argv = [f"--{k}" if v is True else f"--{k}={v}" for k, v in flags.items()]
+    assert run(command, *argv) == 0
+    if command == "gen-sbm":
+        ds = load_dataset(out)
+        derived.update(n=ds.n, num_edges=ds.num_edges)
+    assert json.loads(manifest.read_text()) == {
+        "tool": "capgnn", "version": __version__, "command": command,
+        **flags, **derived,
+    }
+
+
 class TestProbe:
     def test_both_kinds_emit_two_profiles(self, checkpoint, data_dir, tmp_path):
         out = tmp_path / "p"
@@ -457,6 +499,20 @@ class TestAttack:
         assert "--sigmas must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_malformed_checkpoint_exits_2_naming_path(
+        self, checkpoint, data_dir, tmp_path, capsys, case
+    ):
+        bad = tmp_path / "bad.json"
+        corrupt_checkpoint(checkpoint, bad, case)
+        out = tmp_path / "a.csv"
+        assert run(
+            "attack", "--checkpoint", str(bad), "--dataset_dir", str(data_dir),
+            "--sigmas", "0.5", "--out", str(out),
+        ) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
@@ -490,6 +546,14 @@ class TestConfigParsing:
         assert resolved["pgd_steps"] == 3
         assert resolved["row_normalize_features"] is False
         assert _train_config(resolved) == TrainConfig(seed=1)
+
+    def test_resolved_lists_are_fresh_copies(self):
+        first = resolve_config({"dataset_dir": "d", "out_dir": "o"}, {})
+        first["seeds"].append(99)
+        first["hidden_dims"].append(7)
+        again = resolve_config({"dataset_dir": "d", "out_dir": "o"}, {})
+        assert again["seeds"] == list(range(1, 11))
+        assert again["hidden_dims"] == [64]
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="dataset_dir"):

@@ -436,6 +436,14 @@ class TestMakeDataset:
                 [False, False], [True, False], [False, True],
             )
 
+    def test_rejects_self_loop(self):
+        adj = CsrMatrix.from_coo(3, 3, [0, 1, 2], [1, 0, 2], [1.0, 1.0, 1.0])
+        with pytest.raises(DatasetError, match="self-loop at node 2"):
+            make_dataset(
+                adj, np.eye(3), [0, 1, 0], 2,
+                [True, False, False], [False, True, False], [False, False, True],
+            )
+
     def test_rejects_label_out_of_range(self):
         adj = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 1.0])
         with pytest.raises(DatasetError, match="label"):

@@ -156,24 +156,24 @@ class TestProbeLandscape:
 
 class TestSharpness:
     def test_constant_profile_is_flat(self):
-        profile = LandscapeProfile("weight", grid(num=5), np.full((3, 5), 2.5))
+        profile = LandscapeProfile(grid(num=5), np.full((3, 5), 2.5))
         assert sharpness(profile, 0.5) == 0.0
 
     def test_single_direction_arithmetic(self):
         alphas = np.array([-0.5, 0.0, 0.5])
-        profile = LandscapeProfile("weight", alphas, np.array([[2.0, 1.0, 2.0]]))
+        profile = LandscapeProfile(alphas, np.array([[2.0, 1.0, 2.0]]))
         assert sharpness(profile, 0.5) == 1.0
 
     def test_quadratic_profile_scales_with_square(self):
         alphas = grid(num=21)
         c = 3.7
         losses = np.tile(c * alphas**2, (4, 1))
-        profile = LandscapeProfile("feature", alphas, losses)
+        profile = LandscapeProfile(alphas, losses)
         assert sharpness(profile, 0.5) == pytest.approx(c * 0.25, rel=1e-12)
         assert sharpness(profile, 1.0) == pytest.approx(c, rel=1e-12)
 
     def test_missing_reference_point_rejected(self):
-        profile = LandscapeProfile("weight", grid(num=5), np.zeros((1, 5)))
+        profile = LandscapeProfile(grid(num=5), np.zeros((1, 5)))
         with pytest.raises(ValueError, match="grid"):
             sharpness(profile, 0.3)
 
