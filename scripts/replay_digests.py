@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Replay a fixed list of CLI runs and print a digest of every artefact.
 
-Inside OUT_DIR this generates the README's 400-node SBM, trains it five
+Inside OUT_DIR this generates the README's 400-node SBM, trains it six
 ways (cap with a PGD trace; vanilla with best_val selection; fp with a
-PGD trace; cap with dropout, weight decay, Adam and two hidden layers;
-every key but the paths and seeds at its default), probes one
+PGD trace, once as configured and once with a feature ball small enough
+that the clamp binds; cap with dropout, weight decay, Adam and two
+hidden layers; every key but the paths and seeds at its default), probes one
 checkpoint twice (both kinds on the train loss; then feature-only on the
 test loss with another grid, alpha_ref and seed) and attacks it, runs
 ``run_sbm_study.py``, and saves a seeded ~10%-dense dataset (repeated
@@ -43,6 +44,9 @@ COMMANDS = [
      "--seeds", "1..2", "--out_dir", "runs/sbm_vanilla"],
     ["train", *CAP, "--mode", "fp", "--seeds", "1", "--epochs", "60",
      "--out_dir", "runs/sbm_fp", "--pgd_trace"],
+    # No shipped config lets the feature ascent reach rho_x; 0.03 < 3 x 0.02 does.
+    ["train", *CAP, "--mode", "fp", "--rho_x", "0.03", "--seeds", "1", "--epochs", "60",
+     "--out_dir", "runs/sbm_fp_clamped", "--pgd_trace"],
     ["train", *CAP, "--mode", "cap", "--dropout", "0.5", "--weight_decay", "0.0005",
      "--optimizer", "adam", "--hidden_dims", "16,8", "--seeds", "4,7",
      "--epochs", "30", "--skip_epochs", "5", "--out_dir", "runs/sbm_cap_adam",

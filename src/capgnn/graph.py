@@ -139,10 +139,17 @@ def make_dataset(
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
-    """Scale each feature row to unit l1 mass; all-zero rows are left alone."""
-    sums = np.abs(features).sum(axis=1, keepdims=True)
+    """Scale each feature row to unit l1 mass; all-zero rows are left alone.
+
+    The input is read as float64 (so integer features work too) and never
+    modified; the quotient is written into the ``np.abs`` buffer, so the
+    result is the only n x d array this allocates.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    out = np.abs(features)
+    sums = out.sum(axis=1, keepdims=True)
     sums[sums == 0.0] = 1.0
-    return features / sums
+    return np.divide(features, sums, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ layer's norm) or the features (one direction rescaled to the feature
 matrix norm) by a scalar grid of magnitudes. The sharpness scalar is a
 pragmatic summary of such a profile, not a Hessian quantity: the mean
 symmetric loss rise at a reference magnitude.
+
+The feature-side passes work on n x d arrays, so they keep n x d
+temporaries few: each source's l2 norm is computed once per draw, not
+once per direction; a feature profile builds every displaced matrix in
+one reused buffer; and the noise attack draws, scales and shifts in one
+buffer.
 """
 
 from __future__ import annotations
@@ -44,8 +50,14 @@ class LandscapeProfile:
     losses: np.ndarray
 
 
-def _scaled_like(template: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    target = lp_norm(template, 2) if template.size else 0.0
+def _norm(source: np.ndarray) -> float:
+    return lp_norm(source, 2) if source.size else 0.0
+
+
+def _scaled_like(
+    template: np.ndarray, target: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A Gaussian draw shaped like ``template``, rescaled to l2 norm ``target``."""
     if target == 0.0:
         return np.zeros_like(template)
     g = rng.standard_normal(template.shape)
@@ -65,14 +77,17 @@ def sample_directions(
     if kind == WEIGHT_KIND:
         if not isinstance(source, GnnModel):
             raise ValueError("weight directions need a model source")
+        targets = [_norm(w) for w in source.weights]
         directions = [
-            [_scaled_like(w, rng) for w in source.weights] for _ in range(count)
+            [_scaled_like(w, n, rng) for w, n in zip(source.weights, targets)]
+            for _ in range(count)
         ]
     elif kind == FEATURE_KIND:
         features = np.asarray(source, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("feature directions need a 2-D feature source")
-        directions = [_scaled_like(features, rng) for _ in range(count)]
+        target = _norm(features)
+        directions = [_scaled_like(features, target, rng) for _ in range(count)]
     else:
         raise ValueError(f"kind must be {WEIGHT_KIND!r} or {FEATURE_KIND!r}")
     return DirectionSet(kind=kind, directions=directions)
@@ -90,7 +105,9 @@ def probe_landscape(
     The grid must be strictly increasing and contain 0; the alpha=0
     column is the unperturbed loss, from one clean forward per call
     shared by every direction, so it is bit-exact. Dropout is always
-    off here.
+    off here. Feature displacements are built in one reused buffer as
+    ``alpha * direction + features``, which has the bits of
+    ``features + alpha * direction`` (IEEE * and + commute).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or len(alphas) < 1:
@@ -112,6 +129,7 @@ def probe_landscape(
 
     losses = np.empty((len(dirs.directions), len(alphas)))
     losses[:, alphas == 0.0] = loss_at(dataset.features)
+    x_eff = np.empty_like(dataset.features) if dirs.kind == FEATURE_KIND else None
     for i, direction in enumerate(dirs.directions):
         for j, alpha in enumerate(alphas):
             if alpha == 0.0:
@@ -120,7 +138,9 @@ def probe_landscape(
                 w_eff = [w + alpha * d for w, d in zip(model.weights, direction)]
                 losses[i, j] = loss_at(dataset.features, w_eff)
             else:
-                losses[i, j] = loss_at(dataset.features + alpha * direction)
+                np.multiply(direction, alpha, out=x_eff)
+                x_eff += dataset.features
+                losses[i, j] = loss_at(x_eff)
     return LandscapeProfile(alphas=alphas, losses=losses)
 
 

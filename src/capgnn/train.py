@@ -184,8 +184,9 @@ def train_step(
     take the descent gradient at the displaced point and apply it to the
     stored weights; the perturbation itself is discarded. Clean metrics,
     when requested, are evaluated after the update with dropout off.
-    A non-finite loss, before the update or clean after it, raises
-    ``TrainingDivergedError`` naming the epoch.
+    A non-finite loss before the update, a non-finite weight after it or
+    a non-finite clean loss raises ``TrainingDivergedError`` naming the
+    epoch.
     When ``pgd_trace`` is given, per-step inner-loop rows are appended
     as (epoch, PgdTraceRow) pairs.
     """
@@ -214,6 +215,10 @@ def train_step(
         )
     grads = backward(model, a_hat, cache, labels, train_mask, need_features=False)
     optimizer.step(model.weights, grads.d_weights)
+    if not all(np.isfinite(w).all() for w in model.weights):
+        raise TrainingDivergedError(
+            f"non-finite weights after the update at epoch {epoch} ({mode_used})"
+        )
 
     train_loss = train_acc = val_acc = test_acc = None
     if evaluate_metrics:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import capgnn.train as train_mod
 from capgnn import __version__
 from capgnn.cli import (
     ConfigError,
@@ -17,13 +18,26 @@ from capgnn.cli import (
 )
 from capgnn.graph import dataset_fingerprint, load_dataset
 from capgnn.model import load_model
-from capgnn.train import TrainConfig
+from capgnn.train import SgdOptimizer, TrainConfig
 
 from conftest import CHECKPOINT_CORRUPTIONS, clean_metrics, corrupt_checkpoint
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+class PoisonAtStep:
+    """SGD that writes a NaN into the first weight on its ``n``-th step."""
+
+    def __init__(self, lr: float, n: int):
+        self.sgd, self.n, self.steps = SgdOptimizer(lr), n, 0
+
+    def step(self, weights, grads):
+        self.sgd.step(weights, grads)
+        self.steps += 1
+        if self.steps == self.n:
+            weights[0][0, 0] = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +272,20 @@ class TestTrain:
         assert "training diverged" in err and "epoch 1" in err
         assert not (out / "seed_1").exists()
         assert not (out / "summary.json").exists()
+
+    def test_non_finite_update_exits_3_naming_its_epoch(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # Epoch 2 is not evaluated (eval_every 5); the NaN must not wait for epoch 3.
+        monkeypatch.setattr(train_mod, "make_optimizer", lambda cfg: PoisonAtStep(cfg.lr, 2))
+        out = tmp_path / "poisoned"
+        assert run(
+            "train", "--dataset_dir", str(data_dir), "--out_dir", str(out),
+            "--seeds", "1", "--epochs", "5", "--eval_every", "5", "--mode", "vanilla",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "non-finite weights after the update at epoch 2 (standard)" in err
+        assert not (out / "seed_1").exists()
 
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():

@@ -120,6 +120,15 @@ class TestProbeLandscape:
         assert profile.losses.shape == (5, 7)
         assert (profile.losses >= 0).all()
 
+    def test_feature_probe_peak_memory_is_one_feature_array(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        dirs = sample_directions(wide_sbm.features, "feature", 2, make_rng(3))
+        peak = peak_traced_bytes(
+            lambda: probe_landscape(model, wide_sbm, dirs, grid(num=5))
+        )
+        # One displaced-feature buffer for every alpha; n x hidden arrays are ~5% each.
+        assert peak < 1.5 * wide_sbm.features.nbytes
+
     def test_probe_does_not_mutate_model_or_data(self, small_sbm, trained_small):
         w_before = [w.tobytes() for w in trained_small.weights]
         x_before = small_sbm.features.tobytes()

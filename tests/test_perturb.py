@@ -150,14 +150,41 @@ class TestWeightPgd:
         assert all(row.eps_norm == 0.0 for row in trace)
 
 
+# name -> (rho_x, beta, steps, whether some entry ends on the ball's face)
+CLAMP_SCHEDULES = {
+    "binds_from_step_3": (0.05, 0.02, 4, True),
+    "never_binds": (0.2, 0.02, 3, False),
+    "binds_from_step_1": (0.01, 0.02, 3, True),
+    # 0.1 + 0.1 + 0.1 is 0.30000000000000004, so the third step must clamp.
+    "float_sum_boundary": (0.3, 0.1, 3, True),
+    # The ascent reaches rho_x exactly, where the skipped clamp is an identity.
+    "reach_equals_rho": (0.5, 0.25, 2, True),
+    # Six sums of 0.01 give 0.060000000000000005 but 6 * 0.01 is 0.06: a reach
+    # bounded by the product would skip the clamp that the sixth step needs.
+    "running_sum_above_product": (0.06, 0.01, 6, True),
+}
+
+
+def reference_loop_cases():
+    for dataset in ("fixture_8", "small_sbm"):
+        for depth, hidden in (("2-layer", (5,)), ("3-layer", (6, 4))):
+            for name, schedule in CLAMP_SCHEDULES.items():
+                # The first schedule is untagged, so its four ids stay stable.
+                tag = "" if name == "binds_from_step_3" else f"-{name}"
+                yield pytest.param(dataset, hidden, *schedule, id=f"{dataset}-{depth}{tag}")
+
+
 class TestFeaturePgd:
-    @pytest.mark.parametrize("hidden", [(5,), (6, 4)], ids=["2-layer", "3-layer"])
-    @pytest.mark.parametrize("dataset", ["fixture_8", "small_sbm"])
-    def test_matches_reference_loop(self, hidden, dataset, request):
+    @pytest.mark.parametrize(
+        "dataset,hidden,rho_x,beta,steps,on_face", reference_loop_cases()
+    )
+    def test_matches_reference_loop(
+        self, dataset, hidden, rho_x, beta, steps, on_face, request
+    ):
         ds = request.getfixturevalue(dataset)
         snapshot = ds.features.tobytes()
         model = init_model([ds.d, *hidden, ds.num_classes], make_rng(9), dropout_rate=0.0)
-        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=4)
+        cfg = PerturbConfig(rho_x=rho_x, beta=beta, steps=steps)
         trace = []
         got = pgd_feature_perturbation(model, ds, cfg, trace=trace)
 
@@ -170,12 +197,33 @@ class TestFeaturePgd:
             eps = np.clip(eps + cfg.beta * np.sign(g), -cfg.rho_x, cfg.rho_x)
             want_trace.append((t, "x", lp_norm(g, math.inf), lp_norm(eps, math.inf), loss))
         assert got.tobytes() == eps.tobytes()
-        assert np.any(eps == cfg.rho_x)  # the clamp was exercised
+        assert np.any(np.abs(eps) == cfg.rho_x) == on_face
         assert [
             (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
         ] == want_trace
         assert ds.features.tobytes() == snapshot
         assert got.flags.owndata and not np.shares_memory(got, ds.features)
+
+    @pytest.mark.parametrize(
+        "rho_x,clips", [(0.2, 0), (0.03, 2)], ids=["never_binds", "binds_from_step_2"]
+    )
+    def test_clamps_only_once_the_ascent_can_reach_the_ball(
+        self, rho_x, clips, fixture_8, monkeypatch
+    ):
+        model = init_model([fixture_8.d, 5, 2], make_rng(2), dropout_rate=0.0)
+        calls = []
+        real_clip = np.clip
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_clip(*args, **kwargs)
+
+        monkeypatch.setattr(np, "clip", spy)
+        pgd_feature_perturbation(
+            model, fixture_8, PerturbConfig(rho_x=rho_x, beta=0.02, steps=3)
+        )
+        # Steps reach 0.02, 0.04 and 0.06: at rho_x=0.03 the last two clamp.
+        assert calls == [fixture_8.features.shape] * clips
 
     def test_peak_memory_is_three_feature_arrays(self, wide_sbm):
         model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
