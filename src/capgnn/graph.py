@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -239,9 +240,12 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
 
     feat_path = directory / "features.csv"
     try:
-        features = np.loadtxt(
-            feat_path, delimiter=",", dtype=np.float64, ndmin=2, comments=None
-        )
+        with warnings.catch_warnings():
+            # An empty file is rejected below, by its shape.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            features = np.loadtxt(
+                feat_path, delimiter=",", dtype=np.float64, ndmin=2, comments=None
+            )
     except ValueError:
         _locate_bad_csv_line(feat_path, d)
         raise _fail(feat_path, "malformed features file")

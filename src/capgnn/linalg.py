@@ -5,16 +5,35 @@ matrices use a validated canonical CSR layout (sorted, duplicate-free
 column indices per row). Every operation here is a pure function and
 accumulates in a fixed row-major, index-ascending order, so repeated
 runs with the same inputs are bit-identical.
+
+Row blocks: ``spmm`` and the feature ascent's elementwise sweeps split
+their output rows into contiguous ranges, one per CPU the process may
+run on, each of at least ``_MIN_BLOCK`` entries (below that, as on the
+400-node SBM, a hand-off costs more than it saves). The first range
+runs on the caller's thread, the others on a thread pool created on
+first use and dropped in a forked child; pool workers run only numpy
+array operations and scipy's CSR kernel. Every output row comes from
+the same kernel and operands whatever range holds it, so the bytes do
+not depend on the partition.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+# The kernel behind csr_matrix @ dense; called directly so that row blocks
+# write into one output. tests/test_linalg.py pins it against the public @.
+from scipy.sparse._sparsetools import csr_matvecs
+
+_MIN_BLOCK = 1 << 18  # output entries per row block
+_CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
+_pool: ThreadPoolExecutor | None = None
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -92,6 +111,18 @@ class CsrMatrix:
         return (self.rows, self.cols)
 
     @cached_property
+    def _bounds(self) -> dict[int, list[int]]:
+        return {}
+
+    def _row_bounds(self, blocks: int) -> list[int]:
+        """Cuts of [0, rows) into ``blocks`` ranges of ~nnz / blocks stored entries."""
+        bounds = self._bounds.get(blocks)
+        if bounds is None:
+            cuts = np.searchsorted(self.row_ptr, np.arange(1, blocks) * (self.nnz / blocks))
+            bounds = self._bounds[blocks] = [0, *cuts.tolist(), self.rows]
+        return bounds
+
+    @cached_property
     def _sp(self) -> sp.csr_matrix:
         # scipy handle reused by spmm; copy=False shares the frozen arrays.
         return sp.csr_matrix(
@@ -122,12 +153,85 @@ class CsrMatrix:
         return cls(rows, cols, row_ptr, c, v)
 
 
+def _width() -> int:
+    """CPUs this process may run on: the most row blocks one call uses."""
+    if hasattr(os, "sched_getaffinity"):  # Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_count(rows: int, cols: int) -> int:
+    """Row blocks for a rows x cols output: one per CPU, each >= _MIN_BLOCK entries."""
+    blocks = rows * cols // _MIN_BLOCK
+    return 1 if blocks < 2 else min(blocks, _width())
+
+
+def _drop_pool() -> None:
+    # A forked child has none of the parent's threads, so the executor it
+    # inherits would queue work that nothing runs.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_row_blocks(bounds: list[int], fn) -> None:
+    """Call ``fn(lo, hi)`` on each non-empty range between consecutive ``bounds``.
+
+    The first range (a single one, even if empty) runs on the caller's
+    thread and the others on the pool. Returns once every range is
+    done, raising the first error.
+    """
+    global _pool
+    if len(bounds) == 2:
+        fn(*bounds)
+        return
+    ranges = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_width(), thread_name_prefix="capgnn-rows")
+    futures = [_pool.submit(fn, lo, hi) for lo, hi in ranges[1:]]
+    try:
+        for lo, hi in ranges[:1]:
+            fn(lo, hi)
+    finally:
+        wait(futures)  # no worker may still write once this returns
+    for f in futures:
+        f.result()
+
+
+def _sweep_rows(shape: tuple[int, int], fn) -> None:
+    """Call ``fn(lo, hi)`` over row chunks of ~_CHUNK entries, in row blocks.
+
+    For elementwise passes over n x d arrays: ``fn`` runs every pass on
+    one chunk while it sits in cache.
+    """
+    rows, cols = shape
+    step = max(1, _CHUNK // max(cols, 1))
+    blocks = _block_count(rows, cols)
+
+    def block(lo, hi):
+        for c in range(lo, hi, step):
+            fn(c, min(c + step, hi))
+
+    _run_row_blocks([rows * i // blocks for i in range(blocks + 1)], block)
+
+
+def _add_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.add(x, y, out=out)`` for equal-shape 2-D arrays, in row blocks."""
+    _sweep_rows(x.shape, lambda lo, hi: np.add(x[lo:hi], y[lo:hi], out=out[lo:hi]))
+    return out
+
+
 def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     """CSR @ dense product.
 
     Accumulation is row-major and index-ascending within each row (the
     scipy CSR kernel walks nonzeros in storage order), matching a naive
-    triple loop bit for bit on canonical input.
+    triple loop bit for bit on canonical input. Large outputs are
+    computed in row blocks balanced by stored entries (module docstring),
+    each zeroed and written in place in the one output.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
@@ -136,7 +240,20 @@ def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"spmm shape mismatch: {a.rows}x{a.cols} @ {b.shape[0]}x{b.shape[1]}"
         )
-    return a._sp @ b
+    k = b.shape[1]
+    blocks = _block_count(a.rows, k)
+    # With several blocks, each zeroes its own rows, so they start in its cache.
+    out = np.zeros((a.rows, k)) if blocks == 1 else np.empty((a.rows, k))
+    m, xs, ys = a._sp, b.ravel(), out.ravel()  # xs copies a non-contiguous b
+
+    def block(lo, hi):
+        y = ys[lo * k:hi * k]
+        if blocks > 1:
+            y.fill(0.0)
+        csr_matvecs(hi - lo, a.cols, k, m.indptr[lo:hi + 1], m.indices, m.data, xs, y)
+
+    _run_row_blocks(a._row_bounds(blocks), block)
+    return out
 
 
 def lp_norm(m: np.ndarray, p) -> float:

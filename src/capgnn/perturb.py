@@ -14,15 +14,19 @@ computes the ascent loss only when a trace records it. The feature loop
 runs on n x d arrays, so it reuses its buffers: one for the perturbation
 and one for the effective features X + eps. Once ``backward`` returns,
 X + eps is idle until the next step rebuilds it, so the step is written
-there: ``np.sign`` into a different array, because with numpy 2.4 an
-in-place ``np.sign`` is slower by a data-dependent factor (on a
-19,717 x 500 float64 array, 1 BLAS thread: 80-96 ms in place against
-16-21 ms out of place for Gaussian entries, 44 against 18 ms for a
-trained model's feature gradient). At most three n x d arrays are live
-at once. The l-infinity clamp runs only once the
-ascent could have reached the ball (see ``pgd_feature_perturbation``).
-The returned perturbation owns its memory and belongs to the caller,
-who may overwrite it.
+there, ``np.sign`` into a different array (with numpy 2.4 an in-place
+``np.sign`` is several times slower). The whole step is one sweep over
+row chunks of ~2^16 entries, each taken through every pass while it sits
+in cache, with the chunks split across CPUs in row blocks (see
+``linalg``); every pass is elementwise, so the bytes do not depend on
+the partition. At most three n x d arrays are live at once. The
+l-infinity clamp runs only once the ascent could have reached the ball
+(see ``pgd_feature_perturbation``). The returned perturbation owns its
+memory and belongs to the caller, who may overwrite it.
+
+A non-finite value inside either ascent raises ``FloatingPointError``
+naming the loop and the step: a NaN gradient norm in the weight loop,
+non-finite logits in the feature loop.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import lp_norm
+from .linalg import _add_rows, _sweep_rows, lp_norm
 from .model import GnnModel, backward, forward, masked_cross_entropy
 
 _GRAD_NORM_FLOOR = 1e-12
@@ -101,7 +105,8 @@ def pgd_weight_perturbation(
     by ``beta`` along its norm-normalized gradient, and projects onto
     that layer's ball of radius ``rho_w * ||W_l||_2``. Layers whose
     gradient norm falls below 1e-12 contribute a zero step (recorded in
-    ``trace`` when given) instead of dividing by ~0.
+    ``trace`` when given) instead of dividing by ~0; a non-finite norm
+    raises ``FloatingPointError``.
     """
     radii = [cfg.rho_w * lp_norm(w, 2) for w in model.weights]
     eps = [np.zeros_like(w) for w in model.weights]
@@ -116,6 +121,10 @@ def pgd_weight_perturbation(
         )
         for l, g in enumerate(grads.d_weights):
             gn = lp_norm(g, 2)
+            if not math.isfinite(gn):
+                raise FloatingPointError(
+                    f"weight ascent step {t}: non-finite gradient norm on layer w{l}"
+                )
             if gn >= _GRAD_NORM_FLOOR and radii[l] > 0.0:
                 eps[l] = project_ball(eps[l] + cfg.beta * (g / gn), radii[l], 2)
             if trace is not None:
@@ -149,11 +158,12 @@ def pgd_feature_perturbation(
     """
     x = dataset.features
     eps = np.zeros_like(x)
-    x_eff = np.empty_like(x)
+    x_eff = _add_rows(x, eps, np.empty_like(x))
     reach = 0.0
     for t in range(cfg.steps):
-        np.add(x, eps, out=x_eff)
         cache = forward(model, dataset.a_hat, x_eff, training=False)
+        if not np.isfinite(cache.logits).all():
+            raise FloatingPointError(f"feature ascent step {t}: non-finite logits")
         grad = backward(
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
             need_weights=False,
@@ -161,13 +171,22 @@ def pgd_feature_perturbation(
         if trace is not None:
             loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
             gn = lp_norm(grad, math.inf)
-        step = np.sign(grad, out=x_eff)  # X + eps is rebuilt next step
-        del grad  # so the next backward's gradient is the only one alive
-        step *= cfg.beta
-        eps += step
         reach += cfg.beta
-        if reach > cfg.rho_x:
-            np.clip(eps, -cfg.rho_x, cfg.rho_x, out=eps)
+        clamp = reach > cfg.rho_x
+        rebuild = t + 1 < cfg.steps  # the caller adds the final eps itself
+
+        def step(lo, hi):
+            s = np.sign(grad[lo:hi], out=x_eff[lo:hi])
+            s *= cfg.beta
+            e = eps[lo:hi]
+            e += s
+            if clamp:
+                np.clip(e, -cfg.rho_x, cfg.rho_x, out=e)
+            if rebuild:
+                np.add(x[lo:hi], e, out=s)
+
+        _sweep_rows(x.shape, step)
+        del grad  # so the next backward's gradient is the only one alive
         if trace is not None:
             trace.append(PgdTraceRow(t, "x", gn, lp_norm(eps, math.inf), loss))
     return eps

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Dataset
-from .linalg import make_rng
+from .linalg import _add_rows, make_rng
 from .model import (
     GnnModel,
     backward,
@@ -184,9 +184,10 @@ def train_step(
     take the descent gradient at the displaced point and apply it to the
     stored weights; the perturbation itself is discarded. Clean metrics,
     when requested, are evaluated after the update with dropout off.
-    A non-finite loss before the update, a non-finite weight after it or
-    a non-finite clean loss raises ``TrainingDivergedError`` naming the
-    epoch.
+    A non-finite value inside either ascent, a non-finite loss before the
+    update, a non-finite weight after it or a non-finite clean loss
+    raises ``TrainingDivergedError`` naming the epoch (and the ascent
+    loop, for the first).
     When ``pgd_trace`` is given, per-step inner-loop rows are appended
     as (epoch, PgdTraceRow) pairs.
     """
@@ -196,14 +197,17 @@ def train_step(
     rows = None if pgd_trace is None else []
 
     x_eff, w_eff = x, None
-    if mode_used == WEIGHT_PERTURB:
-        eps_w = pgd_weight_perturbation(model, dataset, cfg.perturb, trace=rows)
-        w_eff = [w + e for w, e in zip(model.weights, eps_w)]
-    elif mode_used == FEATURE_PERTURB:
-        eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows)
-        x_eff = np.add(x, eps_x, out=eps_x)  # eps_x is discarded after this step
-    elif mode_used != STANDARD:
-        raise ValueError(f"unknown epoch mode {mode_used!r}")
+    try:
+        if mode_used == WEIGHT_PERTURB:
+            eps_w = pgd_weight_perturbation(model, dataset, cfg.perturb, trace=rows)
+            w_eff = [w + e for w, e in zip(model.weights, eps_w)]
+        elif mode_used == FEATURE_PERTURB:
+            eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows)
+            x_eff = _add_rows(x, eps_x, out=eps_x)  # eps_x is discarded after this step
+        elif mode_used != STANDARD:
+            raise ValueError(f"unknown epoch mode {mode_used!r}")
+    except FloatingPointError as e:
+        raise TrainingDivergedError(f"at epoch {epoch} ({mode_used}), {e}") from e
     if pgd_trace is not None and rows:
         pgd_trace.extend((epoch, row) for row in rows)
 

@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capgnn import linalg
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import CsrMatrix, make_rng
 from capgnn.model import forward, split_metrics
@@ -24,6 +26,20 @@ def wide_sbm():
     return generate_sbm(
         SbmParams((600, 600), 0.01, 0.002, 1.0, feature_dim=300), make_rng(12)
     )
+
+
+@contextlib.contextmanager
+def row_blocks(count: int, chunk: int | None = None):
+    """Split every row-blocked output of ``count`` or more rows into ``count`` blocks.
+
+    ``chunk``, when given, is the entries per chunk of an elementwise sweep.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_MIN_BLOCK", 1)
+        mp.setattr(linalg, "_width", lambda: count)
+        if chunk is not None:
+            mp.setattr(linalg, "_CHUNK", chunk)
+        yield
 
 
 def peak_traced_bytes(fn) -> int:

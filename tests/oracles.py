@@ -6,11 +6,13 @@ a literal re-reading of the two-stage epoch rule, a per-cell
 share code paths with the implementations they verify.
 """
 
+import math
+
 import numpy as np
 
 from capgnn.graph import make_dataset
-from capgnn.linalg import CsrMatrix, make_rng
-from capgnn.model import forward, init_model, masked_cross_entropy
+from capgnn.linalg import CsrMatrix, lp_norm, make_rng
+from capgnn.model import backward, forward, init_model, masked_cross_entropy
 
 
 def csr_from_dense(a) -> CsrMatrix:
@@ -66,6 +68,23 @@ def assert_close_to_fd(analytic, fd, rel=1e-4, floor=1e-8):
     assert np.all(err <= np.maximum(floor, rel * scale)), (
         f"worst fd violation {np.max(err - np.maximum(floor, rel * scale))}"
     )
+
+
+def reference_feature_pgd(model, ds, cfg):
+    """Feature ascent written out of place, clamping at every step.
+
+    Returns the perturbation and one ``(step, layer, grad_norm, eps_norm,
+    loss)`` tuple per step, the fields of a ``PgdTraceRow``.
+    """
+    eps = np.zeros_like(ds.features)
+    trace = []
+    for t in range(cfg.steps):
+        cache = forward(model, ds.a_hat, ds.features + eps)
+        loss = masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
+        g = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask).d_features
+        eps = np.clip(eps + cfg.beta * np.sign(g), -cfg.rho_x, cfg.rho_x)
+        trace.append((t, "x", lp_norm(g, math.inf), lp_norm(eps, math.inf), loss))
+    return eps, trace
 
 
 def random_instance(seed):

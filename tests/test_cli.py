@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import capgnn.perturb as perturb_mod
 import capgnn.train as train_mod
-from capgnn import __version__
+from capgnn import __version__, linalg
 from capgnn.cli import (
     ConfigError,
     _train_config,
@@ -16,7 +18,10 @@ from capgnn.cli import (
     parse_config_file,
     resolve_config,
 )
-from capgnn.graph import dataset_fingerprint, load_dataset
+from capgnn.graph import (
+    dataset_fingerprint, load_dataset, make_dataset, random_split, save_dataset,
+)
+from capgnn.linalg import CsrMatrix, make_rng
 from capgnn.model import load_model
 from capgnn.train import SgdOptimizer, TrainConfig
 
@@ -286,6 +291,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "non-finite weights after the update at epoch 2 (standard)" in err
         assert not (out / "seed_1").exists()
+
+    @pytest.mark.parametrize(
+        "mode,perturb_mode,loop",
+        [("wp", "weight_perturb", "weight ascent"), ("fp", "feature_perturb", "feature ascent")],
+    )
+    def test_non_finite_ascent_exits_3_naming_epoch_and_loop(
+        self, mode, perturb_mode, loop, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        real_forward = perturb_mod.forward
+
+        def nan_logits(*args, **kwargs):
+            cache = real_forward(*args, **kwargs)
+            cache.logits[:] = np.nan
+            return cache
+
+        monkeypatch.setattr(perturb_mod, "forward", nan_logits)
+        assert run(
+            "train", "--dataset_dir", str(data_dir), "--out_dir", str(tmp_path / "o"),
+            "--seeds", "1", "--epochs", "4", "--skip_epochs", "2", "--mode", mode,
+        ) == 3
+        err = capsys.readouterr().err
+        assert f"at epoch 3 ({perturb_mode}), {loop} step 0: non-finite" in err
 
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():
@@ -607,3 +634,57 @@ def test_import_caps_unset_blas_thread_vars():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", "3", "3", "3", "3"]
+
+
+_PINNABLE_MAIN = """
+import os, sys
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from capgnn.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs to compare against one",
+)
+def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
+    # 8,192 nodes x 64 features (and 64 hidden units) is 2^19 entries, so
+    # with two CPUs spmm and the feature sweep run in two row blocks.
+    n, d = 8192, 64
+    assert linalg._block_count(n, d) == 2
+    rng = make_rng(21)
+    ring = np.arange(n)
+    us = np.concatenate([ring, ring])
+    vs = np.concatenate([(ring + 1) % n, (ring + 37) % n])
+    adjacency = CsrMatrix.from_coo(n, n, np.r_[us, vs], np.r_[vs, us], np.ones(4 * n))
+    labels = rng.integers(0, 3, n)
+    features = rng.standard_normal((n, d)) + labels[:, None]
+    split = random_split(labels, (0.6, 0.2, 0.2), rng)
+    save_dataset(make_dataset(adjacency, features, labels, 3, *split), tmp_path / "data")
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = []
+    for cpus in (str(min(os.sched_getaffinity(0))), ""):
+        out = tmp_path / f"run_{cpus or 'all'}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _PINNABLE_MAIN, cpus, "train",
+             "--dataset_dir", str(tmp_path / "data"), "--out_dir", str(out),
+             "--seeds", "1", "--epochs", "2", "--skip_epochs", "0", "--frequency", "2",
+             "--mode", "cap", "--hidden_dims", "64", "--pgd_trace"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seed_dir = out / "seed_1"
+        metrics = (seed_dir / "metrics.csv").read_text().splitlines()
+        outputs.append((
+            (seed_dir / "checkpoint.json").read_bytes(),
+            (seed_dir / "pgd_trace.csv").read_bytes(),
+            [line.rsplit(",", 1)[0] for line in metrics],  # wall_ms aside
+        ))
+    assert outputs[0] == outputs[1]
+    assert [line.split(",")[1] for line in outputs[0][2][1:]] == [
+        "weight_perturb", "feature_perturb",
+    ]

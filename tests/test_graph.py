@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ class TestDatasetIO:
         (fixture_dir / "features.csv").write_text("1.0,0.0\n0.0\n")
         with pytest.raises(DatasetError, match=r"features\.csv:2"):
             load_dataset(fixture_dir)
+
+    def test_empty_features_file_raises_without_a_warning(self, fixture_dir):
+        (fixture_dir / "features.csv").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match=r"features\.csv: expected 2x2"):
+                load_dataset(fixture_dir)
 
     def test_split_overlap_rejected(self, fixture_dir):
         (fixture_dir / "split.json").write_text(

@@ -1,13 +1,18 @@
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capgnn import linalg
 from capgnn.landscape import FEATURE_KIND, sample_directions
 from capgnn.linalg import CsrMatrix, lp_norm, make_rng, spmm
 
+from conftest import row_blocks
 from oracles import csr_from_dense, csr_identity, csr_to_dense
 
 
@@ -61,6 +66,108 @@ class TestSpmm:
         a = csr_identity(3)
         with pytest.raises(ValueError, match=r"3x3 @ 2x2"):
             spmm(a, np.zeros((2, 2)))
+
+
+def scipy_product(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
+    """The public scipy product on a fresh handle to ``a``'s arrays."""
+    return sp.csr_matrix((a.values, a.col_idx, a.row_ptr), shape=a.shape) @ b
+
+
+def with_empty_rows(rng, rows, cols) -> CsrMatrix:
+    dense = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.3)
+    dense[::3] = 0.0
+    return csr_from_dense(dense)
+
+
+# name -> matrix; each is multiplied in 1-4 row blocks.
+BLOCK_CASES = {
+    "empty_rows": lambda rng: with_empty_rows(rng, 50, 40),
+    "fewer_rows_than_blocks": lambda rng: with_empty_rows(rng, 2, 40),
+    "no_stored_entries": lambda rng: csr_from_dense(np.zeros((6, 40))),
+    "one_dense_row": lambda rng: csr_from_dense(
+        np.vstack([rng.standard_normal(40), np.zeros((9, 40))])
+    ),
+}
+
+
+def _spmm_equals(a, b, want, blocks) -> None:
+    # Runs in a forked child: exit code 0 means the bytes match.
+    with row_blocks(blocks):
+        sys.exit(0 if spmm(a, b).tobytes() == want.tobytes() else 1)
+
+
+class TestSpmmRowBlocks:
+    """``spmm`` calls scipy's private ``csr_matvecs`` on row ranges.
+
+    Every block count must give the bytes of the public ``@``; a scipy
+    release that moves or changes the kernel fails here.
+    """
+
+    @pytest.mark.parametrize("k", [1, 64])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_bitwise_equal_to_scipy(self, case, blocks, k):
+        rng = make_rng(len(case) + k)
+        a = BLOCK_CASES[case](rng)
+        b = rng.standard_normal((a.cols, k))
+        with row_blocks(blocks):
+            got = spmm(a, b)
+        assert got.tobytes() == scipy_product(a, b).tobytes()
+
+    def test_non_contiguous_operand(self):
+        rng = make_rng(8)
+        a = with_empty_rows(rng, 50, 40)
+        b = rng.standard_normal((40, 128))[:, ::2]
+        with row_blocks(3):
+            got = spmm(a, b)
+        assert got.tobytes() == scipy_product(a, b).tobytes()
+
+    @pytest.mark.parametrize("blocks", [2, 3, 4])
+    def test_blocks_balance_stored_entries(self, blocks):
+        a = with_empty_rows(make_rng(4), 50, 40)
+        bounds = a._row_bounds(blocks)
+        assert len(bounds) == blocks + 1 and bounds[0] == 0 and bounds[-1] == 50
+        per_block = np.diff(a.row_ptr[bounds])
+        assert (np.diff(bounds) > 0).all()
+        assert per_block.max() - per_block.min() <= 2 * np.diff(a.row_ptr).max()
+
+    def test_more_blocks_than_cores_under_fast_switching(self):
+        rng = make_rng(6)
+        a = with_empty_rows(rng, 64, 64)
+        b = rng.standard_normal((64, 16))
+        want = scipy_product(a, b).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with row_blocks(8):
+                assert all(spmm(a, b).tobytes() == want for _ in range(200))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_forked_child_runs_blocked_spmm_after_the_parent_built_the_pool(self):
+        rng = make_rng(7)
+        a = with_empty_rows(rng, 30, 20)
+        b = rng.standard_normal((20, 8))
+        with row_blocks(2):
+            want = spmm(a, b)
+        assert linalg._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_spmm_equals, args=(a, b, want, 2)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_block_count_follows_width_and_floor(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_width", lambda: 2)
+        floor = linalg._MIN_BLOCK
+        assert linalg._block_count(400, 64) == 1  # the SBM: one inline block
+        assert linalg._block_count(2 * floor - 1, 1) == 1
+        assert linalg._block_count(2 * floor, 1) == 2
+        assert linalg._block_count(8 * floor, 1) == 2
 
 
 class TestLpNorm:

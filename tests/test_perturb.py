@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgnn.graph import SbmParams, generate_sbm
 from capgnn.linalg import lp_norm, make_rng
@@ -13,7 +15,8 @@ from capgnn.perturb import (
     project_ball,
 )
 
-from conftest import peak_traced_bytes
+from conftest import peak_traced_bytes, row_blocks
+from oracles import reference_feature_pgd
 
 
 def train_loss(model, ds, w_eff=None, x_eff=None):
@@ -150,6 +153,25 @@ class TestWeightPgd:
         assert all(row.eps_norm == 0.0 for row in trace)
 
 
+def overflowing_model(ds) -> GnnModel:
+    """Finite weights whose logits overflow to inf on every node of ``ds``."""
+    return GnnModel([np.full((ds.d, ds.num_classes), 1e308)], dropout_rate=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteAscent:
+    def test_weight_loop_raises_on_a_nan_gradient_norm(self, fixture_8):
+        with pytest.raises(
+            FloatingPointError,
+            match="weight ascent step 0: non-finite gradient norm on layer w0",
+        ):
+            pgd_weight_perturbation(overflowing_model(fixture_8), fixture_8, PerturbConfig())
+
+    def test_feature_loop_raises_on_non_finite_logits(self, fixture_8):
+        with pytest.raises(FloatingPointError, match="feature ascent step 0: non-finite logits"):
+            pgd_feature_perturbation(overflowing_model(fixture_8), fixture_8, PerturbConfig())
+
+
 # name -> (rho_x, beta, steps, whether some entry ends on the ball's face)
 CLAMP_SCHEDULES = {
     "binds_from_step_3": (0.05, 0.02, 4, True),
@@ -187,15 +209,7 @@ class TestFeaturePgd:
         cfg = PerturbConfig(rho_x=rho_x, beta=beta, steps=steps)
         trace = []
         got = pgd_feature_perturbation(model, ds, cfg, trace=trace)
-
-        eps = np.zeros_like(ds.features)
-        want_trace = []
-        for t in range(cfg.steps):
-            cache = forward(model, ds.a_hat, ds.features + eps)
-            loss = masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
-            g = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask).d_features
-            eps = np.clip(eps + cfg.beta * np.sign(g), -cfg.rho_x, cfg.rho_x)
-            want_trace.append((t, "x", lp_norm(g, math.inf), lp_norm(eps, math.inf), loss))
+        eps, want_trace = reference_feature_pgd(model, ds, cfg)
         assert got.tobytes() == eps.tobytes()
         assert np.any(np.abs(eps) == cfg.rho_x) == on_face
         assert [
@@ -203,6 +217,26 @@ class TestFeaturePgd:
         ] == want_trace
         assert ds.features.tobytes() == snapshot
         assert got.flags.owndata and not np.shares_memory(got, ds.features)
+
+    @given(
+        beta=st.floats(0.0, 0.5),
+        rho_x=st.floats(1e-3, 1.0),
+        steps=st.integers(1, 5),
+        blocks=st.integers(1, 3),
+        chunk_rows=st.integers(1, 16),
+    )
+    # Three sums of 0.1 exceed 0.3: the third step must clamp.
+    @example(beta=0.1, rho_x=0.3, steps=3, blocks=2, chunk_rows=7)
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_sweep_matches_clip_every_step(
+        self, small_sbm, beta, rho_x, steps, blocks, chunk_rows
+    ):
+        model = init_model([small_sbm.d, 5, 2], make_rng(9), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=rho_x, beta=beta, steps=steps)
+        want, _ = reference_feature_pgd(model, small_sbm, cfg)
+        with row_blocks(blocks, chunk=chunk_rows * small_sbm.d):
+            got = pgd_feature_perturbation(model, small_sbm, cfg)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "rho_x,clips", [(0.2, 0), (0.03, 2)], ids=["never_binds", "binds_from_step_2"]
