@@ -329,10 +329,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sharp: dict = {
-        "alpha_ref": args.alpha_ref,
-        "loss_mask": args.loss_mask,
-        "directions": args.directions,
-        "seed": args.seed,
         "note": "mean symmetric loss rise at alpha_ref; heuristic summary scalar",
     }
     for kind in kinds:

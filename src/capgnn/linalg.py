@@ -6,15 +6,30 @@ column indices per row). Every operation here is a pure function and
 accumulates in a fixed row-major, index-ascending order, so repeated
 runs with the same inputs are bit-identical.
 
-Row blocks: ``spmm`` and the feature ascent's elementwise sweeps split
-their output rows into contiguous ranges, one per CPU the process may
-run on, each of at least ``_MIN_BLOCK`` entries (below that, as on the
-400-node SBM, a hand-off costs more than it saves). The first range
-runs on the caller's thread, the others on a thread pool created on
-first use and dropped in a forked child; pool workers run only numpy
-array operations and scipy's CSR kernel. Every output row comes from
-the same kernel and operands whatever range holds it, so the bytes do
-not depend on the partition.
+Row blocks: ``spmm``, the model's dense products ``H @ W`` and
+``g @ W.T``, and the feature ascent's elementwise sweeps split their
+output rows into contiguous ranges, one per CPU the process may run on.
+The first range runs on the caller's thread, the others on a thread
+pool created on first use and dropped in a forked child; pool workers
+run only numpy array operations, ``np.matmul`` and scipy's CSR kernel.
+Sparse and elementwise ranges hold at least ``_MIN_BLOCK`` output
+entries each (below that, as on the 400-node SBM, a hand-off costs more
+than it saves); every output row comes from the same kernel and
+operands whatever range holds it, so the bytes do not depend on the
+partition.
+
+A dense row block is one single-threaded BLAS call on a slice of rows,
+and OpenBLAS picks its inner kernels by a row's offset and by the
+product's size, so ``_matmul_rows`` cuts only where the bytes hold:
+every cut a multiple of ``_ROW_ALIGN`` = 192 rows, every block at least
+``_MIN_MATMUL`` = 2^22 multiply-adds. On OpenBLAS 0.3.31 (SkylakeX
+kernels) ``g @ W.T`` keeps its bytes only at cuts on a 12-row period
+(cuts at 32, 64 or 9,856 rows change them), and products under ~10^6
+multiply-adds take a small-matrix path with other bytes (``X @ W0`` cut
+at 28 rows or fewer). Under the rule, both forms were bit-identical at
+4,099-20,000 rows, inner width 1-1,433, output width 1-500, with C- or
+F-ordered left operands. BLAS threading is another matter: a second
+BLAS thread changes bytes, so ``CAPGNN_THREADS`` still defaults to one.
 """
 
 from __future__ import annotations
@@ -32,6 +47,8 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
 _MIN_BLOCK = 1 << 18  # output entries per row block
+_MIN_MATMUL = 1 << 22  # multiply-adds per row block of a dense product
+_ROW_ALIGN = 192  # every cut of a dense product falls on a multiple of this
 _CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
 _pool: ThreadPoolExecutor | None = None
 
@@ -199,6 +216,32 @@ def _run_row_blocks(bounds: list[int], fn) -> None:
         wait(futures)  # no worker may still write once this returns
     for f in futures:
         f.result()
+
+
+def _matmul_bounds(rows: int, inner: int, cols: int) -> list[int]:
+    """Row cuts of a rows x inner @ inner x cols product (module docstring).
+
+    At most one block per CPU; every cut a multiple of ``_ROW_ALIGN``,
+    every block at least ``_MIN_MATMUL`` multiply-adds.
+    """
+    units = rows // _ROW_ALIGN
+    per_block = -(-_MIN_MATMUL // max(_ROW_ALIGN * inner * cols, 1))  # in units
+    blocks = units // per_block
+    if blocks >= 2:
+        blocks = min(blocks, _width())
+    if blocks < 2:
+        return [0, rows]
+    return [_ROW_ALIGN * (units * i // blocks) for i in range(blocks)] + [rows]
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D float64 arrays, in aligned row blocks (module docstring)."""
+    bounds = _matmul_bounds(a.shape[0], a.shape[1], b.shape[1])
+    if len(bounds) == 2:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    _run_row_blocks(bounds, lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
+    return out
 
 
 def _sweep_rows(shape: tuple[int, int], fn) -> None:

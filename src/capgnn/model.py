@@ -11,6 +11,11 @@ gradient alone. Both kinds cost n x d work at the first layer (the
 feature gradient ``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
 computing the one nobody reads would nearly double that layer's cost.
 
+The dense products ``H @ W`` and ``g @ W.T`` run in row blocks, one per
+CPU, cut only where their bytes hold (``linalg._matmul_rows``).
+``layer_input.T @ g`` sums over rows; its one exact split, by output
+columns, is exact at some shapes only, so it stays a single BLAS call.
+
 Clean metrics and the generalization gap are read from one forward's
 logits by ``split_metrics``, the one path for them.
 
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Dataset
-from .linalg import CsrMatrix, spmm
+from .linalg import CsrMatrix, _matmul_rows, spmm
 
 
 @dataclass
@@ -150,7 +155,7 @@ def forward(
     drop_scales: list[np.ndarray | None] = []
     last = model.depth - 1
     for l, w in enumerate(ws):
-        z = spmm(a_hat, layer_inputs[-1] @ w)
+        z = spmm(a_hat, _matmul_rows(layer_inputs[-1], w))
         pre_acts.append(z)
         if l == last:
             break
@@ -231,14 +236,14 @@ def backward(
     for l in range(len(ws) - 1, 0, -1):
         if need_weights:
             d_weights[l] = cache.layer_inputs[l].T @ g
-        back = g @ ws[l].T
+        back = _matmul_rows(g, ws[l].T)
         scale = cache.drop_scales[l - 1]
         if scale is not None:
             back = back * scale
         g = spmm(a_hat, back * (cache.pre_acts[l - 1] > 0.0))
     if need_weights:
         d_weights[0] = cache.layer_inputs[0].T @ g
-    return Gradients(d_weights, g @ ws[0].T if need_features else None)
+    return Gradients(d_weights, _matmul_rows(g, ws[0].T) if need_features else None)
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:

@@ -1,4 +1,4 @@
-"""Inner maximization: norm-ball projection and the two PGD ascent loops.
+"""Inner maximization: the two PGD ascent loops.
 
 Both loops start from a zero perturbation, take ``steps`` normalized
 ascent steps on the train-mask loss (dropout off, so the maximized
@@ -76,23 +76,6 @@ class PgdTraceRow:
     loss: float
 
 
-def project_ball(eps: np.ndarray, rho: float, p) -> np.ndarray:
-    """Project onto the lp ball of radius ``rho``.
-
-    p=2 rescales radially when the flattened l2 norm exceeds rho
-    (interior points come back unchanged); p=inf clamps every entry to
-    [-rho, rho].
-    """
-    if p in (2, 2.0):
-        nrm = lp_norm(eps, 2)
-        if nrm > rho:
-            return eps * (rho / nrm)
-        return eps
-    if p == math.inf:
-        return np.clip(eps, -rho, rho)
-    raise ValueError(f"unsupported norm order {p!r}; use 2 or math.inf")
-
-
 def pgd_weight_perturbation(
     model: GnnModel,
     dataset: Dataset,
@@ -103,10 +86,11 @@ def pgd_weight_perturbation(
 
     Each step evaluates the gradient at (W + eps, X), moves each layer
     by ``beta`` along its norm-normalized gradient, and projects onto
-    that layer's ball of radius ``rho_w * ||W_l||_2``. Layers whose
-    gradient norm falls below 1e-12 contribute a zero step (recorded in
-    ``trace`` when given) instead of dividing by ~0; a non-finite norm
-    raises ``FloatingPointError``.
+    that layer's ball of radius ``rho_w * ||W_l||_2`` (a radial rescale
+    when the step leaves the ball). Layers whose gradient norm falls
+    below 1e-12 contribute a zero step (recorded in ``trace`` when given)
+    instead of dividing by ~0; a non-finite norm raises
+    ``FloatingPointError``.
     """
     radii = [cfg.rho_w * lp_norm(w, 2) for w in model.weights]
     eps = [np.zeros_like(w) for w in model.weights]
@@ -126,7 +110,9 @@ def pgd_weight_perturbation(
                     f"weight ascent step {t}: non-finite gradient norm on layer w{l}"
                 )
             if gn >= _GRAD_NORM_FLOOR and radii[l] > 0.0:
-                eps[l] = project_ball(eps[l] + cfg.beta * (g / gn), radii[l], 2)
+                e = eps[l] + cfg.beta * (g / gn)
+                nrm = lp_norm(e, 2)
+                eps[l] = e * (radii[l] / nrm) if nrm > radii[l] else e
             if trace is not None:
                 trace.append(PgdTraceRow(t, f"w{l}", gn, lp_norm(eps[l], 2), loss))
     return eps

@@ -1,3 +1,5 @@
+import capgnn  # noqa: F401  (first: caps the BLAS pools before numpy loads)
+
 import base64
 import contextlib
 import json

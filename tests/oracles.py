@@ -2,8 +2,9 @@
 
 These stay deliberately naive: dense finite differences for gradients,
 a literal re-reading of the two-stage epoch rule, a per-cell
-``features.csv`` writer and dense <-> CSR conversions. They must not
-share code paths with the implementations they verify.
+``features.csv`` writer, dense <-> CSR conversions and the lp-ball
+projection. They must not share code paths with the implementations
+they verify.
 """
 
 import math
@@ -85,6 +86,23 @@ def reference_feature_pgd(model, ds, cfg):
         eps = np.clip(eps + cfg.beta * np.sign(g), -cfg.rho_x, cfg.rho_x)
         trace.append((t, "x", lp_norm(g, math.inf), lp_norm(eps, math.inf), loss))
     return eps, trace
+
+
+def project_ball(eps: np.ndarray, rho: float, p) -> np.ndarray:
+    """Project onto the lp ball of radius ``rho``.
+
+    p=2 rescales radially when the flattened l2 norm exceeds rho
+    (interior points come back unchanged); p=inf clamps every entry to
+    [-rho, rho]. The weight ascent inlines the p=2 rescale.
+    """
+    if p in (2, 2.0):
+        nrm = lp_norm(eps, 2)
+        if nrm > rho:
+            return eps * (rho / nrm)
+        return eps
+    if p == math.inf:
+        return np.clip(eps, -rho, rho)
+    raise ValueError(f"unsupported norm order {p!r}; use 2 or math.inf")
 
 
 def random_instance(seed):

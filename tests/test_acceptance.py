@@ -30,7 +30,6 @@ from capgnn.perturb import (
     PerturbConfig,
     pgd_feature_perturbation,
     pgd_weight_perturbation,
-    project_ball,
 )
 from capgnn.train import TrainConfig, schedule, train
 
@@ -39,6 +38,7 @@ from oracles import (
     assert_close_to_fd,
     fd_feature_grad,
     fd_weight_grad,
+    project_ball,
     random_instance,
     reference_schedule,
 )

@@ -651,9 +651,12 @@ sys.exit(main(sys.argv[2:]))
 )
 def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
     # 8,192 nodes x 64 features (and 64 hidden units) is 2^19 entries, so
-    # with two CPUs spmm and the feature sweep run in two row blocks.
+    # with two CPUs spmm and the feature sweep run in two row blocks; the
+    # 8,192 x 64 @ 64 x 64 products X @ W0 and g @ W0.T (2^25 multiply-adds)
+    # split too.
     n, d = 8192, 64
     assert linalg._block_count(n, d) == 2
+    assert len(linalg._matmul_bounds(n, d, 64)) > 2
     rng = make_rng(21)
     ring = np.arange(n)
     us = np.concatenate([ring, ring])

@@ -170,6 +170,92 @@ class TestSpmmRowBlocks:
         assert linalg._block_count(8 * floor, 1) == 2
 
 
+def assert_aligned_bounds(bounds, rows, inner, cols, width) -> None:
+    """Cuts on multiples of 192 rows, each block >= 2^22 multiply-adds, <= width blocks."""
+    assert bounds[0] == 0 and bounds[-1] == rows
+    assert len(bounds) - 1 <= max(width, 1)
+    if len(bounds) > 2:
+        assert all(cut % 192 == 0 for cut in bounds[1:-1])
+        assert all((hi - lo) * inner * cols >= 1 << 22 for lo, hi in zip(bounds, bounds[1:]))
+
+
+class TestMatmulRows:
+    """``_matmul_rows`` splits dense products at aligned cuts above a work floor.
+
+    Only ``_width`` is patched: the floor stays, since small blocks can
+    take OpenBLAS's small-matrix path, whose bytes differ.
+    """
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows, d", [(4099, 64), (4099, 500), (19717, 64), (19717, 500)])
+    def test_h_at_w_bitwise_equal(self, monkeypatch, rows, d, width):
+        rng = make_rng(rows + d)
+        h = rng.standard_normal((rows, d))
+        w = rng.standard_normal((d, 64))
+        monkeypatch.setattr(linalg, "_width", lambda: width)
+        bounds = linalg._matmul_bounds(rows, d, 64)
+        assert_aligned_bounds(bounds, rows, d, 64, width)
+        # 4,099 x 64 @ 64 x 64 has 21 aligned 192-row units, 6 per floor.
+        assert len(bounds) - 1 == (min(width, 3) if (rows, d) == (4099, 64) else width)
+        assert linalg._matmul_rows(h, w).tobytes() == (h @ w).tobytes()
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_transposed_weight_view(self, monkeypatch, width):
+        rng = make_rng(9)
+        g = rng.standard_normal((19717, 64))
+        w = rng.standard_normal((500, 64))
+        monkeypatch.setattr(linalg, "_width", lambda: width)
+        assert len(linalg._matmul_bounds(19717, 64, 500)) == width + 1
+        assert linalg._matmul_rows(g, w.T).tobytes() == (g @ w.T).tobytes()
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_fortran_ordered_left_operand(self, monkeypatch, width):
+        rng = make_rng(10)
+        h = np.asfortranarray(rng.standard_normal((4099, 500)))
+        w = rng.standard_normal((500, 64))
+        monkeypatch.setattr(linalg, "_width", lambda: width)
+        got = linalg._matmul_rows(h, w)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == (h @ w).tobytes()
+
+    def test_small_output_layer_stays_one_block(self, monkeypatch):
+        # 4,100 x 64 @ 64 x 5 is ~1.3M multiply-adds: under two floors.
+        rng = make_rng(11)
+        h = rng.standard_normal((4100, 64))
+        w = rng.standard_normal((64, 5))
+        monkeypatch.setattr(linalg, "_width", lambda: 4)
+        assert linalg._matmul_bounds(4100, 64, 5) == [0, 4100]
+        assert linalg._matmul_rows(h, w).tobytes() == (h @ w).tobytes()
+
+    def test_more_blocks_than_cores_under_fast_switching(self, monkeypatch):
+        rng = make_rng(12)
+        h = rng.standard_normal((4099, 500))
+        w = rng.standard_normal((500, 64))
+        want = (h @ w).tobytes()
+        monkeypatch.setattr(linalg, "_width", lambda: 8)
+        assert len(linalg._matmul_bounds(4099, 500, 64)) == 9
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all(linalg._matmul_rows(h, w).tobytes() == want for _ in range(20))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @given(
+        st.integers(0, 30_000), st.integers(1, 2_000), st.integers(1, 600),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_are_aligned_and_above_the_floor(self, rows, inner, cols, width):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_width", lambda: width)
+            bounds = linalg._matmul_bounds(rows, inner, cols)
+        assert_aligned_bounds(bounds, rows, inner, cols, width)
+        unit = 192 * inner * cols  # multiply-adds per aligned unit of rows
+        if width > 1 and rows // 192 * unit >= 2 * ((1 << 22) + unit):
+            assert len(bounds) > 2  # room for two blocks above the floor: it splits
+
+
 class TestLpNorm:
     def test_three_four_five(self):
         assert lp_norm(np.array([[3.0, 4.0]]), 2) == pytest.approx(5.0, abs=1e-15)

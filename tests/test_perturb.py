@@ -12,11 +12,10 @@ from capgnn.perturb import (
     PerturbConfig,
     pgd_feature_perturbation,
     pgd_weight_perturbation,
-    project_ball,
 )
 
 from conftest import peak_traced_bytes, row_blocks
-from oracles import reference_feature_pgd
+from oracles import project_ball, reference_feature_pgd
 
 
 def train_loss(model, ds, w_eff=None, x_eff=None):
