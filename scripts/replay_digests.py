@@ -10,7 +10,10 @@ checkpoint twice (both kinds on the train loss; then feature-only on the
 test loss with another grid, alpha_ref and seed) and attacks it, runs
 ``run_sbm_study.py``, and saves a seeded ~10%-dense dataset (repeated
 values, a -0.0, exponent-form reprs) with ``save_dataset``, the path
-that formats sparse features.
+that formats sparse features. Last it saves a seeded 9,216-node ring
+graph with d=64 (chords on its first third only) and trains it with cap
+for two epochs with a PGD trace: the one run large enough for the
+row-blocked kernels to split.
 It then prints one ``sha256  relpath`` line per file written, sorted by
 path, with the wall-clock column cut from every ``metrics.csv``, and a
 last line for the commands' joint stdout. All paths are relative to
@@ -79,6 +82,28 @@ adjacency = CsrMatrix.from_coo(
 split = random_split(labels, (0.6, 0.2, 0.2), rng)
 save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/sparse")
 """
+# 9,216 nodes x 64 features: with two or more CPUs, spmm, the feature sweep
+# and the 64-wide dense products each run in two or more row blocks. Only
+# the first third of the ring has chords, so stored entries crowd its rows.
+RING_SAVE = """
+import numpy as np
+from capgnn.graph import make_dataset, random_split, save_dataset
+from capgnn.linalg import CsrMatrix, make_rng
+
+rng = make_rng(41)
+n, d = 9216, 64
+ring, chord = np.arange(n), np.arange(n // 3)
+us = np.r_[ring, chord]
+vs = np.r_[(ring + 1) % n, chord + 37]
+adjacency = CsrMatrix.from_coo(n, n, np.r_[us, vs], np.r_[vs, us], np.ones(2 * len(us)))
+labels = rng.integers(0, 3, n)
+x = rng.standard_normal((n, d)) + labels[:, None]
+split = random_split(labels, (0.6, 0.2, 0.2), rng)
+save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/ring")
+"""
+RING_TRAIN = ["train", "--dataset_dir", "data/ring", "--out_dir", "runs/ring_cap",
+              "--seeds", "1", "--mode", "cap", "--hidden_dims", "64", "--epochs", "2",
+              "--skip_epochs", "0", "--frequency", "2", "--pgd_trace"]
 
 
 def build_parser():
@@ -113,6 +138,8 @@ def main():
     runs = [[sys.executable, "-m", "capgnn.cli", *c] for c in COMMANDS]
     runs.append([sys.executable, str(repo / "scripts" / "run_sbm_study.py"), *STUDY])
     runs.append([sys.executable, "-c", SPARSE_SAVE])
+    runs.append([sys.executable, "-c", RING_SAVE])
+    runs.append([sys.executable, "-m", "capgnn.cli", *RING_TRAIN])
     stdout = []
     for cmd in runs:
         print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)

@@ -227,6 +227,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         out_dir=str(out_dir),
     )
     _write_json(out_dir / "manifest.json", manifest)
+    (out_dir / "summary.json").unlink(missing_ok=True)  # an earlier run's
 
     per_seed = []
     for seed in resolved["seeds"]:
@@ -237,6 +238,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_metrics_csv(history, seed_dir / "metrics.csv")
         if pgd_trace is not None:
             write_pgd_trace_csv(pgd_trace, seed_dir / "pgd_trace.csv")
+        else:
+            (seed_dir / "pgd_trace.csv").unlink(missing_ok=True)
         ckpt = seed_dir / "checkpoint.json"
         save_model(model, ckpt)
         logits = forward(model, dataset.a_hat, dataset.features).logits

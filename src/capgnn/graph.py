@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import CsrMatrix, make_rng
+from .linalg import CsrMatrix, _frozen, make_rng
 
 
 class DatasetError(ValueError):
@@ -79,12 +79,6 @@ class Dataset:
         return self.adjacency.nnz // 2
 
 
-def _frozen_arr(a, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 def make_dataset(
     adjacency: CsrMatrix,
     features,
@@ -131,11 +125,11 @@ def make_dataset(
         num_classes=num_classes,
         adjacency=adjacency,
         a_hat=normalize_adjacency(adjacency),
-        features=_frozen_arr(features, np.float64),
-        labels=_frozen_arr(labels, np.int64),
-        train_mask=_frozen_arr(train, bool),
-        val_mask=_frozen_arr(val, bool),
-        test_mask=_frozen_arr(test, bool),
+        features=_frozen(features, np.float64),
+        labels=_frozen(labels, np.int64),
+        train_mask=_frozen(train, bool),
+        val_mask=_frozen(val, bool),
+        test_mask=_frozen(test, bool),
     )
 
 

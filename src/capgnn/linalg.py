@@ -8,28 +8,22 @@ runs with the same inputs are bit-identical.
 
 Row blocks: ``spmm``, the model's dense products ``H @ W`` and
 ``g @ W.T``, and the feature ascent's elementwise sweeps split their
-output rows into contiguous ranges, one per CPU the process may run on.
-The first range runs on the caller's thread, the others on a thread
-pool created on first use and dropped in a forked child; pool workers
-run only numpy array operations, ``np.matmul`` and scipy's CSR kernel.
-Sparse and elementwise ranges hold at least ``_MIN_BLOCK`` output
-entries each (below that, as on the 400-node SBM, a hand-off costs more
-than it saves); every output row comes from the same kernel and
-operands whatever range holds it, so the bytes do not depend on the
-partition.
-
-A dense row block is one single-threaded BLAS call on a slice of rows,
-and OpenBLAS picks its inner kernels by a row's offset and by the
-product's size, so ``_matmul_rows`` cuts only where the bytes hold:
-every cut a multiple of ``_ROW_ALIGN`` = 192 rows, every block at least
-``_MIN_MATMUL`` = 2^22 multiply-adds. On OpenBLAS 0.3.31 (SkylakeX
-kernels) ``g @ W.T`` keeps its bytes only at cuts on a 12-row period
-(cuts at 32, 64 or 9,856 rows change them), and products under ~10^6
-multiply-adds take a small-matrix path with other bytes (``X @ W0`` cut
-at 28 rows or fewer). Under the rule, both forms were bit-identical at
-4,099-20,000 rows, inner width 1-1,433, output width 1-500, with C- or
-F-ordered left operands. BLAS threading is another matter: a second
-BLAS thread changes bytes, so ``CAPGNN_THREADS`` still defaults to one.
+output rows into contiguous ranges, at most one per CPU the process may
+run on. The first range runs on the caller's thread, the others on a
+thread pool created on first use and dropped in a forked child; pool
+workers run only numpy array operations, ``np.matmul`` and scipy's CSR
+kernel. One rule, ``_row_cuts``, places every cut: on a multiple of
+``_ROW_ALIGN`` = 192 rows, with every range doing at least a floor of
+work (``_MIN_BLOCK`` = 2^18 output entries for sparse and elementwise
+kernels, ``_MIN_MATMUL`` = 2^22 multiply-adds for a dense product), so
+small outputs such as the 400-node SBM's stay one inline block. Sparse
+and elementwise rows come from the same kernel and operands whatever
+range holds them, so their bytes hold at any cut. A dense range is one
+single-threaded BLAS call on a slice of rows, whose inner kernels
+OpenBLAS picks by row offset and product size; the alignment and the
+work floor are what keep its bytes equal to one ``a @ b`` call. A
+second BLAS thread does change bytes, so ``CAPGNN_THREADS`` still
+defaults to one.
 """
 
 from __future__ import annotations
@@ -46,9 +40,9 @@ import scipy.sparse as sp
 # write into one output. tests/test_linalg.py pins it against the public @.
 from scipy.sparse._sparsetools import csr_matvecs
 
-_MIN_BLOCK = 1 << 18  # output entries per row block
+_MIN_BLOCK = 1 << 18  # output entries per sparse or elementwise row block
 _MIN_MATMUL = 1 << 22  # multiply-adds per row block of a dense product
-_ROW_ALIGN = 192  # every cut of a dense product falls on a multiple of this
+_ROW_ALIGN = 192  # every row cut falls on a multiple of this
 _CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
 _pool: ThreadPoolExecutor | None = None
 
@@ -128,18 +122,6 @@ class CsrMatrix:
         return (self.rows, self.cols)
 
     @cached_property
-    def _bounds(self) -> dict[int, list[int]]:
-        return {}
-
-    def _row_bounds(self, blocks: int) -> list[int]:
-        """Cuts of [0, rows) into ``blocks`` ranges of ~nnz / blocks stored entries."""
-        bounds = self._bounds.get(blocks)
-        if bounds is None:
-            cuts = np.searchsorted(self.row_ptr, np.arange(1, blocks) * (self.nnz / blocks))
-            bounds = self._bounds[blocks] = [0, *cuts.tolist(), self.rows]
-        return bounds
-
-    @cached_property
     def _sp(self) -> sp.csr_matrix:
         # scipy handle reused by spmm; copy=False shares the frozen arrays.
         return sp.csr_matrix(
@@ -177,10 +159,22 @@ def _width() -> int:
     return os.cpu_count() or 1
 
 
-def _block_count(rows: int, cols: int) -> int:
-    """Row blocks for a rows x cols output: one per CPU, each >= _MIN_BLOCK entries."""
-    blocks = rows * cols // _MIN_BLOCK
-    return 1 if blocks < 2 else min(blocks, _width())
+def _row_cuts(rows: int, row_work: int, min_work: int) -> list[int]:
+    """Cuts of [0, rows) into ranges of ``row_work`` work per row (module docstring).
+
+    At most one range per CPU, every inner cut a multiple of
+    ``_ROW_ALIGN`` and every range at least ``min_work``; the cuts
+    strictly increase, so no range is empty. ``_width`` is asked only
+    once the work allows two ranges.
+    """
+    units = rows // _ROW_ALIGN
+    per_block = -(-min_work // max(_ROW_ALIGN * row_work, 1))  # in units
+    blocks = units // per_block
+    if blocks >= 2:
+        blocks = min(blocks, _width())
+    if blocks < 2:
+        return [0, rows]
+    return [_ROW_ALIGN * (units * i // blocks) for i in range(blocks)] + [rows]
 
 
 def _drop_pool() -> None:
@@ -195,48 +189,29 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_row_blocks(bounds: list[int], fn) -> None:
-    """Call ``fn(lo, hi)`` on each non-empty range between consecutive ``bounds``.
+    """Call ``fn(lo, hi)`` on each range between consecutive ``_row_cuts`` bounds.
 
-    The first range (a single one, even if empty) runs on the caller's
-    thread and the others on the pool. Returns once every range is
-    done, raising the first error.
+    The first range runs on the caller's thread and the others on the
+    pool. Returns once every range is done, raising the first error.
     """
     global _pool
     if len(bounds) == 2:
         fn(*bounds)
         return
-    ranges = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if _pool is None:
         _pool = ThreadPoolExecutor(_width(), thread_name_prefix="capgnn-rows")
-    futures = [_pool.submit(fn, lo, hi) for lo, hi in ranges[1:]]
+    futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        for lo, hi in ranges[:1]:
-            fn(lo, hi)
+        fn(bounds[0], bounds[1])
     finally:
         wait(futures)  # no worker may still write once this returns
     for f in futures:
         f.result()
 
 
-def _matmul_bounds(rows: int, inner: int, cols: int) -> list[int]:
-    """Row cuts of a rows x inner @ inner x cols product (module docstring).
-
-    At most one block per CPU; every cut a multiple of ``_ROW_ALIGN``,
-    every block at least ``_MIN_MATMUL`` multiply-adds.
-    """
-    units = rows // _ROW_ALIGN
-    per_block = -(-_MIN_MATMUL // max(_ROW_ALIGN * inner * cols, 1))  # in units
-    blocks = units // per_block
-    if blocks >= 2:
-        blocks = min(blocks, _width())
-    if blocks < 2:
-        return [0, rows]
-    return [_ROW_ALIGN * (units * i // blocks) for i in range(blocks)] + [rows]
-
-
 def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D float64 arrays, in aligned row blocks (module docstring)."""
-    bounds = _matmul_bounds(a.shape[0], a.shape[1], b.shape[1])
+    bounds = _row_cuts(a.shape[0], a.shape[1] * b.shape[1], _MIN_MATMUL)
     if len(bounds) == 2:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
@@ -252,13 +227,12 @@ def _sweep_rows(shape: tuple[int, int], fn) -> None:
     """
     rows, cols = shape
     step = max(1, _CHUNK // max(cols, 1))
-    blocks = _block_count(rows, cols)
 
     def block(lo, hi):
         for c in range(lo, hi, step):
             fn(c, min(c + step, hi))
 
-    _run_row_blocks([rows * i // blocks for i in range(blocks + 1)], block)
+    _run_row_blocks(_row_cuts(rows, cols, _MIN_BLOCK), block)
 
 
 def _add_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -273,8 +247,8 @@ def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     Accumulation is row-major and index-ascending within each row (the
     scipy CSR kernel walks nonzeros in storage order), matching a naive
     triple loop bit for bit on canonical input. Large outputs are
-    computed in row blocks balanced by stored entries (module docstring),
-    each zeroed and written in place in the one output.
+    computed in row blocks (module docstring), each zeroed and written
+    in place in the one output.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
@@ -284,18 +258,19 @@ def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
             f"spmm shape mismatch: {a.rows}x{a.cols} @ {b.shape[0]}x{b.shape[1]}"
         )
     k = b.shape[1]
-    blocks = _block_count(a.rows, k)
+    bounds = _row_cuts(a.rows, k, _MIN_BLOCK)
+    split = len(bounds) > 2
     # With several blocks, each zeroes its own rows, so they start in its cache.
-    out = np.zeros((a.rows, k)) if blocks == 1 else np.empty((a.rows, k))
+    out = np.empty((a.rows, k)) if split else np.zeros((a.rows, k))
     m, xs, ys = a._sp, b.ravel(), out.ravel()  # xs copies a non-contiguous b
 
     def block(lo, hi):
         y = ys[lo * k:hi * k]
-        if blocks > 1:
+        if split:
             y.fill(0.0)
         csr_matvecs(hi - lo, a.cols, k, m.indptr[lo:hi + 1], m.indices, m.data, xs, y)
 
-    _run_row_blocks(a._row_bounds(blocks), block)
+    _run_row_blocks(bounds, block)
     return out
 
 

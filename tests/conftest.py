@@ -32,12 +32,16 @@ def wide_sbm():
 
 @contextlib.contextmanager
 def row_blocks(count: int, chunk: int | None = None):
-    """Split every row-blocked output of ``count`` or more rows into ``count`` blocks.
+    """Split each sparse or elementwise output of >= ``count`` rows into ``count`` blocks.
 
     ``chunk``, when given, is the entries per chunk of an elementwise sweep.
+    Cuts may fall on any row (``_ROW_ALIGN`` is 1). Dense products keep
+    their own floor, and no test under this seam multiplies 2 x 2^22
+    multiply-adds, so each of its dense products stays one block.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_MIN_BLOCK", 1)
+        mp.setattr(linalg, "_ROW_ALIGN", 1)
         mp.setattr(linalg, "_width", lambda: count)
         if chunk is not None:
             mp.setattr(linalg, "_CHUNK", chunk)

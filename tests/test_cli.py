@@ -314,6 +314,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"at epoch 3 ({perturb_mode}), {loop} step 0: non-finite" in err
 
+    def test_untraced_rerun_drops_the_earlier_pgd_trace(self, data_dir, tmp_path):
+        out = tmp_path / "reused"
+        flags = ["--dataset_dir", str(data_dir), "--out_dir", str(out), "--seeds", "1",
+                 "--epochs", "4", "--skip_epochs", "2", "--hidden_dims", "8"]
+        assert run("train", *flags, "--mode", "fp", "--pgd_trace") == 0
+        assert (out / "seed_1" / "pgd_trace.csv").is_file()
+        assert run("train", *flags, "--mode", "vanilla") == 0
+        assert (out / "seed_1" / "checkpoint.json").is_file()
+        assert not (out / "seed_1" / "pgd_trace.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_rerun_drops_the_earlier_summary(self, data_dir, tmp_path):
+        out = tmp_path / "reused"
+        flags = ["--dataset_dir", str(data_dir), "--out_dir", str(out), "--seeds", "1",
+                 "--epochs", "1", "--mode", "vanilla", "--model_selection", "last"]
+        assert run("train", *flags, "--lr", "0.01") == 0
+        assert (out / "summary.json").is_file()
+        assert run("train", *flags, "--lr", "1e308") == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"]["lr"] == 1e308
+        assert not (out / "summary.json").exists()
+
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():
             return {
@@ -650,13 +672,13 @@ sys.exit(main(sys.argv[2:]))
     reason="needs two CPUs to compare against one",
 )
 def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
-    # 8,192 nodes x 64 features (and 64 hidden units) is 2^19 entries, so
-    # with two CPUs spmm and the feature sweep run in two row blocks; the
-    # 8,192 x 64 @ 64 x 64 products X @ W0 and g @ W0.T (2^25 multiply-adds)
-    # split too.
-    n, d = 8192, 64
-    assert linalg._block_count(n, d) == 2
-    assert len(linalg._matmul_bounds(n, d, 64)) > 2
+    # 9,216 nodes x 64 features (and 64 hidden units) is 48 aligned 192-row
+    # units, and a 2^18-entry block needs 22 of them, so with two CPUs spmm
+    # and the feature sweep run in two row blocks; the 9,216 x 64 @ 64 x 64
+    # products X @ W0 and g @ W0.T (6 units per 2^22 multiply-adds) split too.
+    n, d = 9216, 64
+    assert len(linalg._row_cuts(n, d, linalg._MIN_BLOCK)) == 3
+    assert len(linalg._row_cuts(n, d * 64, linalg._MIN_MATMUL)) > 2
     rng = make_rng(21)
     ring = np.arange(n)
     us = np.concatenate([ring, ring])

@@ -464,3 +464,19 @@ class TestMakeDataset:
         ds = two_node_dataset()
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
+
+    def test_later_changes_to_the_callers_arrays_leave_the_dataset_alone(self):
+        adj = CsrMatrix.from_coo(3, 3, [0, 1, 1, 2], [1, 0, 2, 1], np.ones(4))
+        block = np.arange(12.0).reshape(4, 3)
+        features = block[1:]  # a view: the dataset must not share the caller's buffer
+        labels = np.array([0, 1, 0])
+        masks = [np.array(m) for m in ([True, False, False], [False, True, False],
+                                        [False, False, True])]
+        ds = make_dataset(adj, features, labels, 2, *masks)
+        parts = (ds.features, ds.labels, ds.train_mask, ds.val_mask, ds.test_mask)
+        before = [p.tobytes() for p in parts]
+        block[:] = -1.0
+        labels[:] = 1
+        for m in masks:
+            m[:] = ~m
+        assert [p.tobytes() for p in parts] == before

@@ -90,6 +90,66 @@ BLOCK_CASES = {
 }
 
 
+FLOORS = {"sparse": linalg._MIN_BLOCK, "dense": linalg._MIN_MATMUL}
+
+
+def matmul_cuts(rows: int, inner: int, cols: int) -> list[int]:
+    """The row cuts ``_matmul_rows`` uses for a rows x inner @ inner x cols product."""
+    return linalg._row_cuts(rows, inner * cols, linalg._MIN_MATMUL)
+
+
+def assert_cut_invariants(bounds, rows, row_work, min_work, width) -> None:
+    """Cuts strictly increase on multiples of 192 rows; <= width ranges, each >= min_work."""
+    assert bounds[0] == 0 and bounds[-1] == rows
+    assert len(bounds) - 1 <= max(width, 1)
+    assert bounds == [0, 0] or all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    if len(bounds) > 2:
+        assert all(cut % 192 == 0 for cut in bounds[1:-1])
+        assert all((hi - lo) * row_work >= min_work for lo, hi in zip(bounds, bounds[1:]))
+
+
+class TestRowCuts:
+    """``_row_cuts`` places the cuts of every row-blocked kernel.
+
+    Its block-count and invariant tests sit with the kernels below
+    (``TestSpmmRowBlocks``, ``TestMatmulRows``); both use either floor.
+    """
+
+    # (rows, work per row, floor) -> blocks at width 2, for every row-blocked
+    # kernel of the shipped workloads: the Pubmed-shaped graph (n=19,717,
+    # d=500, 64 hidden, K=3) and the 400-node SBM (d=8, 64 hidden, K=2).
+    # A rule change that moves which of them split fails here.
+    SHIPPED = {
+        "pubmed_sweep_x": (19717, 500, "sparse", 2),
+        "pubmed_spmm_hidden": (19717, 64, "sparse", 2),
+        "pubmed_spmm_classes": (19717, 3, "sparse", 1),
+        "sbm_spmm_hidden": (400, 64, "sparse", 1),
+        "pubmed_x_at_w0": (19717, 500 * 64, "dense", 2),
+        "pubmed_g_at_w0t": (19717, 64 * 500, "dense", 2),
+        "pubmed_h_at_w1": (19717, 64 * 3, "dense", 1),
+        "pubmed_g_at_w1t": (19717, 3 * 64, "dense", 1),
+        "sbm_x_at_w0": (400, 8 * 64, "dense", 1),
+        "sbm_g_at_w0t": (400, 64 * 8, "dense", 1),
+        "sbm_h_at_w1": (400, 64 * 2, "dense", 1),
+        "sbm_g_at_w1t": (400, 2 * 64, "dense", 1),
+    }
+
+    @pytest.mark.parametrize("case", SHIPPED)
+    def test_shipped_kernel_block_counts(self, monkeypatch, case):
+        rows, row_work, floor, blocks = self.SHIPPED[case]
+        monkeypatch.setattr(linalg, "_width", lambda: 2)
+        assert len(linalg._row_cuts(rows, row_work, FLOORS[floor])) - 1 == blocks
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    def test_width_is_not_asked_below_two_floors(self, monkeypatch, floor):
+        def no_width():
+            raise AssertionError("_width called for a one-block output")
+
+        monkeypatch.setattr(linalg, "_width", no_width)
+        assert linalg._row_cuts(400, 64, FLOORS[floor]) == [0, 400]  # the SBM
+        assert linalg._row_cuts(0, 64, FLOORS[floor]) == [0, 0]
+
+
 def _spmm_equals(a, b, want, blocks) -> None:
     # Runs in a forked child: exit code 0 means the bytes match.
     with row_blocks(blocks):
@@ -122,15 +182,6 @@ class TestSpmmRowBlocks:
             got = spmm(a, b)
         assert got.tobytes() == scipy_product(a, b).tobytes()
 
-    @pytest.mark.parametrize("blocks", [2, 3, 4])
-    def test_blocks_balance_stored_entries(self, blocks):
-        a = with_empty_rows(make_rng(4), 50, 40)
-        bounds = a._row_bounds(blocks)
-        assert len(bounds) == blocks + 1 and bounds[0] == 0 and bounds[-1] == 50
-        per_block = np.diff(a.row_ptr[bounds])
-        assert (np.diff(bounds) > 0).all()
-        assert per_block.max() - per_block.min() <= 2 * np.diff(a.row_ptr).max()
-
     def test_more_blocks_than_cores_under_fast_switching(self):
         rng = make_rng(6)
         a = with_empty_rows(rng, 64, 64)
@@ -162,21 +213,16 @@ class TestSpmmRowBlocks:
         assert child.exitcode == 0
 
     def test_block_count_follows_width_and_floor(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_width", lambda: 2)
-        floor = linalg._MIN_BLOCK
-        assert linalg._block_count(400, 64) == 1  # the SBM: one inline block
-        assert linalg._block_count(2 * floor - 1, 1) == 1
-        assert linalg._block_count(2 * floor, 1) == 2
-        assert linalg._block_count(8 * floor, 1) == 2
-
-
-def assert_aligned_bounds(bounds, rows, inner, cols, width) -> None:
-    """Cuts on multiples of 192 rows, each block >= 2^22 multiply-adds, <= width blocks."""
-    assert bounds[0] == 0 and bounds[-1] == rows
-    assert len(bounds) - 1 <= max(width, 1)
-    if len(bounds) > 2:
-        assert all(cut % 192 == 0 for cut in bounds[1:-1])
-        assert all((hi - lo) * inner * cols >= 1 << 22 for lo, hi in zip(bounds, bounds[1:]))
+        for min_work in FLOORS.values():
+            for row_work in (1, 3, 64, 192, 32_000):
+                # The fewest rows with room for two ranges of whole 192-row units.
+                two = 2 * 192 * -(-min_work // (192 * row_work))
+                monkeypatch.setattr(linalg, "_width", lambda: 2)
+                assert linalg._row_cuts(two - 1, row_work, min_work) == [0, two - 1]
+                assert linalg._row_cuts(two, row_work, min_work) == [0, two // 2, two]
+                assert len(linalg._row_cuts(8 * two, row_work, min_work)) == 3
+                monkeypatch.setattr(linalg, "_width", lambda: 1)
+                assert linalg._row_cuts(8 * two, row_work, min_work) == [0, 8 * two]
 
 
 class TestMatmulRows:
@@ -193,8 +239,8 @@ class TestMatmulRows:
         h = rng.standard_normal((rows, d))
         w = rng.standard_normal((d, 64))
         monkeypatch.setattr(linalg, "_width", lambda: width)
-        bounds = linalg._matmul_bounds(rows, d, 64)
-        assert_aligned_bounds(bounds, rows, d, 64, width)
+        bounds = matmul_cuts(rows, d, 64)
+        assert_cut_invariants(bounds, rows, d * 64, linalg._MIN_MATMUL, width)
         # 4,099 x 64 @ 64 x 64 has 21 aligned 192-row units, 6 per floor.
         assert len(bounds) - 1 == (min(width, 3) if (rows, d) == (4099, 64) else width)
         assert linalg._matmul_rows(h, w).tobytes() == (h @ w).tobytes()
@@ -205,7 +251,7 @@ class TestMatmulRows:
         g = rng.standard_normal((19717, 64))
         w = rng.standard_normal((500, 64))
         monkeypatch.setattr(linalg, "_width", lambda: width)
-        assert len(linalg._matmul_bounds(19717, 64, 500)) == width + 1
+        assert len(matmul_cuts(19717, 64, 500)) == width + 1
         assert linalg._matmul_rows(g, w.T).tobytes() == (g @ w.T).tobytes()
 
     @pytest.mark.parametrize("width", [2, 4])
@@ -224,7 +270,7 @@ class TestMatmulRows:
         h = rng.standard_normal((4100, 64))
         w = rng.standard_normal((64, 5))
         monkeypatch.setattr(linalg, "_width", lambda: 4)
-        assert linalg._matmul_bounds(4100, 64, 5) == [0, 4100]
+        assert matmul_cuts(4100, 64, 5) == [0, 4100]
         assert linalg._matmul_rows(h, w).tobytes() == (h @ w).tobytes()
 
     def test_more_blocks_than_cores_under_fast_switching(self, monkeypatch):
@@ -233,7 +279,7 @@ class TestMatmulRows:
         w = rng.standard_normal((500, 64))
         want = (h @ w).tobytes()
         monkeypatch.setattr(linalg, "_width", lambda: 8)
-        assert len(linalg._matmul_bounds(4099, 500, 64)) == 9
+        assert len(matmul_cuts(4099, 500, 64)) == 9
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -242,18 +288,20 @@ class TestMatmulRows:
             sys.setswitchinterval(interval)
 
     @given(
-        st.integers(0, 30_000), st.integers(1, 2_000), st.integers(1, 600),
-        st.integers(1, 8),
+        st.integers(0, 30_000), st.integers(0, 2_000), st.integers(1, 600),
+        st.sampled_from(sorted(FLOORS.values())), st.integers(1, 8),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bounds_are_aligned_and_above_the_floor(self, rows, inner, cols, width):
+    def test_bounds_are_aligned_and_above_the_floor(self, rows, inner, cols, min_work, width):
+        # Either floor: ``inner * cols`` stands for any kernel's work per row.
+        row_work = inner * cols
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_width", lambda: width)
-            bounds = linalg._matmul_bounds(rows, inner, cols)
-        assert_aligned_bounds(bounds, rows, inner, cols, width)
-        unit = 192 * inner * cols  # multiply-adds per aligned unit of rows
-        if width > 1 and rows // 192 * unit >= 2 * ((1 << 22) + unit):
-            assert len(bounds) > 2  # room for two blocks above the floor: it splits
+            bounds = linalg._row_cuts(rows, row_work, min_work)
+        assert_cut_invariants(bounds, rows, row_work, min_work, width)
+        unit = 192 * row_work  # work per aligned unit of rows
+        if width > 1 and unit and rows // 192 * unit >= 2 * (min_work + unit):
+            assert len(bounds) > 2  # room for two ranges above the floor: it splits
 
 
 class TestLpNorm:
