@@ -12,8 +12,9 @@ test loss with another grid, alpha_ref and seed) and attacks it, runs
 values, a -0.0, exponent-form reprs) with ``save_dataset``, the path
 that formats sparse features. Last it saves a seeded 9,216-node ring
 graph with d=64 (chords on its first third only) and trains it with cap
-for two epochs with a PGD trace: the one run large enough for the
-row-blocked kernels to split.
+for two epochs with a PGD trace, so the row-blocked kernels split; then
+generates a 2,304-node SBM with d=384 and trains it the same way, so the
+first layer's weight gradient splits too.
 It then prints one ``sha256  relpath`` line per file written, sorted by
 path, with the wall-clock column cut from every ``metrics.csv``, and a
 last line for the commands' joint stdout. All paths are relative to
@@ -104,6 +105,16 @@ save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/ring")
 RING_TRAIN = ["train", "--dataset_dir", "data/ring", "--out_dir", "runs/ring_cap",
               "--seeds", "1", "--mode", "cap", "--hidden_dims", "64", "--epochs", "2",
               "--skip_epochs", "0", "--frequency", "2", "--pgd_trace"]
+# 2,304 nodes x 384 features, 64 hidden: with two or more CPUs the weight
+# gradient X.T @ g (384 x 2,304 @ 2,304 x 64) splits over its rows at 192.
+WIDE = [
+    ["gen-sbm", "--blocks", "1152,1152", "--p_in", "0.006", "--p_out", "0.002",
+     "--feature_noise", "1.0", "--feature_dim", "384", "--seed", "51",
+     "--out_dir", "data/wide"],
+    ["train", "--dataset_dir", "data/wide", "--out_dir", "runs/wide_cap", "--seeds", "1",
+     "--mode", "cap", "--hidden_dims", "64", "--epochs", "2", "--skip_epochs", "0",
+     "--frequency", "2", "--pgd_trace"],
+]
 
 
 def build_parser():
@@ -140,6 +151,7 @@ def main():
     runs.append([sys.executable, "-c", SPARSE_SAVE])
     runs.append([sys.executable, "-c", RING_SAVE])
     runs.append([sys.executable, "-m", "capgnn.cli", *RING_TRAIN])
+    runs += [[sys.executable, "-m", "capgnn.cli", *c] for c in WIDE]
     stdout = []
     for cmd in runs:
         print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)

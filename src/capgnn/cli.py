@@ -227,7 +227,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         out_dir=str(out_dir),
     )
     _write_json(out_dir / "manifest.json", manifest)
-    (out_dir / "summary.json").unlink(missing_ok=True)  # an earlier run's
+    # No earlier run's outputs may sit next to this manifest; files capgnn
+    # did not write stay.
+    (out_dir / "summary.json").unlink(missing_ok=True)
+    for old in out_dir.glob("seed_*"):
+        if old.is_dir() and old.name[5:].isdigit():
+            for name in ("metrics.csv", "checkpoint.json", "pgd_trace.csv"):
+                (old / name).unlink(missing_ok=True)
+            if not any(old.iterdir()):
+                old.rmdir()
 
     per_seed = []
     for seed in resolved["seeds"]:
@@ -238,8 +246,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_metrics_csv(history, seed_dir / "metrics.csv")
         if pgd_trace is not None:
             write_pgd_trace_csv(pgd_trace, seed_dir / "pgd_trace.csv")
-        else:
-            (seed_dir / "pgd_trace.csv").unlink(missing_ok=True)
         ckpt = seed_dir / "checkpoint.json"
         save_model(model, ckpt)
         logits = forward(model, dataset.a_hat, dataset.features).logits

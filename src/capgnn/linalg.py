@@ -6,8 +6,8 @@ column indices per row). Every operation here is a pure function and
 accumulates in a fixed row-major, index-ascending order, so repeated
 runs with the same inputs are bit-identical.
 
-Row blocks: ``spmm``, the model's dense products ``H @ W`` and
-``g @ W.T``, and the feature ascent's elementwise sweeps split their
+Row blocks: ``spmm``, the model's dense products ``H @ W``, ``g @ W.T``
+and ``H.T @ g``, and the feature ascent's elementwise sweeps split their
 output rows into contiguous ranges, at most one per CPU the process may
 run on. The first range runs on the caller's thread, the others on a
 thread pool created on first use and dropped in a forked child; pool
@@ -19,11 +19,11 @@ kernels, ``_MIN_MATMUL`` = 2^22 multiply-adds for a dense product), so
 small outputs such as the 400-node SBM's stay one inline block. Sparse
 and elementwise rows come from the same kernel and operands whatever
 range holds them, so their bytes hold at any cut. A dense range is one
-single-threaded BLAS call on a slice of rows, whose inner kernels
-OpenBLAS picks by row offset and product size; the alignment and the
-work floor are what keep its bytes equal to one ``a @ b`` call. A
-second BLAS thread does change bytes, so ``CAPGNN_THREADS`` still
-defaults to one.
+single-threaded BLAS call on a slice of rows (of ``H.T``: a column slice
+of ``H``, read in place), whose inner kernels OpenBLAS picks by row
+offset and product size; the alignment and the work floor are what keep
+its bytes equal to one ``a @ b`` call. A second BLAS thread does change
+bytes, so ``CAPGNN_THREADS`` still defaults to one.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
-    if out is a or out.base is a:
+    if out is a or np.may_share_memory(out, a):  # views of subclasses too
         out = out.copy()
     out.flags.writeable = False
     return out

@@ -11,10 +11,10 @@ gradient alone. Both kinds cost n x d work at the first layer (the
 feature gradient ``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
 computing the one nobody reads would nearly double that layer's cost.
 
-The dense products ``H @ W`` and ``g @ W.T`` run in row blocks, one per
-CPU, cut only where their bytes hold (``linalg._matmul_rows``).
-``layer_input.T @ g`` sums over rows; its one exact split, by output
-columns, is exact at some shapes only, so it stays a single BLAS call.
+Every dense product runs in row blocks, one per CPU, cut only where its
+bytes hold (``linalg._matmul_rows``). For the weight gradient
+``layer_input.T @ g`` those are output rows, i.e. columns of
+``layer_input``; the sum over its n rows is never split.
 
 Clean metrics and the generalization gap are read from one forward's
 logits by ``split_metrics``, the one path for them.
@@ -221,12 +221,13 @@ def backward(
     on the normalized adjacency being symmetric, so its transpose in the
     chain rule is itself. The per-layer weight gradient is
     ``layer_input.T @ g`` with ``g = A_hat @ delta``, and the feature
-    gradient is the first layer's ``g @ W_0.T``. Both first-layer
-    products are as large as the features, so each is computed only on
-    request: the outer descent and weight PGD pass
-    ``need_features=False`` (``d_features`` is None), feature PGD passes
-    ``need_weights=False`` (``d_weights`` is None). What is computed is
-    the same bytes whichever flags are set.
+    gradient is the first layer's ``g @ W_0.T``; each dense product runs
+    in row blocks (module docstring). Both first-layer products are as
+    large as the features, so each is computed only on request: the
+    outer descent and weight PGD pass ``need_features=False``
+    (``d_features`` is None), feature PGD passes ``need_weights=False``
+    (``d_weights`` is None). What is computed is the same bytes whichever
+    flags are set.
     """
     ws = cache.weights
     if len(ws) != model.depth:
@@ -235,14 +236,14 @@ def backward(
     g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
     for l in range(len(ws) - 1, 0, -1):
         if need_weights:
-            d_weights[l] = cache.layer_inputs[l].T @ g
+            d_weights[l] = _matmul_rows(cache.layer_inputs[l].T, g)
         back = _matmul_rows(g, ws[l].T)
         scale = cache.drop_scales[l - 1]
         if scale is not None:
             back = back * scale
         g = spmm(a_hat, back * (cache.pre_acts[l - 1] > 0.0))
     if need_weights:
-        d_weights[0] = cache.layer_inputs[0].T @ g
+        d_weights[0] = _matmul_rows(cache.layer_inputs[0].T, g)
     return Gradients(d_weights, _matmul_rows(g, ws[0].T) if need_features else None)
 
 

@@ -335,6 +335,21 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_config"]["lr"] == 1e308
         assert not (out / "summary.json").exists()
+        assert not (out / "seed_1").exists()  # nor the earlier run's checkpoint
+
+    def test_rerun_with_fewer_seeds_drops_the_earlier_seed_dirs(self, data_dir, tmp_path):
+        out = tmp_path / "reused"
+        flags = ["--dataset_dir", str(data_dir), "--out_dir", str(out),
+                 "--epochs", "2", "--mode", "vanilla", "--hidden_dims", "8"]
+        assert run("train", *flags, "--seeds", "1,2,3") == 0
+        (out / "seed_3" / "notes.txt").write_text("kept")
+        (out / "seed_other").mkdir()
+        (out / "seed_other" / "metrics.csv").write_text("kept")
+        assert run("train", *flags, "--seeds", "1") == 0
+        assert (out / "seed_1" / "checkpoint.json").is_file()
+        assert not (out / "seed_2").exists()
+        assert [p.name for p in (out / "seed_3").iterdir()] == ["notes.txt"]
+        assert (out / "seed_other" / "metrics.csv").read_text() == "kept"
 
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():

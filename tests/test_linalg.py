@@ -132,6 +132,10 @@ class TestRowCuts:
         "sbm_g_at_w0t": (400, 64 * 8, "dense", 1),
         "sbm_h_at_w1": (400, 64 * 2, "dense", 1),
         "sbm_g_at_w1t": (400, 2 * 64, "dense", 1),
+        "pubmed_xt_at_g": (500, 19717 * 64, "dense", 2),
+        "pubmed_h1t_at_g": (64, 19717 * 3, "dense", 1),
+        "sbm_xt_at_g": (8, 400 * 64, "dense", 1),
+        "sbm_h1t_at_g": (64, 400 * 2, "dense", 1),
     }
 
     @pytest.mark.parametrize("case", SHIPPED)
@@ -263,6 +267,31 @@ class TestMatmulRows:
         got = linalg._matmul_rows(h, w)
         assert got.flags.c_contiguous
         assert got.tobytes() == (h @ w).tobytes()
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "n, d, h", [(19717, 500, 64), (2708, 1433, 16), (400, 384, 64)],
+        ids=["pubmed", "cora", "small"],
+    )
+    def test_weight_gradient_bitwise_equal(self, monkeypatch, n, d, h, width):
+        # X.T @ g splits over its d output rows: each block reads X[:, lo:hi].
+        rng = make_rng(n + d + h)
+        x = rng.standard_normal((n, d))
+        g = rng.standard_normal((n, h))
+        monkeypatch.setattr(linalg, "_width", lambda: width)
+        bounds = matmul_cuts(d, n, h)
+        assert_cut_invariants(bounds, d, n * h, linalg._MIN_MATMUL, width)
+        # Every aligned 192-row unit clears the floor: 500 and 384 rows hold two.
+        assert len(bounds) - 1 == min(width, d // 192)
+        assert linalg._matmul_rows(x.T, g).tobytes() == (x.T @ g).tobytes()
+
+    def test_second_layer_weight_gradient_stays_one_block(self, monkeypatch):
+        rng = make_rng(13)
+        h1 = rng.standard_normal((19717, 64))
+        g = rng.standard_normal((19717, 3))
+        monkeypatch.setattr(linalg, "_width", lambda: 4)
+        assert matmul_cuts(64, 19717, 3) == [0, 64]
+        assert linalg._matmul_rows(h1.T, g).tobytes() == (h1.T @ g).tobytes()
 
     def test_small_output_layer_stays_one_block(self, monkeypatch):
         # 4,100 x 64 @ 64 x 5 is ~1.3M multiply-adds: under two floors.
@@ -414,3 +443,22 @@ class TestCsrValidation:
         m = csr_identity(3)
         with pytest.raises(ValueError):
             m.values[0] = 2.0
+
+    def test_later_changes_to_subclass_views_leave_it_alone(self):
+        class Sub(np.ndarray):
+            pass
+
+        ptr, cols, values = np.arange(4), np.arange(3), np.array([1.0, 2.0, 3.0])
+        m = CsrMatrix(3, 3, ptr.view(Sub), cols.view(Sub), values.view(Sub))
+        ptr[1:], cols[:], values[:] = 3, 0, -1.0
+        assert m.row_ptr.tolist() == [0, 1, 2, 3]
+        assert m.col_idx.tolist() == [0, 1, 2]
+        assert m.values.tolist() == [1.0, 2.0, 3.0]
+        assert values.flags.writeable  # the caller's array is not frozen
+
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_frozen_copies_a_matrix(self):
+        src = np.matrix([[1.0, 2.0]])
+        out = linalg._frozen(src, np.float64)
+        src[0, 0] = -1.0
+        assert out.tolist() == [[1.0, 2.0]] and not out.flags.writeable

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from capgnn import linalg
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import CsrMatrix, make_rng
 from capgnn.model import (
@@ -97,6 +98,23 @@ class TestGradientsAgainstFiniteDifferences:
         )
         assert alone.d_weights is None
         assert alone.d_features.tobytes() == full.d_features.tobytes()
+
+    def test_weight_gradients_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # X.T @ g is 384 x 400 @ 400 x 64: two CPUs cut it at row 192.
+        ds = generate_sbm(
+            SbmParams((200, 200), 0.05, 0.02, 1.0, feature_dim=384), make_rng(13)
+        )
+        model = init_model([ds.d, 64, ds.num_classes], make_rng(14), dropout_rate=0.5)
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(15))
+        got = {}
+        for width in (1, 2):
+            monkeypatch.setattr(linalg, "_width", lambda w=width: w)
+            assert len(linalg._row_cuts(ds.d, ds.n * 64, linalg._MIN_MATMUL)) == width + 1
+            grads = backward(
+                model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=False
+            )
+            got[width] = [w.tobytes() for w in grads.d_weights]
+        assert got[1] == got[2]
 
     def test_out_of_receptive_field_rows_exactly_zero(self):
         # Two disconnected triangles; only the first is supervised. With two
