@@ -5,10 +5,10 @@ Every run is driven by explicit seeds and writes a manifest of what ran.
 reproduces all metric files byte for byte (wall-clock columns aside);
 ``probe``, ``attack`` and ``gen-sbm`` record every parsed flag, with the
 values derived from them (parsed lists, dataset fingerprint, graph size)
-in place of the raw strings. The environment variable ``CAPGNN_THREADS``
-(default 1) caps BLAS thread pools; the ``capgnn`` package applies it on
-import, before numpy loads. A train config is validated in full before
-the output directory is created.
+in place of the raw strings. BLAS always runs on one thread, whatever
+the environment says (a second thread changes output bytes): importing
+``capgnn`` pins its pools before numpy loads. A train config is
+validated in full before the output directory is created.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (divergence), 4 IO failure.

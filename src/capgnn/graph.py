@@ -46,7 +46,7 @@ def normalize_adjacency(a: CsrMatrix) -> CsrMatrix:
         raise DatasetError(f"adjacency must be square, got {a.rows}x{a.cols}")
     if len(a.values) and a.values.min() < 0:
         raise DatasetError("adjacency values must be non-negative")
-    m = a._sp
+    m = sp.csr_matrix((a.values, a.col_idx, a.row_ptr), shape=a.shape, copy=False)
     if (m != m.T).nnz:
         raise DatasetError("adjacency must be symmetric")
     deg = 1.0 + np.asarray(m.sum(axis=1)).ravel()
@@ -404,8 +404,8 @@ def random_split(
     """
     labels = np.asarray(labels, dtype=np.int64)
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError("fractions must be three non-negative numbers")
+    if len(fractions) != 3 or not all(0 <= f <= 1 for f in fractions):  # NaN too
+        raise ValueError(f"fractions must be three numbers in [0, 1], got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     if rng is None:
@@ -455,8 +455,8 @@ class SbmParams:
             raise ValueError(
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}"
             )
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
+        if not 0 <= self.feature_noise < np.inf:  # NaN too
+            raise ValueError(f"need 0 <= feature_noise < inf, got {self.feature_noise}")
         if self.feature_dim is not None and self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
 

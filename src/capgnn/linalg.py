@@ -9,21 +9,22 @@ runs with the same inputs are bit-identical.
 Row blocks: ``spmm``, the model's dense products ``H @ W``, ``g @ W.T``
 and ``H.T @ g``, and the feature ascent's elementwise sweeps split their
 output rows into contiguous ranges, at most one per CPU the process may
-run on. The first range runs on the caller's thread, the others on a
-thread pool created on first use and dropped in a forked child; pool
-workers run only numpy array operations, ``np.matmul`` and scipy's CSR
-kernel. One rule, ``_row_cuts``, places every cut: on a multiple of
-``_ROW_ALIGN`` = 192 rows, with every range doing at least a floor of
-work (``_MIN_BLOCK`` = 2^18 output entries for sparse and elementwise
-kernels, ``_MIN_MATMUL`` = 2^22 multiply-adds for a dense product), so
-small outputs such as the 400-node SBM's stay one inline block. Sparse
-and elementwise rows come from the same kernel and operands whatever
-range holds them, so their bytes hold at any cut. A dense range is one
-single-threaded BLAS call on a slice of rows (of ``H.T``: a column slice
-of ``H``, read in place), whose inner kernels OpenBLAS picks by row
-offset and product size; the alignment and the work floor are what keep
-its bytes equal to one ``a @ b`` call. A second BLAS thread does change
-bytes, so ``CAPGNN_THREADS`` still defaults to one.
+run on when capgnn is imported (``_WIDTH``). The first range runs on the
+caller's thread, the others on a thread pool created on first use and
+dropped in a forked child; pool workers run only numpy array operations,
+``np.matmul`` and scipy's CSR kernel. One rule, ``_row_cuts``, places
+every cut: on a multiple of ``_ROW_ALIGN`` = 192 rows, with every range
+doing at least a floor of work (``_MIN_BLOCK`` = 2^18 output entries for
+sparse and elementwise kernels, ``_MIN_MATMUL`` = 2^22 multiply-adds for
+a dense product), so small outputs such as the 400-node SBM's stay one
+inline block. Sparse and elementwise rows come from the same kernel and
+operands whatever range holds them, so their bytes hold at any cut. A
+dense range is one single-threaded BLAS call on a slice of rows (of
+``H.T``: a column slice of ``H``, read in place), whose inner kernels
+OpenBLAS picks by row offset and product size; the alignment and the
+work floor are what keep its bytes equal to one ``a @ b`` call. A second
+BLAS thread does change bytes, so ``import capgnn`` pins BLAS to one
+thread; the pool is the only way capgnn uses more cores.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ _MIN_BLOCK = 1 << 18  # output entries per sparse or elementwise row block
 _MIN_MATMUL = 1 << 22  # multiply-adds per row block of a dense product
 _ROW_ALIGN = 192  # every row cut falls on a multiple of this
 _CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
+# CPUs this process may run on at import: the most row blocks one call uses.
+_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")  # Linux
+          else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -123,7 +127,8 @@ class CsrMatrix:
 
     @cached_property
     def _sp(self) -> sp.csr_matrix:
-        # scipy handle reused by spmm; copy=False shares the frozen arrays.
+        # spmm's scipy handle: it shares the frozen values, but scipy copies
+        # the indices to int32, which csr_matvecs reads faster than int64.
         return sp.csr_matrix(
             (self.values, self.col_idx, self.row_ptr),
             shape=(self.rows, self.cols),
@@ -152,26 +157,16 @@ class CsrMatrix:
         return cls(rows, cols, row_ptr, c, v)
 
 
-def _width() -> int:
-    """CPUs this process may run on: the most row blocks one call uses."""
-    if hasattr(os, "sched_getaffinity"):  # Linux
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _row_cuts(rows: int, row_work: int, min_work: int) -> list[int]:
     """Cuts of [0, rows) into ranges of ``row_work`` work per row (module docstring).
 
     At most one range per CPU, every inner cut a multiple of
     ``_ROW_ALIGN`` and every range at least ``min_work``; the cuts
-    strictly increase, so no range is empty. ``_width`` is asked only
-    once the work allows two ranges.
+    strictly increase, so no range is empty.
     """
     units = rows // _ROW_ALIGN
     per_block = -(-min_work // max(_ROW_ALIGN * row_work, 1))  # in units
-    blocks = units // per_block
-    if blocks >= 2:
-        blocks = min(blocks, _width())
+    blocks = min(units // per_block, _WIDTH)
     if blocks < 2:
         return [0, rows]
     return [_ROW_ALIGN * (units * i // blocks) for i in range(blocks)] + [rows]
@@ -199,7 +194,7 @@ def _run_row_blocks(bounds: list[int], fn) -> None:
         fn(*bounds)
         return
     if _pool is None:
-        _pool = ThreadPoolExecutor(_width(), thread_name_prefix="capgnn-rows")
+        _pool = ThreadPoolExecutor(_WIDTH, thread_name_prefix="capgnn-rows")
     futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         fn(bounds[0], bounds[1])

@@ -42,7 +42,7 @@ def row_blocks(count: int, chunk: int | None = None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_MIN_BLOCK", 1)
         mp.setattr(linalg, "_ROW_ALIGN", 1)
-        mp.setattr(linalg, "_width", lambda: count)
+        mp.setattr(linalg, "_WIDTH", count)
         if chunk is not None:
             mp.setattr(linalg, "_CHUNK", chunk)
         yield

@@ -313,12 +313,10 @@ def test_c8_attack_robustness_direction(sbm400):
 
 def test_c9_manifest_determinism(tmp_path):
     with criterion(9, "manifest determinism", budget_s=None):
-        env = dict(os.environ, CAPGNN_THREADS="1")
-
         def cli(*args):
             proc = subprocess.run(
                 [sys.executable, "-m", "capgnn", *args],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
             return proc

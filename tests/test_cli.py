@@ -95,6 +95,21 @@ class TestGenSbm:
             "--out_dir", str(tmp_path / "x"),
         ) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--feature_noise", "nan", "need 0 <= feature_noise < inf"),
+        ("--feature_noise", "inf", "need 0 <= feature_noise < inf"),
+        ("--fractions", "0.6,0.2,nan", "fractions must be three numbers in [0, 1]"),
+        ("--fractions", "nan,0.2,0.2", "fractions must be three numbers in [0, 1]"),
+    ])
+    def test_non_finite_param_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        assert run(
+            "gen-sbm", "--blocks", "4,4", "--p_in", "0.5", "--p_out", "0.1",
+            flag, value, "--out_dir", str(out),
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_dir_exit_4(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -670,7 +685,7 @@ def test_import_caps_unset_blas_thread_vars():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2", "3", "3", "3", "3"]
+    assert proc.stdout.split() == ["1"] * 5  # pre-set values do not survive
 
 
 _PINNABLE_MAIN = """
@@ -680,6 +695,44 @@ if sys.argv[1]:
 from capgnn.cli import main
 sys.exit(main(sys.argv[2:]))
 """
+
+
+def _save_ring(path: Path, n: int, d: int, decimals: int | None = None) -> None:
+    """Save a seeded n-node ring with chords (degree 4) and 3 noisy classes."""
+    rng = make_rng(21)
+    ring = np.arange(n)
+    us = np.concatenate([ring, ring])
+    vs = np.concatenate([(ring + 1) % n, (ring + 37) % n])
+    adjacency = CsrMatrix.from_coo(n, n, np.r_[us, vs], np.r_[vs, us], np.ones(4 * n))
+    labels = rng.integers(0, 3, n)
+    features = rng.standard_normal((n, d)) + labels[:, None]
+    if decimals is not None:
+        features = features.round(decimals)  # short features.csv cells
+    split = random_split(labels, (0.6, 0.2, 0.2), rng)
+    save_dataset(make_dataset(adjacency, features, labels, 3, *split), path)
+
+
+def _train_ring(data: Path, out: Path, env: dict, cpus: str = ""):
+    """Train 2 traced ``cap`` epochs in a subprocess (pinned to ``cpus`` if given).
+
+    Returns the checkpoint, the PGD trace and the metrics rows without
+    their ``wall_ms`` column.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _PINNABLE_MAIN, cpus, "train",
+         "--dataset_dir", str(data), "--out_dir", str(out),
+         "--seeds", "1", "--epochs", "2", "--skip_epochs", "0", "--frequency", "2",
+         "--mode", "cap", "--hidden_dims", "64", "--pgd_trace"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seed_dir = out / "seed_1"
+    metrics = (seed_dir / "metrics.csv").read_text().splitlines()
+    return (
+        (seed_dir / "checkpoint.json").read_bytes(),
+        (seed_dir / "pgd_trace.csv").read_bytes(),
+        [line.rsplit(",", 1)[0] for line in metrics],
+    )
 
 
 @pytest.mark.skipif(
@@ -694,37 +747,26 @@ def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
     n, d = 9216, 64
     assert len(linalg._row_cuts(n, d, linalg._MIN_BLOCK)) == 3
     assert len(linalg._row_cuts(n, d * 64, linalg._MIN_MATMUL)) > 2
-    rng = make_rng(21)
-    ring = np.arange(n)
-    us = np.concatenate([ring, ring])
-    vs = np.concatenate([(ring + 1) % n, (ring + 37) % n])
-    adjacency = CsrMatrix.from_coo(n, n, np.r_[us, vs], np.r_[vs, us], np.ones(4 * n))
-    labels = rng.integers(0, 3, n)
-    features = rng.standard_normal((n, d)) + labels[:, None]
-    split = random_split(labels, (0.6, 0.2, 0.2), rng)
-    save_dataset(make_dataset(adjacency, features, labels, 3, *split), tmp_path / "data")
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    outputs = []
-    for cpus in (str(min(os.sched_getaffinity(0))), ""):
-        out = tmp_path / f"run_{cpus or 'all'}"
-        proc = subprocess.run(
-            [sys.executable, "-c", _PINNABLE_MAIN, cpus, "train",
-             "--dataset_dir", str(tmp_path / "data"), "--out_dir", str(out),
-             "--seeds", "1", "--epochs", "2", "--skip_epochs", "0", "--frequency", "2",
-             "--mode", "cap", "--hidden_dims", "64", "--pgd_trace"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        seed_dir = out / "seed_1"
-        metrics = (seed_dir / "metrics.csv").read_text().splitlines()
-        outputs.append((
-            (seed_dir / "checkpoint.json").read_bytes(),
-            (seed_dir / "pgd_trace.csv").read_bytes(),
-            [line.rsplit(",", 1)[0] for line in metrics],  # wall_ms aside
-        ))
+    _save_ring(tmp_path / "data", n, d)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outputs = [
+        _train_ring(tmp_path / "data", tmp_path / f"run_{cpus or 'all'}", env, cpus)
+        for cpus in (str(min(os.sched_getaffinity(0))), "")
+    ]
     assert outputs[0] == outputs[1]
     assert [line.split(",")[1] for line in outputs[0][2][1:]] == [
         "weight_perturb", "feature_perturb",
     ]
+
+
+def test_outputs_do_not_depend_on_preset_thread_vars(tmp_path):
+    # At d=500, X @ W0, X.T @ g and g @ W0.T are large enough that a second
+    # BLAS thread would change their bytes; import capgnn must pin it to one.
+    _save_ring(tmp_path / "data", 4096, 500, decimals=1)
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_THREAD_VARS and k != "CAPGNN_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    preset = dict(env, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", CAPGNN_THREADS="2")
+    assert _train_ring(tmp_path / "data", tmp_path / "run_unset", env) == _train_ring(
+        tmp_path / "data", tmp_path / "run_preset", preset
+    )

@@ -359,6 +359,10 @@ class TestRandomSplit:
         labels = np.repeat([0], 10)
         with pytest.raises(ValueError, match="sum to 1"):
             random_split(labels, (0.5, 0.2, 0.2), make_rng(0))
+        for bad in [(0.6, 0.2, math.nan), (math.nan, 0.2, 0.2), (0.6, 0.2, math.inf),
+                    (1.2, -0.2, 0.0), (0.5, 0.5)]:
+            with pytest.raises(ValueError, match=r"three numbers in \[0, 1\]"):
+                random_split(labels, bad, make_rng(0))
 
 
 class TestGenerateSbm:
@@ -425,6 +429,9 @@ class TestGenerateSbm:
             SbmParams((), 0.5, 0.1)
         with pytest.raises(ValueError):
             SbmParams((4, 0), 0.5, 0.1)
+        for noise in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="need 0 <= feature_noise < inf"):
+                SbmParams((4, 4), 0.5, 0.1, noise)
 
 
 class TestMakeDataset:

@@ -141,15 +141,12 @@ class TestRowCuts:
     @pytest.mark.parametrize("case", SHIPPED)
     def test_shipped_kernel_block_counts(self, monkeypatch, case):
         rows, row_work, floor, blocks = self.SHIPPED[case]
-        monkeypatch.setattr(linalg, "_width", lambda: 2)
+        monkeypatch.setattr(linalg, "_WIDTH", 2)
         assert len(linalg._row_cuts(rows, row_work, FLOORS[floor])) - 1 == blocks
 
     @pytest.mark.parametrize("floor", FLOORS)
     def test_width_is_not_asked_below_two_floors(self, monkeypatch, floor):
-        def no_width():
-            raise AssertionError("_width called for a one-block output")
-
-        monkeypatch.setattr(linalg, "_width", no_width)
+        monkeypatch.setattr(linalg, "_WIDTH", 8)
         assert linalg._row_cuts(400, 64, FLOORS[floor]) == [0, 400]  # the SBM
         assert linalg._row_cuts(0, 64, FLOORS[floor]) == [0, 0]
 
@@ -221,18 +218,18 @@ class TestSpmmRowBlocks:
             for row_work in (1, 3, 64, 192, 32_000):
                 # The fewest rows with room for two ranges of whole 192-row units.
                 two = 2 * 192 * -(-min_work // (192 * row_work))
-                monkeypatch.setattr(linalg, "_width", lambda: 2)
+                monkeypatch.setattr(linalg, "_WIDTH", 2)
                 assert linalg._row_cuts(two - 1, row_work, min_work) == [0, two - 1]
                 assert linalg._row_cuts(two, row_work, min_work) == [0, two // 2, two]
                 assert len(linalg._row_cuts(8 * two, row_work, min_work)) == 3
-                monkeypatch.setattr(linalg, "_width", lambda: 1)
+                monkeypatch.setattr(linalg, "_WIDTH", 1)
                 assert linalg._row_cuts(8 * two, row_work, min_work) == [0, 8 * two]
 
 
 class TestMatmulRows:
     """``_matmul_rows`` splits dense products at aligned cuts above a work floor.
 
-    Only ``_width`` is patched: the floor stays, since small blocks can
+    Only ``_WIDTH`` is patched: the floor stays, since small blocks can
     take OpenBLAS's small-matrix path, whose bytes differ.
     """
 
@@ -242,7 +239,7 @@ class TestMatmulRows:
         rng = make_rng(rows + d)
         h = rng.standard_normal((rows, d))
         w = rng.standard_normal((d, 64))
-        monkeypatch.setattr(linalg, "_width", lambda: width)
+        monkeypatch.setattr(linalg, "_WIDTH", width)
         bounds = matmul_cuts(rows, d, 64)
         assert_cut_invariants(bounds, rows, d * 64, linalg._MIN_MATMUL, width)
         # 4,099 x 64 @ 64 x 64 has 21 aligned 192-row units, 6 per floor.
@@ -254,7 +251,7 @@ class TestMatmulRows:
         rng = make_rng(9)
         g = rng.standard_normal((19717, 64))
         w = rng.standard_normal((500, 64))
-        monkeypatch.setattr(linalg, "_width", lambda: width)
+        monkeypatch.setattr(linalg, "_WIDTH", width)
         assert len(matmul_cuts(19717, 64, 500)) == width + 1
         assert linalg._matmul_rows(g, w.T).tobytes() == (g @ w.T).tobytes()
 
@@ -263,7 +260,7 @@ class TestMatmulRows:
         rng = make_rng(10)
         h = np.asfortranarray(rng.standard_normal((4099, 500)))
         w = rng.standard_normal((500, 64))
-        monkeypatch.setattr(linalg, "_width", lambda: width)
+        monkeypatch.setattr(linalg, "_WIDTH", width)
         got = linalg._matmul_rows(h, w)
         assert got.flags.c_contiguous
         assert got.tobytes() == (h @ w).tobytes()
@@ -278,7 +275,7 @@ class TestMatmulRows:
         rng = make_rng(n + d + h)
         x = rng.standard_normal((n, d))
         g = rng.standard_normal((n, h))
-        monkeypatch.setattr(linalg, "_width", lambda: width)
+        monkeypatch.setattr(linalg, "_WIDTH", width)
         bounds = matmul_cuts(d, n, h)
         assert_cut_invariants(bounds, d, n * h, linalg._MIN_MATMUL, width)
         # Every aligned 192-row unit clears the floor: 500 and 384 rows hold two.
@@ -289,7 +286,7 @@ class TestMatmulRows:
         rng = make_rng(13)
         h1 = rng.standard_normal((19717, 64))
         g = rng.standard_normal((19717, 3))
-        monkeypatch.setattr(linalg, "_width", lambda: 4)
+        monkeypatch.setattr(linalg, "_WIDTH", 4)
         assert matmul_cuts(64, 19717, 3) == [0, 64]
         assert linalg._matmul_rows(h1.T, g).tobytes() == (h1.T @ g).tobytes()
 
@@ -298,7 +295,7 @@ class TestMatmulRows:
         rng = make_rng(11)
         h = rng.standard_normal((4100, 64))
         w = rng.standard_normal((64, 5))
-        monkeypatch.setattr(linalg, "_width", lambda: 4)
+        monkeypatch.setattr(linalg, "_WIDTH", 4)
         assert matmul_cuts(4100, 64, 5) == [0, 4100]
         assert linalg._matmul_rows(h, w).tobytes() == (h @ w).tobytes()
 
@@ -307,7 +304,7 @@ class TestMatmulRows:
         h = rng.standard_normal((4099, 500))
         w = rng.standard_normal((500, 64))
         want = (h @ w).tobytes()
-        monkeypatch.setattr(linalg, "_width", lambda: 8)
+        monkeypatch.setattr(linalg, "_WIDTH", 8)
         assert len(matmul_cuts(4099, 500, 64)) == 9
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -325,7 +322,7 @@ class TestMatmulRows:
         # Either floor: ``inner * cols`` stands for any kernel's work per row.
         row_work = inner * cols
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_width", lambda: width)
+            mp.setattr(linalg, "_WIDTH", width)
             bounds = linalg._row_cuts(rows, row_work, min_work)
         assert_cut_invariants(bounds, rows, row_work, min_work, width)
         unit = 192 * row_work  # work per aligned unit of rows

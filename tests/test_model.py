@@ -108,7 +108,7 @@ class TestGradientsAgainstFiniteDifferences:
         cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(15))
         got = {}
         for width in (1, 2):
-            monkeypatch.setattr(linalg, "_width", lambda w=width: w)
+            monkeypatch.setattr(linalg, "_WIDTH", width)
             assert len(linalg._row_cuts(ds.d, ds.n * 64, linalg._MIN_MATMUL)) == width + 1
             grads = backward(
                 model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=False
