@@ -14,7 +14,9 @@ that formats sparse features. Last it saves a seeded 9,216-node ring
 graph with d=64 (chords on its first third only) and trains it with cap
 for two epochs with a PGD trace, so the row-blocked kernels split; then
 generates a 2,304-node SBM with d=384 and trains it the same way, so the
-first layer's weight gradient splits too.
+first layer's weight gradient splits too; then does the same on a
+4,096-node ring with d=500 features at one decimal, where a second BLAS
+thread would change the first layer's products, so a lost BLAS pin shows.
 It then prints one ``sha256  relpath`` line per file written, sorted by
 path, with the wall-clock column cut from every ``metrics.csv``, and a
 last line for the commands' joint stdout. All paths are relative to
@@ -102,19 +104,37 @@ x = rng.standard_normal((n, d)) + labels[:, None]
 split = random_split(labels, (0.6, 0.2, 0.2), rng)
 save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/ring")
 """
-RING_TRAIN = ["train", "--dataset_dir", "data/ring", "--out_dir", "runs/ring_cap",
-              "--seeds", "1", "--mode", "cap", "--hidden_dims", "64", "--epochs", "2",
-              "--skip_epochs", "0", "--frequency", "2", "--pgd_trace"]
+# Two traced cap epochs, one of each perturbation, at 64 hidden units.
+CAP_64 = ["--seeds", "1", "--mode", "cap", "--hidden_dims", "64", "--epochs", "2",
+          "--skip_epochs", "0", "--frequency", "2", "--pgd_trace"]
+RING_TRAIN = ["train", "--dataset_dir", "data/ring", "--out_dir", "runs/ring_cap", *CAP_64]
 # 2,304 nodes x 384 features, 64 hidden: with two or more CPUs the weight
 # gradient X.T @ g (384 x 2,304 @ 2,304 x 64) splits over its rows at 192.
 WIDE = [
     ["gen-sbm", "--blocks", "1152,1152", "--p_in", "0.006", "--p_out", "0.002",
      "--feature_noise", "1.0", "--feature_dim", "384", "--seed", "51",
      "--out_dir", "data/wide"],
-    ["train", "--dataset_dir", "data/wide", "--out_dir", "runs/wide_cap", "--seeds", "1",
-     "--mode", "cap", "--hidden_dims", "64", "--epochs", "2", "--skip_epochs", "0",
-     "--frequency", "2", "--pgd_trace"],
+    ["train", "--dataset_dir", "data/wide", "--out_dir", "runs/wide_cap", *CAP_64],
 ]
+# 4,096 nodes x 500 features: two BLAS threads would change the bytes of
+# X @ W0, X.T @ g and g @ W0.T here, so this case catches a lost BLAS pin.
+RING500_SAVE = """
+import numpy as np
+from capgnn.graph import make_dataset, random_split, save_dataset
+from capgnn.linalg import CsrMatrix, make_rng
+
+rng = make_rng(21)
+n, d = 4096, 500
+ring = np.arange(n)
+us, vs = np.r_[ring, ring], np.r_[(ring + 1) % n, (ring + 37) % n]
+adjacency = CsrMatrix.from_coo(n, n, np.r_[us, vs], np.r_[vs, us], np.ones(4 * n))
+labels = rng.integers(0, 3, n)
+x = (rng.standard_normal((n, d)) + labels[:, None]).round(1)
+split = random_split(labels, (0.6, 0.2, 0.2), rng)
+save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/ring500")
+"""
+RING500_TRAIN = ["train", "--dataset_dir", "data/ring500", "--out_dir", "runs/ring500_cap",
+                 *CAP_64]
 
 
 def build_parser():
@@ -152,6 +172,8 @@ def main():
     runs.append([sys.executable, "-c", RING_SAVE])
     runs.append([sys.executable, "-m", "capgnn.cli", *RING_TRAIN])
     runs += [[sys.executable, "-m", "capgnn.cli", *c] for c in WIDE]
+    runs.append([sys.executable, "-c", RING500_SAVE])
+    runs.append([sys.executable, "-m", "capgnn.cli", *RING500_TRAIN])
     stdout = []
     for cmd in runs:
         print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)

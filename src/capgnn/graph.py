@@ -248,8 +248,8 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
             feat_path, f"expected {n}x{d} feature rows, got {features.shape}"
         )
     if not np.isfinite(features).all():
-        bad = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0]) + 1
-        raise _fail(feat_path, "non-finite feature value", bad)
+        _locate_bad_csv_line(feat_path, d)
+        raise _fail(feat_path, "non-finite feature value")
 
     labels_path = directory / "labels.txt"
     labels = np.empty(n, dtype=np.int64)
@@ -313,15 +313,20 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
 
 
 def _locate_bad_csv_line(path: Path, d: int) -> None:
+    """Raise at the first row np.loadtxt reads with a bad count, non-number or inf/NaN."""
     for lineno, raw in _numbered_lines(path):
         parts = raw.rstrip("\n").split(",")
+        if parts == [""]:  # empty once the line ending goes: np.loadtxt skips it
+            continue
         if len(parts) != d:
             raise _fail(path, f"expected {d} values, got {len(parts)}", lineno)
         for p in parts:
             try:
-                float(p)
+                value = float(p)
             except ValueError:
                 raise _fail(path, f"non-numeric value {p!r}", lineno)
+            if not np.isfinite(value):
+                raise _fail(path, "non-finite feature value", lineno)
 
 
 _CSV_BLOCK_ROWS = 512  # feature rows formatted per write: a few MB at d=500

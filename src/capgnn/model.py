@@ -11,18 +11,12 @@ gradient alone. Both kinds cost n x d work at the first layer (the
 feature gradient ``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
 computing the one nobody reads would nearly double that layer's cost.
 
-Every dense product runs in row blocks, one per CPU, cut only where its
-bytes hold (``linalg._matmul_rows``). For the weight gradient
-``layer_input.T @ g`` those are output rows, i.e. columns of
-``layer_input``; the sum over its n rows is never split.
-
-Clean metrics and the generalization gap are read from one forward's
-logits by ``split_metrics``, the one path for them.
-
 Effective inputs: ``forward`` takes an explicit feature matrix and an
 optional ``w_eff``, so callers can evaluate at (W + eps_w, X) or
 (W, X + eps_x) without touching stored state; ``backward`` differentiates
 at the point recorded in the forward cache, never at re-passed inputs.
+The cache keeps the logits and only what ``backward`` reads: no
+pre-activation, as ReLU and dropout write into each layer's own output.
 """
 
 from __future__ import annotations
@@ -95,24 +89,20 @@ def init_model(
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, as consumed by ``backward``.
+    """What ``backward`` reads of one forward pass, and its logits.
 
     ``weights`` are the effective weights the pass used, in a list of its
     own so an optimizer step on ``model.weights`` leaves it unchanged;
     ``layer_inputs[l]`` is the matrix fed into layer l (index 0 holds the
-    effective features), ``pre_acts[l]`` its pre-activation output, and
-    ``drop_scales[l]`` the inverted-dropout multiplier applied after the
-    ReLU of layer l (None when dropout was off).
+    effective features), and ``drop_scales[l]`` the inverted-dropout
+    multiplier applied after the ReLU of layer l (None when dropout was
+    off); ``backward`` reads its ReLU masks from ``layer_inputs``.
     """
 
     weights: list[np.ndarray]
     layer_inputs: list[np.ndarray]
-    pre_acts: list[np.ndarray]
     drop_scales: list[np.ndarray | None]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.pre_acts[-1]
+    logits: np.ndarray
 
 
 @dataclass
@@ -151,23 +141,20 @@ def forward(
         raise ValueError("training with dropout requires an rng")
 
     layer_inputs = [x_eff]
-    pre_acts: list[np.ndarray] = []
     drop_scales: list[np.ndarray | None] = []
-    last = model.depth - 1
-    for l, w in enumerate(ws):
-        z = spmm(a_hat, _matmul_rows(layer_inputs[-1], w))
-        pre_acts.append(z)
-        if l == last:
-            break
-        h = np.maximum(z, 0.0)
+    keep = 1.0 - model.dropout_rate
+    for w in ws[:-1]:
+        h = spmm(a_hat, _matmul_rows(layer_inputs[-1], w))
+        np.maximum(h, 0.0, out=h)
         scale = None
         if use_dropout:
-            keep = 1.0 - model.dropout_rate
-            scale = (rng.random(h.shape) < keep).astype(np.float64) / keep
-            h = h * scale
+            scale = (rng.random(h.shape) < keep).astype(np.float64)
+            scale /= keep
+            h *= scale
         drop_scales.append(scale)
         layer_inputs.append(h)
-    return ForwardCache(ws, layer_inputs, pre_acts, drop_scales)
+    logits = spmm(a_hat, _matmul_rows(layer_inputs[-1], ws[-1]))
+    return ForwardCache(ws, layer_inputs, drop_scales, logits)
 
 
 def _masked_rows(labels, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +209,16 @@ def backward(
     chain rule is itself. The per-layer weight gradient is
     ``layer_input.T @ g`` with ``g = A_hat @ delta``, and the feature
     gradient is the first layer's ``g @ W_0.T``; each dense product runs
-    in row blocks (module docstring). Both first-layer products are as
-    large as the features, so each is computed only on request: the
-    outer descent and weight PGD pass ``need_features=False``
-    (``d_features`` is None), feature PGD passes ``need_weights=False``
-    (``d_weights`` is None). What is computed is the same bytes whichever
-    flags are set.
+    in row blocks (``linalg``). Both first-layer products are as large as
+    the features, so each is computed only on request: the outer descent
+    and weight PGD pass ``need_features=False`` (``d_features`` is None),
+    feature PGD passes ``need_weights=False`` (``d_weights`` is None).
+    What is computed is the same bytes whichever flags are set.
+
+    The ReLU mask of layer l is ``layer_inputs[l + 1] > 0``, with the bytes
+    of ``z > 0`` on its pre-activation: where the dropout scale is 1/keep
+    (>= 1), ``relu(z) * scale > 0`` exactly when ``z > 0`` (a NaN fails
+    both); where it is 0, the scaled gradient is +-0 or NaN either way.
     """
     ws = cache.weights
     if len(ws) != model.depth:
@@ -240,8 +231,9 @@ def backward(
         back = _matmul_rows(g, ws[l].T)
         scale = cache.drop_scales[l - 1]
         if scale is not None:
-            back = back * scale
-        g = spmm(a_hat, back * (cache.pre_acts[l - 1] > 0.0))
+            back *= scale
+        back *= cache.layer_inputs[l] > 0.0
+        g = spmm(a_hat, back)
     if need_weights:
         d_weights[0] = _matmul_rows(cache.layer_inputs[0].T, g)
     return Gradients(d_weights, _matmul_rows(g, ws[0].T) if need_features else None)

@@ -48,14 +48,22 @@ def row_blocks(count: int, chunk: int | None = None):
         yield
 
 
-def peak_traced_bytes(fn) -> int:
-    """Peak bytes traced by ``tracemalloc`` (numpy reports its buffers) while ``fn()`` runs."""
+def traced_bytes(fn) -> tuple:
+    """``(fn(), bytes still traced as it returns, peak)`` under ``tracemalloc``.
+
+    numpy reports its buffers to ``tracemalloc``.
+    """
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return (out, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    return traced_bytes(fn)[2]
 
 
 @pytest.fixture(scope="session")

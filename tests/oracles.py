@@ -12,8 +12,10 @@ import math
 import numpy as np
 
 from capgnn.graph import make_dataset
-from capgnn.linalg import CsrMatrix, lp_norm, make_rng
-from capgnn.model import backward, forward, init_model, masked_cross_entropy
+from capgnn.linalg import CsrMatrix, lp_norm, make_rng, spmm
+from capgnn.model import (
+    Gradients, _loss_grad_logits, backward, forward, init_model, masked_cross_entropy,
+)
 
 
 def csr_from_dense(a) -> CsrMatrix:
@@ -69,6 +71,27 @@ def assert_close_to_fd(analytic, fd, rel=1e-4, floor=1e-8):
     assert np.all(err <= np.maximum(floor, rel * scale)), (
         f"worst fd violation {np.max(err - np.maximum(floor, rel * scale))}"
     )
+
+
+def reference_backward(a_hat, cache, labels, mask) -> Gradients:
+    """Both gradients, masking each hidden layer by ``z > 0`` on its pre-activation.
+
+    ``z`` is recomputed from ``cache.layer_inputs`` and every step is out
+    of place. Dense products are single ``@`` calls, the bytes of
+    ``backward``'s only below the row-block floor, so use small graphs.
+    """
+    ws = cache.weights
+    d_weights = [None] * len(ws)
+    g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
+    for l in range(len(ws) - 1, 0, -1):
+        d_weights[l] = cache.layer_inputs[l].T @ g
+        z = spmm(a_hat, cache.layer_inputs[l - 1] @ ws[l - 1])
+        back = g @ ws[l].T
+        if cache.drop_scales[l - 1] is not None:
+            back = back * cache.drop_scales[l - 1]
+        g = spmm(a_hat, back * (z > 0.0))
+    d_weights[0] = cache.layer_inputs[0].T @ g
+    return Gradients(d_weights, g @ ws[0].T)
 
 
 def reference_feature_pgd(model, ds, cfg):

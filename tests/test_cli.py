@@ -177,6 +177,18 @@ class TestTrain:
         assert summary["config"]["seeds"] == list(range(1, 11))
         assert summary["test_acc_std"] is not None
 
+    def test_test_acc_std_is_the_population_std(self, data_dir, tmp_path):
+        out = tmp_path / "std"
+        assert run(
+            "train", "--dataset_dir", str(data_dir), "--out_dir", str(out),
+            "--seeds", "1..3", "--epochs", "3", "--mode", "vanilla", "--lr", "0.05",
+            "--hidden_dims", "8",
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        accs = [r["test_acc"] for r in summary["per_seed"]]
+        assert len(set(accs)) > 1  # else both stds are 0
+        assert summary["test_acc_std"] == pytest.approx(float(np.std(accs)), rel=1e-12)
+
     def test_pgd_trace_flag_writes_inner_step_csv(self, data_dir, tmp_path):
         out = tmp_path / "traced"
         assert run(

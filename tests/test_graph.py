@@ -179,6 +179,21 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=r"features\.csv:2"):
             load_dataset(fixture_dir)
 
+    @pytest.mark.parametrize("text, error", [
+        ("1.0,2.0\n\n3.0,x\n", r"features\.csv:3: non-numeric value 'x'"),
+        ("1.0,2.0\n\n\ninf,1.0\n", r"features\.csv:4: non-finite feature value"),
+    ])
+    def test_feature_error_line_counts_skipped_empty_lines(self, fixture_dir, text, error):
+        # np.loadtxt skips the empty lines; the error still names the file line.
+        (fixture_dir / "features.csv").write_text(text)
+        with pytest.raises(DatasetError, match=error):
+            load_dataset(fixture_dir)
+
+    def test_whitespace_only_feature_line_is_a_row(self, fixture_dir):
+        (fixture_dir / "features.csv").write_text("1.0,2.0\n \n3.0,4.0\n")
+        with pytest.raises(DatasetError, match=r"features\.csv:2: expected 2 values, got 1"):
+            load_dataset(fixture_dir)
+
     def test_empty_features_file_raises_without_a_warning(self, fixture_dir):
         (fixture_dir / "features.csv").write_text("")
         with warnings.catch_warnings():

@@ -6,7 +6,7 @@ import pytest
 
 from capgnn import linalg
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
-from capgnn.linalg import CsrMatrix, make_rng
+from capgnn.linalg import CsrMatrix, make_rng, spmm
 from capgnn.model import (
     GnnModel,
     accuracy,
@@ -19,7 +19,13 @@ from capgnn.model import (
     split_metrics,
 )
 
-from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint, two_node_dataset
+from conftest import (
+    CHECKPOINT_CORRUPTIONS,
+    corrupt_checkpoint,
+    peak_traced_bytes,
+    traced_bytes,
+    two_node_dataset,
+)
 from oracles import (
     assert_close_to_fd,
     csr_from_dense,
@@ -28,6 +34,7 @@ from oracles import (
     fd_feature_grad,
     fd_weight_grad,
     random_instance,
+    reference_backward,
 )
 
 
@@ -116,6 +123,25 @@ class TestGradientsAgainstFiniteDifferences:
             got[width] = [w.tobytes() for w in grads.d_weights]
         assert got[1] == got[2]
 
+    @pytest.mark.parametrize("need_features", [True, False])
+    def test_output_masks_give_the_bytes_of_pre_activation_masks(
+        self, small_sbm, need_features
+    ):
+        ds = small_sbm
+        model = init_model([ds.d, 16, 16, ds.num_classes], make_rng(6), dropout_rate=0.5)
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7))
+        z = spmm(ds.a_hat, ds.features @ model.weights[0])
+        assert ((cache.drop_scales[0] == 0.0) & (z > 0.0)).any()  # the masks differ here
+        want = reference_backward(ds.a_hat, cache, ds.labels, ds.train_mask)
+        got = backward(
+            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=need_features
+        )
+        assert [w.tobytes() for w in got.d_weights] == [w.tobytes() for w in want.d_weights]
+        if need_features:
+            assert got.d_features.tobytes() == want.d_features.tobytes()
+        else:
+            assert got.d_features is None
+
     def test_out_of_receptive_field_rows_exactly_zero(self):
         # Two disconnected triangles; only the first is supervised. With two
         # layers, nodes of the second triangle cannot reach any masked node.
@@ -165,6 +191,19 @@ class TestForward:
         b = forward(model, small_sbm.a_hat, small_sbm.features, training=False)
         assert (a.logits != b.logits).any()
 
+    def test_inverted_dropout_scales_kept_entries_by_one_over_keep(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 16, ds.num_classes], make_rng(2), dropout_rate=0.3)
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(3))
+        keep = 1.0 - model.dropout_rate
+        scale = cache.drop_scales[0]
+        assert set(np.unique(scale)) == {0.0, 1.0 / keep}
+        kept = scale != 0.0
+        relu = np.maximum(spmm(ds.a_hat, ds.features @ model.weights[0]), 0.0)
+        h = cache.layer_inputs[1]
+        assert np.array_equal(h[kept], relu[kept] * (1.0 / keep))
+        assert not h[~kept].any()
+
     def test_shape_mismatch_rejected(self, small_sbm):
         model = init_model([small_sbm.d + 1, 4, 2], make_rng(0))
         with pytest.raises(ValueError, match="features must be"):
@@ -186,6 +225,44 @@ class TestForward:
             permuted, ds.labels[perm], ds.train_mask[perm]
         )
         assert loss_a == pytest.approx(loss_b, abs=1e-10)
+
+
+class TestForwardCacheMemory:
+    """Bytes one forward keeps and peaks at, and backward's peak, in n x hidden arrays.
+
+    The cache holds each hidden layer's output (ReLU and dropout written
+    into it) and its dropout scale, and no pre-activation.
+    """
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        # d=8 and 2 classes: every array that counts is one of the 2,000 x 256 ones.
+        return generate_sbm(
+            SbmParams((1000, 1000), 0.005, 0.001, 1.0, feature_dim=8), make_rng(16)
+        )
+
+    def _run(self, ds, dropout_rate):
+        model = init_model([ds.d, 256, 256, ds.num_classes], make_rng(17), dropout_rate)
+        cache, kept, peak = traced_bytes(
+            lambda: forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(18))
+        )
+        back_peak = peak_traced_bytes(
+            lambda: backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        )
+        unit = ds.n * 256 * 8
+        return kept / unit, peak / unit, back_peak / unit
+
+    def test_with_dropout(self, ds):
+        kept, peak, back_peak = self._run(ds, 0.5)
+        assert kept < 4.5  # two outputs and two scales
+        assert peak < 4.5  # plus the draw for the second scale
+        assert back_peak < 3.5
+
+    def test_without_dropout(self, ds):
+        kept, peak, back_peak = self._run(ds, 0.0)
+        assert kept < 2.5  # the two outputs
+        assert peak < 3.5
+        assert back_peak < 3.5
 
 
 class TestMaskedCrossEntropy:

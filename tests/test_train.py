@@ -15,6 +15,7 @@ from capgnn.train import (
     FEATURE_PERTURB,
     STANDARD,
     WEIGHT_PERTURB,
+    AdamOptimizer,
     EpochRecord,
     SgdOptimizer,
     TrainConfig,
@@ -338,6 +339,14 @@ class TestOptimizers:
         weights = [np.zeros((2, 2))]
         opt.step(weights, [np.ones((2, 2))])
         assert (weights[0] < 0).all()
+
+    def test_adam_adds_eps_after_the_square_root(self):
+        # At t=1, m_hat = g and sqrt(v_hat) = |g|: a gradient of 1e-8 = eps steps
+        # lr * g / (|g| + eps) = lr / 2, where eps inside the root gives ~1e-4 * lr.
+        lr, g = 0.1, 1e-8
+        weights = [np.zeros((1, 1))]
+        AdamOptimizer(lr).step(weights, [np.full((1, 1), g)])
+        assert weights[0][0, 0] == pytest.approx(-lr * g / (g + AdamOptimizer.eps), rel=1e-9)
 
     def test_factory_choices(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), SgdOptimizer)
