@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Run named source mutations against the tests that should kill them.
+
+Each mutation replaces one exact string of one file under ``src/capgnn``
+with another. For every selected mutation this copies ``src/`` and
+``tests/`` into a temporary directory, applies the mutation there, runs
+the tests named for it, and prints ``killed`` (a test failed) or
+``survived`` (all passed). The checkout itself is never written.
+
+    python scripts/mutants.py                  # every mutation
+    python scripts/mutants.py sample_std ...   # the named ones
+    python scripts/mutants.py --check          # every old string occurs once
+
+Exits 1 if a mutation survives, if pytest cannot run its tests (a
+renamed test, say), or if its old string does not occur exactly once:
+a source edit that moves a mutated line fails loudly instead of leaving
+a mutation that no longer mutates anything.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutation(NamedTuple):
+    file: str  # relative to src/capgnn
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MODEL, PERTURB, LINALG = "model.py", "perturb.py", "linalg.py"
+FEATURE_PGD = "tests/test_perturb.py::TestFeaturePgd"
+
+MUTATIONS = {
+    # Numerics that tier-1 once let through.
+    "adam_no_second_bias_correction": Mutation(
+        "train.py", "v_hat = self.v[l] / b2t", "v_hat = self.v[l]",
+        ("tests/test_train.py::TestOptimizers",),
+    ),
+    "adam_eps_inside_sqrt": Mutation(
+        "train.py", "(np.sqrt(v_hat) + self.eps)", "np.sqrt(v_hat + self.eps)",
+        ("tests/test_train.py::TestOptimizers::test_adam_adds_eps_after_the_square_root",),
+    ),
+    "weight_ball_at_twice_the_radius": Mutation(
+        PERTURB,
+        "eps[l] = e * (radii[l] / nrm) if nrm > radii[l] else e",
+        "eps[l] = e * (2 * radii[l] / nrm) if nrm > 2 * radii[l] else e",
+        ("tests/test_perturb.py::TestWeightPgd",),
+    ),
+    "weight_radius_from_linf_norm": Mutation(
+        PERTURB, "cfg.rho_w * lp_norm(w, 2)", "cfg.rho_w * lp_norm(w, math.inf)",
+        ("tests/test_perturb.py::TestWeightPgd",),
+    ),
+    "sample_std": Mutation(
+        "cli.py", "/ len(xs)) ** 0.5", "/ (len(xs) - 1)) ** 0.5",
+        ("tests/test_cli.py::TestTrain::test_test_acc_std_is_the_population_std",),
+    ),
+    "dropout_without_inverted_scale": Mutation(
+        MODEL, "                s /= keep\n", "",
+        ("tests/test_model.py::TestForward::"
+         "test_inverted_dropout_scales_kept_entries_by_one_over_keep",),
+    ),
+    # Row blocks: cuts, ranges and the pool.
+    "unaligned_cuts": Mutation(
+        LINALG,
+        "[_ROW_ALIGN * (units * i // blocks) for i in range(blocks)]",
+        "[rows * i // blocks for i in range(blocks)]",
+        ("tests/test_linalg.py::TestMatmulRows",),
+    ),
+    "row_align_8": Mutation(
+        LINALG, "_ROW_ALIGN = 192", "_ROW_ALIGN = 8",
+        ("tests/test_linalg.py::TestMatmulRows",),
+    ),
+    "no_width_cap": Mutation(
+        LINALG, "blocks = min(units // per_block, _WIDTH)", "blocks = units // per_block",
+        ("tests/test_linalg.py::TestRowCuts",),
+    ),
+    "dropped_last_range": Mutation(
+        LINALG, "zip(bounds[1:-1], bounds[2:])", "zip(bounds[1:-2], bounds[2:-1])",
+        ("tests/test_linalg.py::TestSpmmRowBlocks",),
+    ),
+    # The child waits on a pool thread it does not have; the test kills it at 60 s.
+    "no_fork_hook": Mutation(
+        LINALG, "    os.register_at_fork(after_in_child=_drop_pool)", "    pass",
+        ("tests/test_linalg.py::TestSpmmRowBlocks::"
+         "test_forked_child_runs_blocked_spmm_after_the_parent_built_the_pool",),
+    ),
+    "sweep_skips_its_last_block": Mutation(
+        LINALG,
+        "            fn(c, min(c + step, hi))",
+        "            if lo == 0 or hi < rows:\n                fn(c, min(c + step, hi))",
+        ("tests/test_model.py::TestSplitSweeps",
+         f"{FEATURE_PGD}::test_split_sweeps_match_the_reference_at_every_step"),
+    ),
+    "clamp_in_first_chunk_only": Mutation(
+        PERTURB, "            if clamp:", "            if clamp and lo == 0:",
+        (FEATURE_PGD,),
+    ),
+    # Memory: arrays kept alive longer than their readers need them.
+    "feature_gradient_without_out": Mutation(
+        PERTURB, "need_weights=False, out=x_eff,", "need_weights=False,",
+        (f"{FEATURE_PGD}::test_peak_memory_is_two_feature_arrays",),
+    ),
+    "backward_keeps_back": Mutation(
+        MODEL, "        del back\n", "",
+        ("tests/test_model.py::TestForwardCacheMemory::"
+         "test_backward_holds_two_hidden_gradients",),
+    ),
+}
+
+
+def occurrences(name: str) -> int:
+    m = MUTATIONS[name]
+    return (ROOT / "src" / "capgnn" / m.file).read_text(encoding="utf-8").count(m.old)
+
+
+def run_mutation(name: str) -> str:
+    """``killed``, ``survived``, or an error when pytest could not run the tests."""
+    m = MUTATIONS[name]
+    with tempfile.TemporaryDirectory(prefix=f"capgnn-mutant-{name}-") as tmp:
+        copy = Path(tmp)
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, copy / sub,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "src" / "capgnn" / m.file
+        path.write_text(path.read_text(encoding="utf-8").replace(m.old, m.new),
+                        encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode in (0, 1):  # all passed / some test failed
+        return "survived" if proc.returncode == 0 else "killed"
+    tail = "\n".join(proc.stdout.splitlines()[-5:])
+    return f"error (pytest exit {proc.returncode}):\n{tail}"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help=f"mutations to run (default: all): {', '.join(MUTATIONS)}")
+    p.add_argument("--check", action="store_true",
+                   help="only check that every old string occurs exactly once")
+    args = p.parse_args(argv)
+    unknown = [n for n in args.names if n not in MUTATIONS]
+    if unknown:
+        p.error(f"unknown mutation(s): {', '.join(unknown)}")
+    bad = 0
+    for name in args.names or MUTATIONS:
+        count = occurrences(name)
+        if count != 1:
+            print(f"{name}: old string occurs {count} times", flush=True)
+            bad += 1
+        elif not args.check:
+            result = run_mutation(name)
+            print(f"{name}: {result}", flush=True)
+            bad += result != "killed"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

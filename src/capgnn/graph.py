@@ -322,6 +322,9 @@ def _locate_bad_csv_line(path: Path, d: int) -> None:
             raise _fail(path, f"expected {d} values, got {len(parts)}", lineno)
         for p in parts:
             try:
+                # float() also takes '1_0' and non-ASCII digits; np.loadtxt does not.
+                if "_" in p or not p.isascii():
+                    raise ValueError
                 value = float(p)
             except ValueError:
                 raise _fail(path, f"non-numeric value {p!r}", lineno)

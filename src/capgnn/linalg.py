@@ -7,24 +7,26 @@ accumulates in a fixed row-major, index-ascending order, so repeated
 runs with the same inputs are bit-identical.
 
 Row blocks: ``spmm``, the model's dense products ``H @ W``, ``g @ W.T``
-and ``H.T @ g``, and the feature ascent's elementwise sweeps split their
-output rows into contiguous ranges, at most one per CPU the process may
-run on when capgnn is imported (``_WIDTH``). The first range runs on the
-caller's thread, the others on a thread pool created on first use and
-dropped in a forked child; pool workers run only numpy array operations,
-``np.matmul`` and scipy's CSR kernel. One rule, ``_row_cuts``, places
-every cut: on a multiple of ``_ROW_ALIGN`` = 192 rows, with every range
-doing at least a floor of work (``_MIN_BLOCK`` = 2^18 output entries for
-sparse and elementwise kernels, ``_MIN_MATMUL`` = 2^22 multiply-adds for
-a dense product), so small outputs such as the 400-node SBM's stay one
-inline block. Sparse and elementwise rows come from the same kernel and
-operands whatever range holds them, so their bytes hold at any cut. A
-dense range is one single-threaded BLAS call on a slice of rows (of
-``H.T``: a column slice of ``H``, read in place), whose inner kernels
-OpenBLAS picks by row offset and product size; the alignment and the
-work floor are what keep its bytes equal to one ``a @ b`` call. A second
-BLAS thread does change bytes, so ``import capgnn`` pins BLAS to one
-thread; the pool is the only way capgnn uses more cores.
+and ``H.T @ g``, and the elementwise sweeps (forward's ReLU and dropout,
+backward's dropout and ReLU gating, the feature ascent's step) split
+their output rows into contiguous ranges, at most one per CPU the
+process may run on when capgnn is imported (``_WIDTH``). The first range
+runs on the caller's thread, the others on a thread pool created on
+first use and dropped in a forked child; pool workers run only numpy
+array operations, ``np.matmul`` and scipy's CSR kernel. One rule,
+``_row_cuts``, places every cut: on a multiple of ``_ROW_ALIGN`` = 192
+rows, with every range doing at least a floor of work (``_MIN_BLOCK`` =
+2^18 output entries for sparse and elementwise kernels, ``_MIN_MATMUL``
+= 2^22 multiply-adds for a dense product), so small outputs such as the
+400-node SBM's stay one inline block. Sparse and elementwise rows come
+from the same kernel and operands whatever range holds them, so their
+bytes hold at any cut. A dense range is one single-threaded BLAS call on
+a slice of rows (of ``H.T``: a column slice of ``H``, read in place),
+whose inner kernels OpenBLAS picks by row offset and product size; the
+alignment and the work floor are what keep its bytes equal to one
+``a @ b`` call. A second BLAS thread does change bytes, so
+``import capgnn`` pins BLAS to one thread; the pool is the only way
+capgnn uses more cores.
 """
 
 from __future__ import annotations
@@ -204,12 +206,16 @@ def _run_row_blocks(bounds: list[int], fn) -> None:
         f.result()
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D float64 arrays, in aligned row blocks (module docstring)."""
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for 2-D float64 arrays, in aligned row blocks (module docstring).
+
+    Written into ``out`` (C-contiguous, of the product's shape) when given.
+    """
     bounds = _row_cuts(a.shape[0], a.shape[1] * b.shape[1], _MIN_MATMUL)
     if len(bounds) == 2:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
     _run_row_blocks(bounds, lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
     return out
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Dataset
-from .linalg import CsrMatrix, _matmul_rows, spmm
+from .linalg import CsrMatrix, _matmul_rows, _sweep_rows, spmm
 
 
 @dataclass
@@ -145,12 +145,20 @@ def forward(
     keep = 1.0 - model.dropout_rate
     for w in ws[:-1]:
         h = spmm(a_hat, _matmul_rows(layer_inputs[-1], w))
-        np.maximum(h, 0.0, out=h)
-        scale = None
-        if use_dropout:
-            scale = (rng.random(h.shape) < keep).astype(np.float64)
-            scale /= keep
-            h *= scale
+        # One serial draw, so the generator's stream does not depend on the
+        # row blocks; the sweep turns it into the scale (r < keep) / keep.
+        scale = rng.random(h.shape) if use_dropout else None
+
+        def relu_dropout(lo, hi):
+            r = h[lo:hi]
+            np.maximum(r, 0.0, out=r)
+            if scale is not None:
+                s = scale[lo:hi]
+                np.less(s, keep, out=s)
+                s /= keep
+                r *= s
+
+        _sweep_rows(h.shape, relu_dropout)
         drop_scales.append(scale)
         layer_inputs.append(h)
     logits = spmm(a_hat, _matmul_rows(layer_inputs[-1], ws[-1]))
@@ -201,6 +209,7 @@ def backward(
     *,
     need_features: bool = True,
     need_weights: bool = True,
+    out: np.ndarray | None = None,
 ) -> Gradients:
     """Exact gradients of the masked cross-entropy at the point ``cache`` evaluated.
 
@@ -214,6 +223,13 @@ def backward(
     and weight PGD pass ``need_features=False`` (``d_features`` is None),
     feature PGD passes ``need_weights=False`` (``d_weights`` is None).
     What is computed is the same bytes whichever flags are set.
+
+    ``out``, when given, receives ``d_features`` (an n x d C-contiguous
+    float64 array). Lifetime rule: ``out`` may be the cache's own
+    ``layer_inputs[0]`` only with ``need_weights=False``, as nothing else
+    reads that array then, and the cache is stale once this returns.
+    Each hidden layer's gradient is freed once the next one is computed
+    from it, so backward itself holds at most two n x hidden arrays.
 
     The ReLU mask of layer l is ``layer_inputs[l + 1] > 0``, with the bytes
     of ``z > 0`` on its pre-activation: where the dropout scale is 1/keep
@@ -229,14 +245,21 @@ def backward(
         if need_weights:
             d_weights[l] = _matmul_rows(cache.layer_inputs[l].T, g)
         back = _matmul_rows(g, ws[l].T)
-        scale = cache.drop_scales[l - 1]
-        if scale is not None:
-            back *= scale
-        back *= cache.layer_inputs[l] > 0.0
+        del g
+        h, scale = cache.layer_inputs[l], cache.drop_scales[l - 1]
+
+        def gate(lo, hi):
+            b = back[lo:hi]
+            if scale is not None:
+                b *= scale[lo:hi]
+            b *= h[lo:hi] > 0.0
+
+        _sweep_rows(back.shape, gate)
         g = spmm(a_hat, back)
+        del back
     if need_weights:
         d_weights[0] = _matmul_rows(cache.layer_inputs[0].T, g)
-    return Gradients(d_weights, _matmul_rows(g, ws[0].T) if need_features else None)
+    return Gradients(d_weights, _matmul_rows(g, ws[0].T, out) if need_features else None)
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:

@@ -11,15 +11,17 @@ forward pass's effective-input channel.
 
 Each loop asks ``backward`` only for the gradient its step reads, and
 computes the ascent loss only when a trace records it. The feature loop
-runs on n x d arrays, so it reuses its buffers: one for the perturbation
-and one for the effective features X + eps. Once ``backward`` returns,
-X + eps is idle until the next step rebuilds it, so the step is written
-there, ``np.sign`` into a different array (with numpy 2.4 an in-place
-``np.sign`` is several times slower). The whole step is one sweep over
-row chunks of ~2^16 entries, each taken through every pass while it sits
-in cache, with the chunks split across CPUs in row blocks (see
-``linalg``); every pass is elementwise, so the bytes do not depend on
-the partition. At most three n x d arrays are live at once. The
+runs on n x d arrays, so it keeps two of them: the perturbation and the
+effective features X + eps. Once ``forward`` has run, X + eps is idle (a
+``need_weights=False`` backward never reads it), so ``backward`` writes
+the feature gradient there. The step then takes each chunk of the
+gradient, writes its sign into a fresh chunk-sized temporary (with numpy
+2.4 an in-place ``np.sign`` is several times slower), adds it to eps and
+rebuilds that chunk of X + eps over the spent gradient. The whole step
+is one sweep over row chunks of ~2^16 entries, each taken through every
+pass while it sits in cache, with the chunks split across CPUs in row
+blocks (see ``linalg``); every pass is elementwise, so the bytes do not
+depend on the partition. At most two n x d arrays are live at once. The
 l-infinity clamp runs only once the ascent could have reached the ball
 (see ``pgd_feature_perturbation``). The returned perturbation owns its
 memory and belongs to the caller, who may overwrite it.
@@ -150,9 +152,9 @@ def pgd_feature_perturbation(
         cache = forward(model, dataset.a_hat, x_eff, training=False)
         if not np.isfinite(cache.logits).all():
             raise FloatingPointError(f"feature ascent step {t}: non-finite logits")
-        grad = backward(
+        grad = backward(  # into X + eps, idle until the step rebuilds it
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_weights=False,
+            need_weights=False, out=x_eff,
         ).d_features
         if trace is not None:
             loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
@@ -162,17 +164,16 @@ def pgd_feature_perturbation(
         rebuild = t + 1 < cfg.steps  # the caller adds the final eps itself
 
         def step(lo, hi):
-            s = np.sign(grad[lo:hi], out=x_eff[lo:hi])
+            s = np.sign(grad[lo:hi])  # a chunk temporary: in place is slower
             s *= cfg.beta
             e = eps[lo:hi]
             e += s
             if clamp:
                 np.clip(e, -cfg.rho_x, cfg.rho_x, out=e)
             if rebuild:
-                np.add(x[lo:hi], e, out=s)
+                np.add(x[lo:hi], e, out=x_eff[lo:hi])  # over the spent gradient
 
         _sweep_rows(x.shape, step)
-        del grad  # so the next backward's gradient is the only one alive
         if trace is not None:
             trace.append(PgdTraceRow(t, "x", gn, lp_norm(eps, math.inf), loss))
     return eps

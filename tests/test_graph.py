@@ -189,6 +189,13 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=error):
             load_dataset(fixture_dir)
 
+    # Python's float() reads each of these cells; np.loadtxt rejects them.
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"])
+    def test_cells_float_reads_but_loadtxt_rejects_report_line(self, fixture_dir, cell):
+        (fixture_dir / "features.csv").write_text(f"{cell},2.0\n3.0,4.0\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"features\.csv:1: non-numeric value"):
+            load_dataset(fixture_dir)
+
     def test_whitespace_only_feature_line_is_a_row(self, fixture_dir):
         (fixture_dir / "features.csv").write_text("1.0,2.0\n \n3.0,4.0\n")
         with pytest.raises(DatasetError, match=r"features\.csv:2: expected 2 values, got 1"):

@@ -282,6 +282,18 @@ class TestMatmulRows:
         assert len(bounds) - 1 == min(width, d // 192)
         assert linalg._matmul_rows(x.T, g).tobytes() == (x.T @ g).tobytes()
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_writes_into_a_given_buffer(self, monkeypatch, width):
+        # The feature gradient g @ W0.T: one call at width 1, two blocks at 2.
+        rng = make_rng(14)
+        g = rng.standard_normal((4099, 64))
+        w = rng.standard_normal((500, 64))
+        monkeypatch.setattr(linalg, "_WIDTH", width)
+        assert len(matmul_cuts(4099, 64, 500)) == width + 1
+        buf = np.full((4099, 500), np.nan)
+        assert linalg._matmul_rows(g, w.T, out=buf) is buf
+        assert buf.tobytes() == (g @ w.T).tobytes()
+
     def test_second_layer_weight_gradient_stays_one_block(self, monkeypatch):
         rng = make_rng(13)
         h1 = rng.standard_normal((19717, 64))

@@ -23,6 +23,7 @@ from conftest import (
     CHECKPOINT_CORRUPTIONS,
     corrupt_checkpoint,
     peak_traced_bytes,
+    row_blocks,
     traced_bytes,
     two_node_dataset,
 )
@@ -263,6 +264,103 @@ class TestForwardCacheMemory:
         assert kept < 2.5  # the two outputs
         assert peak < 3.5
         assert back_peak < 3.5
+
+    @pytest.mark.parametrize("dropout_rate", [0.5, 0.0])
+    def test_backward_holds_two_hidden_gradients(self, ds, dropout_rate):
+        # Each layer's g is dropped once back is computed, and back once
+        # spmm has read it: the next g and its back are all that is live.
+        assert self._run(ds, dropout_rate)[2] < 2.5
+
+
+def cache_bytes(cache):
+    return (
+        [h.tobytes() for h in cache.layer_inputs],
+        [None if s is None else s.tobytes() for s in cache.drop_scales],
+        cache.logits.tobytes(),
+    )
+
+
+def gradient_bytes(grads):
+    weights = None if grads.d_weights is None else [w.tobytes() for w in grads.d_weights]
+    return weights, None if grads.d_features is None else grads.d_features.tobytes()
+
+
+class TestSplitSweeps:
+    """Forward's ReLU and dropout and backward's gating give one block's bytes.
+
+    Under ``row_blocks(2, chunk=...)`` each 40 x 16 hidden array is swept
+    in two row blocks of three-row chunks; outside it, in one chunk.
+    """
+
+    CHUNK = 3 * 16
+
+    @pytest.fixture
+    def model(self, small_sbm):
+        return init_model(
+            [small_sbm.d, 16, 16, small_sbm.num_classes], make_rng(6), dropout_rate=0.5
+        )
+
+    def _forward(self, model, ds, rng=None):
+        return forward(model, ds.a_hat, ds.features, training=True, rng=rng or make_rng(7))
+
+    @pytest.mark.parametrize("dropout_rate", [0.5, 0.0])
+    def test_forward(self, small_sbm, dropout_rate):
+        model = init_model(
+            [small_sbm.d, 16, 16, small_sbm.num_classes], make_rng(6), dropout_rate
+        )
+        want = cache_bytes(self._forward(model, small_sbm))
+        with row_blocks(2, chunk=self.CHUNK):
+            got = cache_bytes(self._forward(model, small_sbm))
+        assert got == want
+        assert (got[1][0] is None) == (dropout_rate == 0.0)
+
+    @pytest.mark.parametrize(
+        "need_features, need_weights", [(True, True), (True, False), (False, True)]
+    )
+    def test_backward(self, small_sbm, model, need_features, need_weights):
+        ds = small_sbm
+        cache = self._forward(model, ds)
+
+        def run():
+            return backward(
+                model, ds.a_hat, cache, ds.labels, ds.train_mask,
+                need_features=need_features, need_weights=need_weights,
+            )
+
+        want = gradient_bytes(run())
+        with row_blocks(2, chunk=self.CHUNK):
+            got = gradient_bytes(run())
+        assert got == want
+
+    @pytest.mark.parametrize("into", ["fresh_buffer", "cached_features"])
+    def test_backward_into_a_buffer(self, small_sbm, model, into):
+        # The lifetime rule: the cache's own features may take the gradient
+        # when no weight gradient reads them.
+        ds = small_sbm
+        x = ds.features.copy()
+        cache = forward(model, ds.a_hat, x, training=True, rng=make_rng(7))
+        want = backward(
+            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_weights=False
+        ).d_features
+        buf = x if into == "cached_features" else np.full_like(x, np.nan)
+        with row_blocks(2, chunk=self.CHUNK):
+            got = backward(
+                model, ds.a_hat, cache, ds.labels, ds.train_mask,
+                need_weights=False, out=buf,
+            ).d_features
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+
+    def test_dropout_draw_leaves_the_generator_where_one_draw_per_layer_does(
+        self, small_sbm, model
+    ):
+        rng = make_rng(7)
+        with row_blocks(2, chunk=self.CHUNK):
+            self._forward(model, small_sbm, rng)
+        ref = make_rng(7)
+        for w in model.weights[:-1]:
+            ref.random((small_sbm.n, w.shape[1]))
+        assert rng.random() == ref.random()
 
 
 class TestMaskedCrossEntropy:

@@ -278,6 +278,39 @@ class TestFeaturePgd:
         assert len(trace) == cfg.steps
         assert peak < 3.5 * wide_sbm.features.nbytes
 
+    def test_peak_memory_is_two_feature_arrays(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
+        peak = peak_traced_bytes(
+            lambda: pgd_feature_perturbation(model, wide_sbm, cfg)
+        )
+        # eps and X + eps, which takes each feature gradient in turn.
+        assert peak < 2.5 * wide_sbm.features.nbytes
+
+    def test_traced_peak_memory_is_two_feature_arrays(self, wide_sbm):
+        model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
+        trace = []
+        peak = peak_traced_bytes(
+            lambda: pgd_feature_perturbation(model, wide_sbm, cfg, trace=trace)
+        )
+        assert len(trace) == cfg.steps
+        assert peak < 2.5 * wide_sbm.features.nbytes
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_split_sweeps_match_the_reference_at_every_step(self, small_sbm, steps):
+        # Two row blocks of three-row chunks; the clamp binds at the third step.
+        model = init_model([small_sbm.d, 5, 2], make_rng(9), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=steps)
+        want, want_trace = reference_feature_pgd(model, small_sbm, cfg)
+        trace = []
+        with row_blocks(2, chunk=3 * small_sbm.d):
+            got = pgd_feature_perturbation(model, small_sbm, cfg, trace=trace)
+        assert got.tobytes() == want.tobytes()
+        assert [
+            (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
+        ] == want_trace
+
     def test_single_step_is_sign_of_gradient(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(2), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=1.0, beta=0.01, steps=1)

@@ -18,7 +18,7 @@ def run_script(script, *args):
 
 
 @pytest.mark.parametrize(
-    "script", ["run_sbm_study.py", "export_pubmed.py", "replay_digests.py"]
+    "script", ["run_sbm_study.py", "export_pubmed.py", "replay_digests.py", "mutants.py"]
 )
 def test_script_help_exits_0(script):
     proc = run_script(script, "--help")
@@ -34,3 +34,9 @@ def test_sbm_study_smoke_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "study.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["vanilla", "wp", "fp", "cap"]
+
+
+def test_every_mutation_still_applies():
+    # Each named mutation's old string occurs exactly once in src/capgnn.
+    proc = run_script("mutants.py", "--check")
+    assert proc.returncode == 0, proc.stdout
