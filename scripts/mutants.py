@@ -38,6 +38,7 @@ class Mutation(NamedTuple):
 
 MODEL, PERTURB, LINALG = "model.py", "perturb.py", "linalg.py"
 FEATURE_PGD = "tests/test_perturb.py::TestFeaturePgd"
+SEED_WORKERS = "tests/test_cli.py::TestSeedWorkers"
 
 MUTATIONS = {
     # Numerics that tier-1 once let through.
@@ -87,7 +88,7 @@ MUTATIONS = {
         LINALG, "zip(bounds[1:-1], bounds[2:])", "zip(bounds[1:-2], bounds[2:-1])",
         ("tests/test_linalg.py::TestSpmmRowBlocks",),
     ),
-    # The child waits on a pool thread it does not have; the test kills it at 60 s.
+    # The child waits on a pool thread it does not have; the test kills it at 10 s.
     "no_fork_hook": Mutation(
         LINALG, "    os.register_at_fork(after_in_child=_drop_pool)", "    pass",
         ("tests/test_linalg.py::TestSpmmRowBlocks::"
@@ -113,6 +114,18 @@ MUTATIONS = {
         MODEL, "        del back\n", "",
         ("tests/test_model.py::TestForwardCacheMemory::"
          "test_backward_holds_two_hidden_gradients",),
+    ),
+    # Seed workers: the order rows come back in, and what an error leaves running.
+    "rows_in_completion_order": Mutation(
+        "cli.py",
+        "for future in [pool.submit(_run_seed, seed) for seed in seeds]:",
+        "for future in __import__('concurrent.futures').futures.as_completed(\n"
+        "                [pool.submit(_run_seed, seed) for seed in seeds]):",
+        (f"{SEED_WORKERS}::test_rows_arrive_in_seed_order_when_seed_1_finishes_last",),
+    ),
+    "error_path_without_cancel_futures": Mutation(
+        "cli.py", "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
+        (f"{SEED_WORKERS}::test_an_error_cancels_the_seeds_still_queued",),
     ),
 }
 

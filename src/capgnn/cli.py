@@ -8,10 +8,14 @@ values derived from them (parsed lists, dataset fingerprint, graph size)
 in place of the raw strings. BLAS always runs on one thread, whatever
 the environment says (a second thread changes output bytes): importing
 ``capgnn`` pins its pools before numpy loads. A train config is
-validated in full before the output directory is created.
+validated in full before the output directory is created. The seeds of
+a ``train`` sweep run side by side on forked worker processes, at most
+one per CPU the process may run on (``taskset -c 0`` runs them one
+after another); every file and line of output is the same either way.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure (divergence), 4 IO failure.
+failure (divergence), 4 IO failure, 5 a seed worker died (killed, out
+of memory) without reporting an error.
 """
 
 from __future__ import annotations
@@ -19,14 +23,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from copy import copy
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .graph import (
     DatasetError, SbmParams, dataset_fingerprint, generate_sbm, load_dataset, save_dataset,
 )
@@ -238,30 +246,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                 old.rmdir()
 
     per_seed = []
-    for seed in resolved["seeds"]:
-        pgd_trace = [] if args.pgd_trace else None
-        model, history = train(dataset, replace(cfg, seed=seed), pgd_trace=pgd_trace)
-        seed_dir = out_dir / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(history, seed_dir / "metrics.csv")
-        if pgd_trace is not None:
-            write_pgd_trace_csv(pgd_trace, seed_dir / "pgd_trace.csv")
-        ckpt = seed_dir / "checkpoint.json"
-        save_model(model, ckpt)
-        logits = forward(model, dataset.a_hat, dataset.features).logits
-        _, train_acc, val_acc, test_acc = split_metrics(logits, dataset)
-        gap = train_acc - test_acc if test_acc is not None else None
-        per_seed.append(
-            {
-                "seed": seed,
-                "train_acc": train_acc,
-                "val_acc": val_acc,
-                "test_acc": test_acc,
-                "generalization_gap": gap,
-                "checkpoint": str(ckpt),
-            }
-        )
-        print(f"seed {seed}: test_acc={test_acc} gap={gap}")
+    for row in _seed_rows(resolved["seeds"], (dataset, cfg, out_dir, args.pgd_trace)):
+        per_seed.append(row)
+        print(f"seed {row['seed']}: test_acc={row['test_acc']} "
+              f"gap={row['generalization_gap']}")
 
     test_accs = [r["test_acc"] for r in per_seed if r["test_acc"] is not None]
     gaps = [r["generalization_gap"] for r in per_seed if r["generalization_gap"] is not None]
@@ -280,6 +268,70 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"+- {summary['test_acc_std']}"
     )
     return 0
+
+
+_job: tuple | None = None  # (dataset, cfg, out_dir, pgd_trace) of the sweep in progress
+
+
+def _set_job(job: tuple | None) -> None:
+    global _job
+    _job = job
+
+
+def _run_seed(seed: int) -> dict:
+    """Train ``seed`` of the sweep ``_set_job`` set, write ``seed_<s>/``, return its row."""
+    dataset, cfg, out_dir, trace = _job
+    pgd_trace = [] if trace else None
+    model, history = train(dataset, replace(cfg, seed=seed), pgd_trace=pgd_trace)
+    seed_dir = out_dir / f"seed_{seed}"
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(history, seed_dir / "metrics.csv")
+    if pgd_trace is not None:
+        write_pgd_trace_csv(pgd_trace, seed_dir / "pgd_trace.csv")
+    ckpt = seed_dir / "checkpoint.json"
+    save_model(model, ckpt)
+    logits = forward(model, dataset.a_hat, dataset.features).logits
+    _, train_acc, val_acc, test_acc = split_metrics(logits, dataset)
+    return {
+        "seed": seed,
+        "train_acc": train_acc,
+        "val_acc": val_acc,
+        "test_acc": test_acc,
+        "generalization_gap": train_acc - test_acc if test_acc is not None else None,
+        "checkpoint": str(ckpt),
+    }
+
+
+def _seed_rows(seeds: list[int], job: tuple):
+    """``_run_seed``'s rows in seed order, on one forked worker per CPU.
+
+    Seeds are independent and each is trained the same way wherever it
+    runs, so the rows and files do not depend on the worker count. With
+    one CPU (or no ``os.fork``) the seeds run in this process. Workers
+    get ``job`` (79 MB of features at Pubmed shape) and any patched
+    module attribute through fork, never pickled; the only threads
+    capgnn starts, the row-block pool's, are idle between kernels, and a
+    forked child drops that pool. On the first error the seeds still
+    queued are cancelled and the running ones awaited before it
+    propagates, so no worker outlives the sweep.
+    """
+    workers = min(linalg._WIDTH, len(seeds)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        _set_job(job)
+        try:
+            yield from map(_run_seed, seeds)
+        finally:
+            _set_job(None)
+        return
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_job, initargs=(job,),
+    )
+    try:  # pool.map in effect, with shutdown as the one place queued seeds go
+        for future in [pool.submit(_run_seed, seed) for seed in seeds]:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _mean(xs) -> float | None:
@@ -516,6 +568,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"capgnn: io error: {e}", file=sys.stderr)
         return 4
+    except BrokenProcessPool:
+        print("capgnn: a seed worker died", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

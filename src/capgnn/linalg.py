@@ -228,6 +228,9 @@ def _sweep_rows(shape: tuple[int, int], fn) -> None:
     """
     rows, cols = shape
     step = max(1, _CHUNK // max(cols, 1))
+    if rows <= step:  # one chunk: no row blocks to run
+        fn(0, rows)
+        return
 
     def block(lo, hi):
         for c in range(lo, hi, step):

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capgnn.cli as cli_mod
 import capgnn.perturb as perturb_mod
 import capgnn.train as train_mod
 from capgnn import __version__, linalg
@@ -403,6 +409,85 @@ class TestTrain:
         assert snapshot() == before
 
 
+def _seeds_that(action, seeds, real=train_mod.train):
+    """A ``cli.train`` that calls ``action(seed)`` first for the given seeds."""
+
+    def patched(dataset, cfg, **kwargs):
+        if cfg.seed in seeds:
+            action(cfg.seed)
+        return real(dataset, cfg, **kwargs)
+
+    return patched
+
+
+def _diverge(seed):
+    raise train_mod.TrainingDivergedError(f"seed {seed} diverged on purpose")
+
+
+class TestSeedWorkers:
+    """Sweeps on two forked seed workers; the workers inherit ``cli.train``'s patch."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WIDTH", 2)  # on one CPU too: never fork-free
+        yield
+        assert multiprocessing.active_children() == []  # none outlives the sweep
+
+    def sweep(self, data_dir, out, seeds="1..3"):
+        return run(
+            "train", "--dataset_dir", str(data_dir), "--out_dir", str(out),
+            "--seeds", seeds, "--epochs", "2", "--mode", "vanilla", "--hidden_dims", "8",
+        )
+
+    def test_diverged_seed_exits_3_keeping_the_seeds_before_it(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_mod, "train", _seeds_that(_diverge, {2}))
+        out = tmp_path / "run"
+        assert self.sweep(data_dir, out) == 3
+        assert "training diverged: seed 2 diverged on purpose" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert load_model(out / "seed_1" / "checkpoint.json").layer_dims == [2, 8, 2]
+        assert len((out / "seed_1" / "metrics.csv").read_text().splitlines()) == 3
+
+    def test_killed_worker_exits_5_with_one_line(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def kill(seed):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli_mod, "train", _seeds_that(kill, {2}))
+        out = tmp_path / "run"
+        assert self.sweep(data_dir, out) == 5
+        assert capsys.readouterr().err == "capgnn: a seed worker died\n"
+        assert not (out / "summary.json").exists()
+
+    def test_rows_arrive_in_seed_order_when_seed_1_finishes_last(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_mod, "train", _seeds_that(lambda s: time.sleep(0.5), {1}))
+        out = tmp_path / "run"
+        assert self.sweep(data_dir, out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == ["seed 1", "seed 2", "seed 3"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["seed"] for r in summary["per_seed"]] == [1, 2, 3]
+
+    def test_an_error_cancels_the_seeds_still_queued(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # Seed 1 fails at once while every other seed takes 0.2 s, so only
+        # the few seeds already handed to the workers run: two running and
+        # the executor's queue of three behind them.
+        slow = _seeds_that(lambda s: time.sleep(0.2), set(range(2, 11)))
+        monkeypatch.setattr(cli_mod, "train", _seeds_that(_diverge, {1}, real=slow))
+        out = tmp_path / "run"
+        assert self.sweep(data_dir, out, seeds="1..10") == 3
+        assert "seed 1 diverged on purpose" in capsys.readouterr().err
+        ran = sorted(int(p.name[5:]) for p in out.glob("seed_*"))
+        assert ran and max(ran) <= 7
+
+
 @pytest.fixture(scope="module")
 def checkpoint(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt_run")
@@ -769,6 +854,46 @@ def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
     assert [line.split(",")[1] for line in outputs[0][2][1:]] == [
         "weight_perturb", "feature_perturb",
     ]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs to compare against one",
+)
+def test_seed_sweep_outputs_do_not_depend_on_cpu_affinity(tmp_path):
+    # Pinned to one CPU the seeds run in one process; unpinned, on forked
+    # workers. The out_dir is relative, so the two manifests can match too.
+    root = Path(__file__).resolve().parents[1]
+    data = tmp_path / "sbm"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(
+            "gen-sbm", "--blocks", "200,200", "--p_in", "0.05", "--p_out", "0.02",
+            "--feature_noise", "1.2", "--feature_dim", "8", "--seed", "2024",
+            "--out_dir", str(data),
+        ) == 0
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    outputs = []
+    for cpus in (str(min(os.sched_getaffinity(0))), ""):
+        cwd = tmp_path / f"cpus_{cpus or 'all'}"
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _PINNABLE_MAIN, cpus, "train",
+             "--config", str(root / "configs" / "sbm_cap.cfg"),
+             "--dataset_dir", str(data), "--out_dir", "run", "--seeds", "1..3"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {}
+        for path in sorted((cwd / "run").rglob("*")):
+            if path.is_file():
+                text = path.read_text()
+                if path.name == "metrics.csv":
+                    text = "\n".join(row.rsplit(",", 1)[0] for row in text.splitlines())
+                files[str(path.relative_to(cwd))] = text
+        outputs.append((proc.stdout, files))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 2 + 3 * 2  # manifest, summary; metrics, checkpoint
+    assert outputs[0][0].count("\n") == 4
 
 
 def test_outputs_do_not_depend_on_preset_thread_vars(tmp_path):

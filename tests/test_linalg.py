@@ -207,7 +207,7 @@ class TestSpmmRowBlocks:
             target=_spmm_equals, args=(a, b, want, 2)
         )
         child.start()
-        child.join(timeout=60)
+        child.join(timeout=10)
         if child.is_alive():
             child.kill()
             child.join()
