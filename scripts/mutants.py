@@ -115,17 +115,20 @@ MUTATIONS = {
         ("tests/test_model.py::TestForwardCacheMemory::"
          "test_backward_holds_two_hidden_gradients",),
     ),
-    # Seed workers: the order rows come back in, and what an error leaves running.
+    # Seed workers: the order rows come back in, and what stopping early leaves running.
     "rows_in_completion_order": Mutation(
         "cli.py",
-        "for future in [pool.submit(_run_seed, seed) for seed in seeds]:",
-        "for future in __import__('concurrent.futures').futures.as_completed(\n"
-        "                [pool.submit(_run_seed, seed) for seed in seeds]):",
+        "yield from pool.map(_run_seed, seeds)",
+        "yield from (f.result() for f in __import__('concurrent.futures').futures"
+        ".as_completed([pool.submit(_run_seed, s) for s in seeds]))",
         (f"{SEED_WORKERS}::test_rows_arrive_in_seed_order_when_seed_1_finishes_last",),
     ),
-    "error_path_without_cancel_futures": Mutation(
-        "cli.py", "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
-        (f"{SEED_WORKERS}::test_an_error_cancels_the_seeds_still_queued",),
+    "map_without_cancel": Mutation(
+        "cli.py",
+        "yield from pool.map(_run_seed, seeds)",
+        "yield from (f.result() for f in [pool.submit(_run_seed, s) for s in seeds])",
+        (f"{SEED_WORKERS}::test_an_error_cancels_the_seeds_still_queued",
+         f"{SEED_WORKERS}::test_closing_the_sweep_stops_its_workers"),
     ),
 }
 

@@ -27,17 +27,25 @@ OUT_DIR, so two replays compare line for line:
     diff old.txt new.txt
 
 A change that must leave outputs byte-identical shows no difference.
+
+``--write-golden`` also writes the lines to ``tests/golden/replay_digests.txt``
+under a header naming the environment they were made in (the Python,
+numpy and scipy versions and OpenBLAS's runtime config string); the
+tier-1 test ``tests/test_scripts.py::test_replay_matches_the_golden_digests``
+replays and compares against that file, and skips in another environment.
 """
 
 import argparse
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "replay_digests.txt"
 
 CAP = ["--config", "configs/sbm_cap.cfg"]
 CKPT = ["--checkpoint", "runs/sbm_cap/seed_1/checkpoint.json", "--dataset_dir", "data/sbm"]
@@ -144,7 +152,45 @@ def build_parser():
         "--repo", default=str(ROOT),
         help="checkout whose src/, configs/ and scripts/ are run (default: this one)",
     )
+    p.add_argument(
+        "--write-golden", action="store_true",
+        help=f"also write the lines, headed by the environment, to {GOLDEN.relative_to(ROOT)}",
+    )
     return p
+
+
+def environment() -> dict:
+    """What the digests depend on besides the code: interpreter, numpy, scipy, BLAS."""
+    import ctypes
+    import glob
+
+    import numpy as np
+    import scipy
+
+    # The runtime config names the kernel core OpenBLAS picked on this CPU;
+    # np.show_config() reports the build's.
+    blas = "unknown"
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        try:
+            get = ctypes.CDLL(lib).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_char_p, []
+        blas = get().decode().strip()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "openblas": blas}
+
+
+def read_golden() -> tuple[dict, list[str]]:
+    """The golden file's environment header and its digest lines."""
+    env, lines = {}, []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            env[key] = value
+        else:
+            lines.append(line)
+    return env, lines
 
 
 def file_bytes(path: Path) -> bytes:
@@ -182,9 +228,14 @@ def main():
             sys.exit(f"exit {proc.returncode}: {' '.join(cmd)}\n{proc.stderr}")
         stdout.append(proc.stdout)
 
-    for f in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"{hashlib.sha256(file_bytes(f)).hexdigest()}  {f.relative_to(out)}")
-    print(f"{hashlib.sha256(''.join(stdout).encode('utf-8')).hexdigest()}  <stdout>")
+    lines = [f"{hashlib.sha256(file_bytes(f)).hexdigest()}  {f.relative_to(out)}"
+             for f in sorted(p for p in out.rglob("*") if p.is_file())]
+    lines.append(f"{hashlib.sha256(''.join(stdout).encode('utf-8')).hexdigest()}  <stdout>")
+    print("\n".join(lines))
+    if args.write_golden:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        header = [f"# {key}: {value}" for key, value in environment().items()]
+        GOLDEN.write_text("\n".join(header + lines) + "\n", encoding="utf-8", newline="\n")
 
 
 if __name__ == "__main__":

@@ -273,13 +273,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 _job: tuple | None = None  # (dataset, cfg, out_dir, pgd_trace) of the sweep in progress
 
 
-def _set_job(job: tuple | None) -> None:
-    global _job
-    _job = job
-
-
 def _run_seed(seed: int) -> dict:
-    """Train ``seed`` of the sweep ``_set_job`` set, write ``seed_<s>/``, return its row."""
+    """Train ``seed`` of the sweep in ``_job``, write ``seed_<s>/``, return its row."""
     dataset, cfg, out_dir, trace = _job
     pgd_trace = [] if trace else None
     model, history = train(dataset, replace(cfg, seed=seed), pgd_trace=pgd_trace)
@@ -306,32 +301,28 @@ def _seed_rows(seeds: list[int], job: tuple):
     """``_run_seed``'s rows in seed order, on one forked worker per CPU.
 
     Seeds are independent and each is trained the same way wherever it
-    runs, so the rows and files do not depend on the worker count. With
-    one CPU (or no ``os.fork``) the seeds run in this process. Workers
-    get ``job`` (79 MB of features at Pubmed shape) and any patched
-    module attribute through fork, never pickled; the only threads
-    capgnn starts, the row-block pool's, are idle between kernels, and a
-    forked child drops that pool. On the first error the seeds still
-    queued are cancelled and the running ones awaited before it
-    propagates, so no worker outlives the sweep.
+    runs, so rows and files do not depend on the worker count. With one
+    CPU (or no ``os.fork``) the seeds run in this process. Workers fork at
+    the pool's first submit, after ``_job`` is set, so they inherit it (79
+    MB of features at Pubmed shape) and any patched module attribute
+    without pickling; the row-block pool's threads, the only ones capgnn
+    starts, are idle between kernels, and a forked child drops that pool.
+    If the sweep stops early (an error, or the caller closing it),
+    ``Executor.map`` cancels the queued seeds and the ``with`` waits for
+    the running ones, so no worker outlives the sweep.
     """
+    global _job
     workers = min(linalg._WIDTH, len(seeds)) if hasattr(os, "fork") else 1
-    if workers == 1:
-        _set_job(job)
-        try:
+    _job = job
+    try:
+        if workers == 1:
             yield from map(_run_seed, seeds)
-        finally:
-            _set_job(None)
-        return
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_job, initargs=(job,),
-    )
-    try:  # pool.map in effect, with shutdown as the one place queued seeds go
-        for future in [pool.submit(_run_seed, seed) for seed in seeds]:
-            yield future.result()
+        else:
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                yield from pool.map(_run_seed, seeds)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _job = None
 
 
 def _mean(xs) -> float | None:

@@ -35,10 +35,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 # The kernel behind csr_matrix @ dense; called directly so that row blocks
 # write into one output. tests/test_linalg.py pins it against the public @.
 from scipy.sparse._sparsetools import csr_matvecs
@@ -63,9 +61,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _frozen(a: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if out is a or np.may_share_memory(out, a):  # views of subclasses too
-        out = out.copy()
+    out = np.array(a, dtype=dtype, order="C")  # always a copy, and a base ndarray
     out.flags.writeable = False
     return out
 
@@ -77,7 +73,9 @@ class CsrMatrix:
     ``row_ptr`` has length ``rows + 1`` with ``row_ptr[0] == 0`` and
     ``row_ptr[rows] == nnz``; column indices are strictly increasing
     within each row. Construction validates all of this, so downstream
-    kernels can rely on a deterministic iteration order.
+    kernels can rely on a deterministic iteration order, and then keeps
+    the indices as int32, which scipy's CSR kernel reads faster than
+    int64; rows, columns and nnz must therefore stay below 2^31.
     """
 
     rows: int
@@ -87,29 +85,27 @@ class CsrMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_ptr", _frozen(self.row_ptr, np.int64))
-        object.__setattr__(self, "col_idx", _frozen(self.col_idx, np.int64))
+        # Checked in int64, so no index wraps before it is checked.
+        ptr = np.asarray(self.row_ptr, dtype=np.int64)
+        idx = np.asarray(self.col_idx, dtype=np.int64)
+        nnz = len(idx)
         object.__setattr__(self, "values", _frozen(self.values, np.float64))
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"invalid CSR shape {self.rows}x{self.cols}")
-        ptr = self.row_ptr
         if ptr.shape != (self.rows + 1,):
             raise ValueError("row_ptr must have length rows + 1")
-        if ptr[0] != 0 or ptr[-1] != len(self.col_idx):
+        if ptr[0] != 0 or ptr[-1] != nnz:
             raise ValueError("row_ptr must start at 0 and end at nnz")
         if (np.diff(ptr) < 0).any():
             raise ValueError("row_ptr must be non-decreasing")
-        if len(self.col_idx) != len(self.values):
+        if nnz != len(self.values):
             raise ValueError("col_idx and values must have equal length")
-        if len(self.col_idx) and (
-            self.col_idx.min() < 0 or self.col_idx.max() >= self.cols
-        ):
+        if nnz and (idx.min() < 0 or idx.max() >= self.cols):
             raise ValueError("column index out of range")
         if not np.isfinite(self.values).all():
             raise ValueError("CSR values contain non-finite entries")
-        nnz = len(self.col_idx)
         if nnz > 1:
-            diffs = np.diff(self.col_idx)
+            diffs = np.diff(idx)
             interior = np.ones(nnz - 1, dtype=bool)
             starts = ptr[1:-1]
             cut = starts[(starts > 0) & (starts < nnz)] - 1
@@ -118,6 +114,10 @@ class CsrMatrix:
                 raise ValueError(
                     "column indices must be strictly increasing within each row"
                 )
+        if max(self.rows, self.cols, nnz) >= 1 << 31:
+            raise ValueError("CSR rows, cols and nnz must be below 2^31")
+        object.__setattr__(self, "row_ptr", _frozen(ptr, np.int32))
+        object.__setattr__(self, "col_idx", _frozen(idx, np.int32))
 
     @property
     def nnz(self) -> int:
@@ -126,16 +126,6 @@ class CsrMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    @cached_property
-    def _sp(self) -> sp.csr_matrix:
-        # spmm's scipy handle: it shares the frozen values, but scipy copies
-        # the indices to int32, which csr_matvecs reads faster than int64.
-        return sp.csr_matrix(
-            (self.values, self.col_idx, self.row_ptr),
-            shape=(self.rows, self.cols),
-            copy=False,
-        )
 
     @classmethod
     def from_coo(cls, rows, cols, row_indices, col_indices, values) -> "CsrMatrix":
@@ -266,13 +256,13 @@ def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     split = len(bounds) > 2
     # With several blocks, each zeroes its own rows, so they start in its cache.
     out = np.empty((a.rows, k)) if split else np.zeros((a.rows, k))
-    m, xs, ys = a._sp, b.ravel(), out.ravel()  # xs copies a non-contiguous b
+    xs, ys = b.ravel(), out.ravel()  # xs copies a non-contiguous b
 
     def block(lo, hi):
         y = ys[lo * k:hi * k]
         if split:
             y.fill(0.0)
-        csr_matvecs(hi - lo, a.cols, k, m.indptr[lo:hi + 1], m.indices, m.data, xs, y)
+        csr_matvecs(hi - lo, a.cols, k, a.row_ptr[lo:hi + 1], a.col_idx, a.values, xs, y)
 
     _run_row_blocks(bounds, block)
     return out

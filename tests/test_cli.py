@@ -487,6 +487,19 @@ class TestSeedWorkers:
         ran = sorted(int(p.name[5:]) for p in out.glob("seed_*"))
         assert ran and max(ran) <= 7
 
+    def test_closing_the_sweep_stops_its_workers(self, data_dir, tmp_path, monkeypatch):
+        # What cmd_train does when it stops mid-sweep (EPIPE on stdout, say):
+        # the sweep is closed after its first row, with seeds still queued.
+        slow = _seeds_that(lambda s: time.sleep(0.2), set(range(2, 11)))
+        monkeypatch.setattr(cli_mod, "train", slow)
+        job = (load_dataset(data_dir), TrainConfig(epochs=2, hidden_dims=(8,)), tmp_path, False)
+        rows = cli_mod._seed_rows(list(range(1, 11)), job)
+        assert next(rows)["seed"] == 1
+        rows.close()
+        assert multiprocessing.active_children() == [] and cli_mod._job is None
+        ran = sorted(int(p.name[5:]) for p in tmp_path.glob("seed_*"))
+        assert 1 in ran and len(ran) < 10
+
 
 @pytest.fixture(scope="module")
 def checkpoint(data_dir, tmp_path_factory):

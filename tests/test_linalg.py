@@ -437,6 +437,13 @@ class TestCsrValidation:
         with pytest.raises(ValueError, match="out of range"):
             CsrMatrix(1, 2, [0, 1], [2], [1.0])
 
+    def test_keeps_int32_indices_below_2_to_the_31(self):
+        m = CsrMatrix(1, (1 << 31) - 1, [0, 1], [(1 << 31) - 2], [1.0])
+        assert m.row_ptr.dtype == m.col_idx.dtype == np.int32
+        assert m.col_idx.tolist() == [(1 << 31) - 2]
+        with pytest.raises(ValueError, match="below 2\\^31"):  # int32 would wrap it
+            CsrMatrix(1, (1 << 31) + 1, [0, 1], [1 << 31], [1.0])
+
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             CsrMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,21 @@ def test_every_mutation_still_applies():
     # Each named mutation's old string occurs exactly once in src/capgnn.
     proc = run_script("mutants.py", "--check")
     assert proc.returncode == 0, proc.stdout
+
+
+def test_replay_matches_the_golden_digests(tmp_path):
+    # Every artefact of the replay, byte for byte (wall_ms aside), against
+    # tests/golden/replay_digests.txt; only where that file was made.
+    spec = importlib.util.spec_from_file_location(
+        "replay_digests", ROOT / "scripts" / "replay_digests.py")
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    made_in, golden = replay.read_golden()
+    here = replay.environment()
+    differ = [f"{k} (golden {made_in.get(k)!r}, here {here.get(k)!r})"
+              for k in sorted(made_in.keys() | here.keys()) if made_in.get(k) != here.get(k)]
+    if differ:
+        pytest.skip(f"golden digests come from another environment: {'; '.join(differ)}")
+    proc = run_script("replay_digests.py", str(tmp_path / "replay"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == golden
