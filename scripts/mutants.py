@@ -39,6 +39,7 @@ class Mutation(NamedTuple):
 MODEL, PERTURB, LINALG = "model.py", "perturb.py", "linalg.py"
 FEATURE_PGD = "tests/test_perturb.py::TestFeaturePgd"
 SEED_WORKERS = "tests/test_cli.py::TestSeedWorkers"
+FEATURES_CSV = "tests/test_graph.py::TestFeaturesCsv"
 
 MUTATIONS = {
     # Numerics that tier-1 once let through.
@@ -114,6 +115,21 @@ MUTATIONS = {
         MODEL, "        del back\n", "",
         ("tests/test_model.py::TestForwardCacheMemory::"
          "test_backward_holds_two_hidden_gradients",),
+    ),
+    # The features.csv writer's segments, and the landscape's scale-and-shift sweep.
+    "line_end_one_column_early": Mutation(
+        "graph.py", "ends[d - 1 - last]", "ends[d - 2 - last]", (FEATURES_CSV,),
+    ),
+    "zero_run_one_long": Mutation(
+        "graph.py", "gaps[cols - prev - 1 +", "gaps[cols - prev +", (FEATURES_CSV,),
+    ),
+    "shift_in_first_chunk_only": Mutation(
+        "landscape.py",
+        "b[lo:hi], out=out[lo:hi])",
+        "b[lo:hi] if lo == 0 else 0.0, out=out[lo:hi])",
+        ("tests/test_landscape.py::TestProbeLandscape::"
+         "test_split_feature_sweep_matches_one_block_and_reference",
+         "tests/test_landscape.py::TestGaussianAttack::test_noise_matches_reference_draws"),
     ),
     # Seed workers: the order rows come back in, and what stopping early leaves running.
     "rows_in_completion_order": Mutation(

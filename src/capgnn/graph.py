@@ -10,10 +10,10 @@ A dataset directory is plain text (UTF-8, LF line endings):
 
 The loader mirrors every edge, rejects duplicates and self-loops, and
 reports the offending file and line on malformed input. The writer
-prints each feature as its shortest round-trip ``repr``, but formats
-each distinct nonzero value of a row block once and emits the zeros
-(most cells of bag-of-words features) as ready-made "0.0" text, so its
-Python work grows with the distinct nonzeros, not with n*d.
+prints each feature as its shortest round-trip ``repr``. It formats each
+distinct nonzero value once per file and writes each run of zeros (most
+cells of bag-of-words features) as one ready-made "0.0,0.0,..." string,
+so its Python work grows with the nonzeros, not with n*d.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
 
     Raises :class:`DatasetError` naming the file (and line, where it
     applies) for any missing file, bytes that are not UTF-8, sizes in
-    ``meta.json`` that are not JSON integers >= 1, malformed line,
-    out-of-range index, duplicate edge, self-loop, node in two splits,
-    or empty train split.
+    ``meta.json`` that are not JSON integers >= 1, more classes than
+    nodes, malformed line, out-of-range index, duplicate edge, self-loop,
+    node in two splits, or empty train split.
     """
     directory = Path(directory)
     for name in _FILES:
@@ -202,6 +202,8 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     for key, v in (("n", n), ("d", d), ("num_classes", num_classes)):
         if type(v) is not int or v < 1:
             raise _fail(meta_path, f"{key} must be an integer >= 1, got {v!r}")
+    if num_classes > n:
+        raise _fail(meta_path, f"num_classes must be <= n ({n}), got {num_classes}")
 
     edges_path = directory / "edges.tsv"
     seen = set()
@@ -338,20 +340,45 @@ _CSV_BLOCK_ROWS = 512  # feature rows formatted per write: a few MB at d=500
 def _write_features_csv(features: np.ndarray, path: Path) -> None:
     """Write one line per row, ``",".join(repr(float(x)) for x in row)``.
 
-    Each block of rows formats every distinct nonzero float64 bit pattern
-    once and writes every all-zero pattern (+0.0) as the text "0.0".
-    -0.0 has a nonzero pattern, so it keeps its sign.
+    Only nonzero float64 bit patterns are visited (-0.0 has one, so it
+    keeps its sign), and each distinct one is formatted once. A line is,
+    per nonzero, the zeros and commas before it and its text, then the
+    zeros after the row's last nonzero and the line end.
     """
+    n, d = features.shape
+    bits = features.view(np.int64).ravel()
+    at = np.flatnonzero(bits != 0)
+    rows, cols = np.divmod(at, d)
+    distinct, code = np.unique(bits[at], return_inverse=True)
+    values = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    zeros = ["0.0," * k for k in range(d + 1)]
+    # k zeros before a row's first nonzero, then [d + 1 + k] between two nonzeros.
+    gaps = np.array(zeros + ["," + z for z in zeros], dtype=object)
+    # k zeros after a row's last nonzero; [d] is a row without one.
+    ends = np.array([",0.0" * k + "\n" for k in range(d)] + [zeros[d][:-1] + "\n"],
+                    dtype=object)
+    starts = np.zeros(n + 1, dtype=np.intp)  # starts[r]: nonzeros in rows before r
+    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+    filled = starts[:-1] < starts[1:]
+    prev = np.roll(cols, 1)  # column of the nonzero before, -1 at a row's first
+    prev[starts[:-1][filled]] = -1
+    last = np.full(n, -1, dtype=np.intp)  # column of a row's last nonzero
+    last[filled] = cols[starts[1:][filled] - 1]
+    before = gaps[cols - prev - 1 + (d + 1) * (prev >= 0)]
+    after = ends[d - 1 - last]
+    # Segment indices: before row r come 2 per nonzero and one zeros-after per row.
+    value_at = 2 * np.arange(len(cols)) + rows + 1
+    row_end = 2 * starts[1:] + np.arange(n)
     with path.open("w", encoding="utf-8", newline="\n") as f:
-        for start in range(0, len(features), _CSV_BLOCK_ROWS):
-            bits = features[start:start + _CSV_BLOCK_ROWS].view(np.int64)
-            nonzero = bits != 0
-            distinct, which = np.unique(bits[nonzero], return_inverse=True)
-            text = ["0.0"] + [repr(x) for x in distinct.view(np.float64).tolist()]
-            codes = np.zeros(bits.shape, dtype=np.intp)
-            codes[nonzero] = which + 1
-            cells = np.array(text, dtype=object)[codes].tolist()
-            f.write("".join([",".join(row) + "\n" for row in cells]))
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n)
+            nz = slice(starts[lo], starts[hi])
+            first = 2 * starts[lo] + lo
+            segments = np.empty(row_end[hi - 1] + 1 - first, dtype=object)
+            segments[value_at[nz] - first - 1] = before[nz]
+            segments[value_at[nz] - first] = values[code[nz]]
+            segments[row_end[lo:hi] - first] = after[lo:hi]
+            f.write("".join(segments.tolist()))
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
@@ -359,9 +386,9 @@ def save_dataset(dataset: Dataset, directory) -> None:
 
     Inverse of :func:`load_dataset`: floats are serialized with
     shortest round-trip repr, so load(save(ds)) reproduces content
-    exactly. Formatting work is per distinct nonzero feature value and
-    zeros are written as text directly; the bytes are those of a
-    per-cell ``repr``.
+    exactly. Feature formatting is per distinct nonzero value and
+    joining is per nonzero (runs of zeros are one string each); the
+    bytes are those of a per-cell ``repr``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,8 @@ The feature-side passes work on n x d arrays, so they keep n x d
 temporaries few: each source's l2 norm is computed once per draw, not
 once per direction; a feature profile builds every displaced matrix in
 one reused buffer; and the noise attack draws, scales and shifts in one
-buffer.
+buffer. Both scale and shift in one ``linalg._sweep_rows`` pass; the
+attack's draw stays one serial call, so the generator's stream is kept.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import lp_norm
+from .linalg import _sweep_rows, lp_norm
 from .model import GnnModel, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
@@ -63,6 +64,13 @@ def _scaled_like(
     g = rng.standard_normal(template.shape)
     g *= target / lp_norm(g, 2)  # in place: no second n x d array
     return g
+
+
+def _scaled_plus(a: np.ndarray, scale, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a * scale + b``, one row chunk at a time; ``out`` may be ``a``."""
+    _sweep_rows(out.shape, lambda lo, hi: np.add(
+        np.multiply(a[lo:hi], scale, out=out[lo:hi]), b[lo:hi], out=out[lo:hi]))
+    return out
 
 
 def sample_directions(
@@ -138,9 +146,9 @@ def probe_landscape(
                 w_eff = [w + alpha * d for w, d in zip(model.weights, direction)]
                 losses[i, j] = loss_at(dataset.features, w_eff)
             else:
-                np.multiply(direction, alpha, out=x_eff)
-                x_eff += dataset.features
-                losses[i, j] = loss_at(x_eff)
+                losses[i, j] = loss_at(
+                    _scaled_plus(direction, alpha, dataset.features, x_eff)
+                )
     return LandscapeProfile(alphas=alphas, losses=losses)
 
 
@@ -178,8 +186,7 @@ def gaussian_attack_trials(
     noisy = np.empty_like(dataset.features)
     for t in range(trials):
         rng.standard_normal(out=noisy)
-        noisy *= sigma
-        noisy += dataset.features
+        _scaled_plus(noisy, sigma, dataset.features, noisy)
         cache = forward(model, dataset.a_hat, noisy)
         accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
     return accs

@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import capgnn.cli as cli_mod
 import capgnn.perturb as perturb_mod
@@ -297,6 +300,19 @@ class TestTrain:
         assert str(bad / name) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_more_classes_than_nodes_exits_2(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir, bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        (bad / "meta.json").write_text(json.dumps({**meta, "num_classes": 999999999999}))
+        assert run(
+            "train", "--dataset_dir", str(bad), "--out_dir", str(tmp_path / "x"),
+            "--seeds", "1", "--epochs", "2",
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{bad / 'meta.json'}: num_classes must be <= n (40), got 999999999999" in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_exits_3_naming_the_epoch(self, data_dir, tmp_path, capsys):
         # The pre-update loss of epoch 1 is finite; the update is what diverges.
@@ -418,6 +434,50 @@ def _seeds_that(action, seeds, real=train_mod.train):
         return real(dataset, cfg, **kwargs)
 
     return patched
+
+
+DATASET_FILES = ("meta.json", "edges.tsv", "features.csv", "labels.txt", "split.json")
+SEPARATORS = [",", "\t", "\n", " ", ":", "{", "}", "[", "]", '"']
+# What a hand edit might leave in place of one token.
+FUZZ_TOKENS = ["", "-1", "nan", "1e999", "1_0", "\u0661", "2147483648", "1" * 30, *SEPARATORS]
+
+
+def tokens(text: str) -> list:
+    """Each separator on its own, and each run of other characters."""
+    return re.findall(r'[^,\t\n :{}\[\]"]+|[\s\S]', text)
+
+
+class TestDatasetFuzz:
+    """One token of one file of a 12-node dataset replaced: train exits 0 or 2."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz") / "base"
+        assert run(
+            "gen-sbm", "--blocks", "4,4,4", "--p_in", "0.6", "--p_out", "0.1",
+            "--seed", "1", "--out_dir", str(d),
+        ) == 0
+        return {name: tokens((d / name).read_text()) for name in DATASET_FILES}
+
+    @given(
+        name=st.sampled_from(DATASET_FILES),
+        where=st.integers(0, 1 << 20),
+        token=st.sampled_from(FUZZ_TOKENS),
+    )
+    # meta.json's keys are sorted, so its third token from the end is num_classes.
+    @example(name="meta.json", where=-3, token="1" * 30)
+    @settings(max_examples=200, deadline=None)
+    def test_train_exits_0_or_2(self, base, tmp_path_factory, name, where, token):
+        data = tmp_path_factory.mktemp("data")
+        for f, toks in base.items():
+            if f == name:
+                toks = list(toks)
+                toks[where % len(toks)] = token
+            (data / f).write_text("".join(toks), encoding="utf-8")
+        assert run(
+            "train", "--dataset_dir", str(data), "--out_dir", str(data / "run"),
+            "--seeds", "1", "--epochs", "2", "--hidden_dims", "4", "--eval_every", "1",
+        ) in (0, 2)
 
 
 def _diverge(seed):

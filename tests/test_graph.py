@@ -251,6 +251,17 @@ class TestDatasetIO:
         ):
             load_dataset(fixture_dir)
 
+    def test_more_classes_than_nodes_rejected(self, fixture_dir):
+        meta_path = fixture_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["num_classes"] = 999999999999
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(
+            DatasetError,
+            match=rf"meta\.json: num_classes must be <= n \({meta['n']}\), got 999999999999$",
+        ):
+            load_dataset(fixture_dir)
+
     def test_split_bool_id_rejected(self, fixture_dir):
         (fixture_dir / "split.json").write_text(
             json.dumps({"train": [True], "val": [], "test": [1]})
@@ -319,6 +330,36 @@ class TestFeaturesCsv:
         lines = (tmp_path / "d" / "features.csv").read_text().splitlines()
         assert len(lines) == 2 * block + 3
         assert lines[-1].startswith("-0.0,") and lines[-1].endswith(",0.3")
+
+    @staticmethod
+    def edge_input(case: str) -> np.ndarray:
+        block = graph._CSV_BLOCK_ROWS
+        rng = make_rng(8)
+        if case == "no_nonzero":
+            return np.zeros((7, 4))
+        if case == "all_zero_middle_block":
+            x = rng.standard_normal((2 * block + 1, 3))
+            x[block:2 * block] = 0.0
+            return x
+        if case == "only_last_or_only_first_column":
+            x = np.zeros((4, 5))
+            x[0, -1], x[2, 0] = 0.25, -3.0
+            return x
+        if case == "d500_ten_percent":
+            x = rng.random((40, 500))
+            x[rng.random(x.shape) >= 0.1] = 0.0
+            return x
+        assert case == "dense_400x8"  # gen-sbm's features: dense Gaussian
+        return generate_sbm(
+            SbmParams((200, 200), 0.05, 0.02, 1.2, feature_dim=8), make_rng(2024)
+        ).features
+
+    @pytest.mark.parametrize("case", [
+        "no_nonzero", "all_zero_middle_block", "only_last_or_only_first_column",
+        "d500_ten_percent", "dense_400x8",
+    ])
+    def test_edge_inputs(self, tmp_path, case):
+        self.assert_written_as_reference(self.edge_input(case), tmp_path / "d")
 
     @given(
         hnp.arrays(

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from capgnn.landscape import (
 from capgnn.linalg import lp_norm, make_rng
 from capgnn.model import GnnModel, accuracy, forward, init_model, masked_cross_entropy
 
-from conftest import clean_metrics, peak_traced_bytes
+from conftest import clean_metrics, peak_traced_bytes, row_blocks
 
 
 def count_forwards(monkeypatch) -> list:
@@ -103,6 +105,31 @@ class TestProbeLandscape:
                     cache = forward(model, ds.a_hat, ds.features + alpha * direction)
                 want = masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
                 assert profile.losses[i, j] == want
+
+    def test_split_feature_sweep_matches_one_block_and_reference(
+        self, monkeypatch, wide_sbm
+    ):
+        # Two row blocks of three-row chunks, against one block of 218-row chunks.
+        ds = wide_sbm
+        model = init_model([ds.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        dirs = sample_directions(ds.features, "feature", 2, make_rng(3))
+        alphas = grid(num=5)
+        one = probe_landscape(model, ds, dirs, alphas)
+        seen = count_forwards(monkeypatch)
+        with row_blocks(2, chunk=3 * ds.d):
+            split = probe_landscape(model, ds, dirs, alphas)
+        assert split.losses.tobytes() == one.losses.tobytes()
+        displaced = iter(seen[1:])  # seen[0] is the clean forward
+        for i, direction in enumerate(dirs.directions):
+            for j, alpha in enumerate(alphas):
+                if alpha == 0.0:
+                    continue
+                x = ds.features + alpha * direction
+                assert next(displaced) == x.tobytes()
+                logits = forward(model, ds.a_hat, x).logits
+                assert split.losses[i, j] == masked_cross_entropy(
+                    logits, ds.labels, ds.train_mask
+                )
 
     def test_zero_directions_give_constant_profile(self, small_sbm, trained_small):
         dirs = sample_directions(trained_small, "weight", 2, make_rng(0))
@@ -223,15 +250,22 @@ class TestGaussianAttack:
         accs = gaussian_attack_trials(trained_small, small_sbm, 1e3, 40, make_rng(5))
         assert abs(np.mean(accs) - 0.5) <= 0.1  # two classes
 
-    def test_noise_matches_reference_draws(self, monkeypatch, small_sbm, trained_small):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_noise_matches_reference_draws(self, monkeypatch, wide_sbm, split):
+        # split: two row blocks of three-row chunks, against one block.
+        ds = wide_sbm
+        model = init_model([ds.d, 16, 2], make_rng(1), dropout_rate=0.0)
+        one = gaussian_attack_trials(model, ds, 0.7, 3, make_rng(9))
         seen = count_forwards(monkeypatch)
-        accs = gaussian_attack_trials(trained_small, small_sbm, 0.7, 3, make_rng(9))
+        with row_blocks(2, chunk=3 * ds.d) if split else contextlib.nullcontext():
+            accs = gaussian_attack_trials(model, ds, 0.7, 3, make_rng(9))
+        assert accs.tobytes() == one.tobytes()
         rng = make_rng(9)
         for t in range(3):
-            noisy = small_sbm.features + 0.7 * rng.standard_normal(small_sbm.features.shape)
+            noisy = ds.features + 0.7 * rng.standard_normal(ds.features.shape)
             assert seen[t] == noisy.tobytes()
-            logits = forward(trained_small, small_sbm.a_hat, noisy).logits
-            assert accs[t] == accuracy(logits, small_sbm.labels, small_sbm.test_mask)
+            logits = forward(model, ds.a_hat, noisy).logits
+            assert accs[t] == accuracy(logits, ds.labels, ds.test_mask)
 
     def test_peak_memory_is_one_feature_array(self, wide_sbm):
         model = init_model([wide_sbm.d, 16, 2], make_rng(1), dropout_rate=0.0)
