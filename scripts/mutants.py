@@ -40,6 +40,8 @@ MODEL, PERTURB, LINALG = "model.py", "perturb.py", "linalg.py"
 FEATURE_PGD = "tests/test_perturb.py::TestFeaturePgd"
 SEED_WORKERS = "tests/test_cli.py::TestSeedWorkers"
 FEATURES_CSV = "tests/test_graph.py::TestFeaturesCsv"
+STREAMED_ATTACK = ("tests/test_landscape.py::TestGaussianAttack::"
+                   "test_streamed_chunks_match_reference_draws")
 
 MUTATIONS = {
     # Numerics that tier-1 once let through.
@@ -128,8 +130,22 @@ MUTATIONS = {
         "b[lo:hi], out=out[lo:hi])",
         "b[lo:hi] if lo == 0 else 0.0, out=out[lo:hi])",
         ("tests/test_landscape.py::TestProbeLandscape::"
-         "test_split_feature_sweep_matches_one_block_and_reference",
-         "tests/test_landscape.py::TestGaussianAttack::test_noise_matches_reference_draws"),
+         "test_split_feature_sweep_matches_one_block_and_reference",),
+    ),
+    # Streamed draws: the norm's summation tree, and the attack's chunks.
+    "pairwise_split_at_half": Mutation(
+        LINALG, "half = n // 2 - (n // 2) % 8", "half = n // 2",
+        ("tests/test_linalg.py::TestLpNorm::test_leaf_sums_add_up_to_the_bits_of_np_sum",),
+    ),
+    "attack_shift_in_first_chunk_only": Mutation(
+        "landscape.py", "x[lo:hi], out=rows)", "x[lo:hi] if lo == 0 else 0.0, out=rows)",
+        (STREAMED_ATTACK,),
+    ),
+    "drawn_chunk_without_product": Mutation(
+        "landscape.py",
+        "        np.matmul(rows, w0, out=first[lo:hi])",
+        "        if hi < len(x):\n            np.matmul(rows, w0, out=first[lo:hi])",
+        (STREAMED_ATTACK,),
     ),
     # Seed workers: the order rows come back in, and what stopping early leaves running.
     "rows_in_completion_order": Mutation(

@@ -88,13 +88,17 @@ def make_dataset(
     val_mask,
     test_mask,
 ) -> Dataset:
-    """Validate parts, normalize the adjacency, and freeze everything."""
+    """Validate parts, normalize the adjacency, and freeze everything.
+
+    Accepts only what :func:`load_dataset` reads back: at least one
+    feature column and at most ``n`` classes.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = adjacency.rows
-    if features.ndim != 2 or features.shape[0] != n:
+    if features.ndim != 2 or features.shape[0] != n or features.shape[1] < 1:
         raise DatasetError(
-            f"features must be {n}x?, got shape {features.shape}"
+            f"features must be {n}xd with d >= 1, got shape {features.shape}"
         )
     if labels.shape != (n,):
         raise DatasetError(f"labels must have length {n}")
@@ -102,8 +106,8 @@ def make_dataset(
     loops = rows_of[rows_of == adjacency.col_idx]
     if loops.size:
         raise DatasetError(f"self-loop at node {loops[0]} not allowed")
-    if num_classes < 1:
-        raise DatasetError("num_classes must be >= 1")
+    if not 1 <= num_classes <= n:
+        raise DatasetError(f"num_classes must be in [1, n] = [1, {n}], got {num_classes}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise DatasetError("label out of range")
     if not np.isfinite(features).all():

@@ -11,18 +11,24 @@ The feature-side passes work on n x d arrays, so they keep n x d
 temporaries few: each source's l2 norm is computed once per draw, not
 once per direction; a feature profile builds every displaced matrix in
 one reused buffer; and the noise attack draws, scales and shifts in one
-buffer. Both scale and shift in one ``linalg._sweep_rows`` pass; the
-attack's draw stays one serial call, so the generator's stream is kept.
+buffer. The profile scales and shifts in one ``linalg._sweep_rows``
+pass. Each draw is one serial stream, made in chunks with the pool
+working behind it (``linalg._stream_normal``): a direction sums its
+squares there, and the attack shifts each chunk of rows and multiplies
+it into the first layer's product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Dataset
-from .linalg import _sweep_rows, lp_norm
+from .linalg import (
+    _MIN_MATMUL, _normal_norm, _row_cuts, _stream_normal, _sweep_rows, lp_norm,
+)
 from .model import GnnModel, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
@@ -58,16 +64,21 @@ def _norm(source: np.ndarray) -> float:
 def _scaled_like(
     template: np.ndarray, target: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """A Gaussian draw shaped like ``template``, rescaled to l2 norm ``target``."""
+    """A Gaussian draw shaped like ``template``, rescaled to l2 norm ``target``.
+
+    The bits of ``g = rng.standard_normal(shape); g *= target / lp_norm(g, 2)``.
+    """
     if target == 0.0:
         return np.zeros_like(template)
-    g = rng.standard_normal(template.shape)
-    g *= target / lp_norm(g, 2)  # in place: no second n x d array
+    g = np.empty(template.shape)
+    scale = target / _normal_norm(rng, g)
+    # In place: no second n x d array.
+    _sweep_rows(g.shape, lambda lo, hi: np.multiply(g[lo:hi], scale, out=g[lo:hi]))
     return g
 
 
 def _scaled_plus(a: np.ndarray, scale, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = a * scale + b``, one row chunk at a time; ``out`` may be ``a``."""
+    """``out = a * scale + b``, one row chunk at a time."""
     _sweep_rows(out.shape, lambda lo, hi: np.add(
         np.multiply(a[lo:hi], scale, out=out[lo:hi]), b[lo:hi], out=out[lo:hi]))
     return out
@@ -176,17 +187,35 @@ def gaussian_attack_trials(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Test accuracy per trial on features plus N(0, sigma^2) noise."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    x, w0 = dataset.features, model.weights[0]
+    if x.shape[1] != w0.shape[0]:  # before any chunk reaches np.matmul
+        raise ValueError(f"features must be {x.shape[0]}x{w0.shape[0]}, got {x.shape}")
+    # Chunks of rows whose products have the bytes of one noisy @ w0 call.
+    cuts = _row_cuts(x.shape[0], x.shape[1] * w0.shape[1], _MIN_MATMUL, capped=False)
     accs = np.empty(trials)
     # Every trial draws, scales and shifts in this one buffer; x + e and
     # e + x have the same bits, so accs match sigma * draw + features.
-    noisy = np.empty_like(dataset.features)
+    noisy = np.empty_like(x)
     for t in range(trials):
-        rng.standard_normal(out=noisy)
-        _scaled_plus(noisy, sigma, dataset.features, noisy)
-        cache = forward(model, dataset.a_hat, noisy)
+        # Fills noisy before forward runs; first is forward's alone to drop.
+        cache = forward(model, dataset.a_hat, noisy,
+                        first=_noisy_first(noisy, x, sigma, w0, cuts, rng))
         accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
     return accs
+
+
+def _noisy_first(noisy, x, sigma, w0, cuts, rng) -> np.ndarray:
+    """Draw ``sigma * N(0, 1) + x`` into ``noisy`` by chunks; return ``noisy @ w0``."""
+    first = np.empty((len(x), w0.shape[1]))
+
+    def shift_and_multiply(lo, hi):
+        rows = noisy[lo:hi]
+        np.add(np.multiply(rows, sigma, out=rows), x[lo:hi], out=rows)
+        np.matmul(rows, w0, out=first[lo:hi])
+
+    _stream_normal(rng, noisy, cuts, shift_and_multiply)
+    return first

@@ -27,6 +27,13 @@ alignment and the work floor are what keep its bytes equal to one
 ``a @ b`` call. A second BLAS thread does change bytes, so
 ``import capgnn`` pins BLAS to one thread; the pool is the only way
 capgnn uses more cores.
+
+Streamed draws (``_stream_normal``): a large Gaussian draw is made in
+consecutive chunks on the caller's thread, which keeps the bytes and the
+generator state of one draw, while the pool works on each drawn chunk:
+a landscape direction sums its squares leaf by leaf (``_normal_norm``),
+and the noise attack shifts rows and multiplies them by the first
+layer's weights, cut by ``_row_cuts`` without the one-per-CPU cap.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ _MIN_BLOCK = 1 << 18  # output entries per sparse or elementwise row block
 _MIN_MATMUL = 1 << 22  # multiply-adds per row block of a dense product
 _ROW_ALIGN = 192  # every row cut falls on a multiple of this
 _CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
+_LEAF = 1 << 16  # most entries in one leaf of lp_norm's summation tree
 # CPUs this process may run on at import: the most row blocks one call uses.
 _WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")  # Linux
           else os.cpu_count() or 1)
@@ -149,16 +157,16 @@ class CsrMatrix:
         return cls(rows, cols, row_ptr, c, v)
 
 
-def _row_cuts(rows: int, row_work: int, min_work: int) -> list[int]:
+def _row_cuts(rows: int, row_work: int, min_work: int, capped: bool = True) -> list[int]:
     """Cuts of [0, rows) into ranges of ``row_work`` work per row (module docstring).
 
-    At most one range per CPU, every inner cut a multiple of
-    ``_ROW_ALIGN`` and every range at least ``min_work``; the cuts
-    strictly increase, so no range is empty.
+    At most one range per CPU (any number if not ``capped``), every inner
+    cut a multiple of ``_ROW_ALIGN`` and every range at least
+    ``min_work``; the cuts strictly increase, so no range is empty.
     """
     units = rows // _ROW_ALIGN
     per_block = -(-min_work // max(_ROW_ALIGN * row_work, 1))  # in units
-    blocks = min(units // per_block, _WIDTH)
+    blocks = min(units // per_block, _WIDTH) if capped else units // per_block
     if blocks < 2:
         return [0, rows]
     return [_ROW_ALIGN * (units * i // blocks) for i in range(blocks)] + [rows]
@@ -175,25 +183,52 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _submit(fn, lo: int, hi: int):
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WIDTH, thread_name_prefix="capgnn-rows")
+    return _pool.submit(fn, lo, hi)
+
+
+def _finish(futures) -> None:
+    wait(futures)  # no worker may still write once this returns
+    for f in futures:
+        f.result()
+
+
 def _run_row_blocks(bounds: list[int], fn) -> None:
     """Call ``fn(lo, hi)`` on each range between consecutive ``_row_cuts`` bounds.
 
     The first range runs on the caller's thread and the others on the
     pool. Returns once every range is done, raising the first error.
     """
-    global _pool
     if len(bounds) == 2:
         fn(*bounds)
         return
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_WIDTH, thread_name_prefix="capgnn-rows")
-    futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [_submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         fn(bounds[0], bounds[1])
     finally:
-        wait(futures)  # no worker may still write once this returns
-    for f in futures:
-        f.result()
+        _finish(futures)
+
+
+def _stream_normal(rng: np.random.Generator, out: np.ndarray, cuts: list[int], fn) -> None:
+    """``rng.standard_normal(out=out)``, drawn in order range by range between ``cuts``.
+
+    ``fn(lo, hi)`` runs on the pool as soon as ``out[lo:hi]`` is drawn
+    (inline at width 1 or with one range), so it must not use the pool.
+    """
+    inline = _WIDTH < 2 or len(cuts) == 2
+    futures = []
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            rng.standard_normal(out=out[lo:hi])
+            if inline:
+                fn(lo, hi)
+            else:
+                futures.append(_submit(fn, lo, hi))
+    finally:
+        _finish(futures)
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -268,6 +303,36 @@ def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pairwise_sum(lo: int, hi: int, leaf) -> float:
+    """``np.sum`` of a float64 run [lo, hi), adding ``leaf(lo, hi)`` of each leaf.
+
+    numpy's own pairwise tree: a run of n entries splits at
+    ``n//2 - (n//2) % 8``, down to leaves of at most ``_LEAF`` entries,
+    whose ``np.sum`` has the bits of their subtree.
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf(lo, hi)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(lo, lo + half, leaf) + _pairwise_sum(lo + half, hi, leaf)
+
+
+def _square_sum(v: np.ndarray) -> float:
+    return np.sum(np.square(v, dtype=np.float64))
+
+
+def _normal_norm(rng: np.random.Generator, out: np.ndarray) -> float:
+    """Draw ``out`` (C-contiguous) as ``_stream_normal`` does; return ``lp_norm(out, 2)``.
+
+    Each leaf's squares are summed on the pool behind the draw.
+    """
+    flat, cuts, sums = out.reshape(-1), [0], {}
+    _pairwise_sum(0, flat.size, lambda lo, hi: cuts.append(hi) or 0.0)
+    _stream_normal(rng, flat, cuts,
+                   lambda lo, hi: sums.__setitem__(lo, _square_sum(flat[lo:hi])))
+    return float(np.sqrt(_pairwise_sum(0, flat.size, lambda lo, hi: sums[lo])))
+
+
 def lp_norm(m: np.ndarray, p) -> float:
     """Entrywise norm of a matrix: flattened l2 for p=2, max-abs for p=inf."""
     m = np.asarray(m)
@@ -275,7 +340,12 @@ def lp_norm(m: np.ndarray, p) -> float:
         raise ValueError("lp_norm of an empty matrix is undefined")
     if p == 2:
         # np.sum is pairwise and BLAS-free, hence thread-count independent.
-        return float(np.sqrt(np.sum(np.square(m, dtype=np.float64))))
+        # C-contiguous float64 is summed leaf by leaf, with no n x d square.
+        if m.dtype == np.float64 and m.flags.c_contiguous:
+            flat = m.reshape(-1)
+            total = _pairwise_sum(0, m.size, lambda lo, hi: _square_sum(flat[lo:hi]))
+            return float(np.sqrt(total))
+        return float(np.sqrt(_square_sum(m)))
     if p == math.inf:
         # The largest |entry| is |max| or |min|; no n x d np.abs(m) temporary,
         # and a NaN entry still gives NaN.

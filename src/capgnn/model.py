@@ -118,12 +118,17 @@ def forward(
     w_eff: list[np.ndarray] | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    first: np.ndarray | None = None,
 ) -> ForwardCache:
     """Run the layer rule on effective inputs.
 
     Dropout is applied to hidden post-activations only, and only when
     ``training`` is set (requires ``rng``); with ``training=False`` the
-    pass is a deterministic pure function of its arguments.
+    pass is a deterministic pure function of its arguments. ``first``,
+    when given, is the first layer's product ``x_eff @ W_0``, computed by
+    the caller with the bytes of one such call; it is propagated in
+    place of that product and not kept past the first ``spmm``.
     """
     ws = list(model.weights if w_eff is None else w_eff)
     if len(ws) != model.depth:
@@ -136,6 +141,8 @@ def forward(
         raise ValueError(
             f"features must be {a_hat.rows}x{ws[0].shape[0]}, got {x_eff.shape}"
         )
+    if first is not None and first.shape != (a_hat.rows, ws[0].shape[1]):
+        raise ValueError(f"first must be {a_hat.rows}x{ws[0].shape[1]}, got {first.shape}")
     use_dropout = training and model.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("training with dropout requires an rng")
@@ -144,7 +151,8 @@ def forward(
     drop_scales: list[np.ndarray | None] = []
     keep = 1.0 - model.dropout_rate
     for w in ws[:-1]:
-        h = spmm(a_hat, _matmul_rows(layer_inputs[-1], w))
+        h = spmm(a_hat, _matmul_rows(layer_inputs[-1], w) if first is None else first)
+        first = None  # the first layer's product only
         # One serial draw, so the generator's stream does not depend on the
         # row blocks; the sweep turns it into the scale (r < keep) / keep.
         scale = rng.random(h.shape) if use_dropout else None
@@ -161,7 +169,7 @@ def forward(
         _sweep_rows(h.shape, relu_dropout)
         drop_scales.append(scale)
         layer_inputs.append(h)
-    logits = spmm(a_hat, _matmul_rows(layer_inputs[-1], ws[-1]))
+    logits = spmm(a_hat, _matmul_rows(layer_inputs[-1], ws[-1]) if first is None else first)
     return ForwardCache(ws, layer_inputs, drop_scales, logits)
 
 

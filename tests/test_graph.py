@@ -550,3 +550,51 @@ class TestMakeDataset:
         for m in masks:
             m[:] = ~m
         assert [p.tobytes() for p in parts] == before
+
+    def test_rejects_more_classes_than_nodes(self):
+        adj = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 1.0])
+        with pytest.raises(DatasetError, match=r"num_classes must be in \[1, n\]"):
+            make_dataset(adj, np.eye(2), [0, 1], 5, [True, False], [False, False],
+                         [False, True])
+
+    def test_rejects_zero_feature_columns(self):
+        adj = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 1.0])
+        with pytest.raises(DatasetError, match="d >= 1"):
+            make_dataset(adj, np.zeros((2, 0)), [0, 1], 2, [True, False],
+                         [False, False], [False, True])
+
+    @given(
+        st.integers(1, 5).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 3),  # d
+            st.integers(0, n + 2),  # num_classes
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),  # edges
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),  # part of each node
+            st.lists(st.integers(0, n + 1), min_size=n, max_size=n),  # labels
+        )),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_saved_dataset_loads_back_or_is_rejected(self, tmp_path_factory, parts, data):
+        # Whatever make_dataset accepts, save_dataset writes and load_dataset
+        # reads back unchanged; the rest make_dataset rejects up front.
+        n, d, k, edges, part, labels = parts
+        features = data.draw(hnp.arrays(
+            np.float64, (n, d),
+            elements=st.floats(allow_nan=False, allow_infinity=False)))
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in edges if u != v})
+        us = [u for u, _ in pairs]
+        vs = [v for _, v in pairs]
+        adj = CsrMatrix.from_coo(n, n, us + vs, vs + us, np.ones(2 * len(pairs)))
+        masks = [np.array(part) == i for i in range(3)]
+        try:
+            ds = make_dataset(adj, features, labels, k, *masks)
+        except DatasetError:
+            return
+        directory = tmp_path_factory.mktemp("d")
+        save_dataset(ds, directory)
+        back = load_dataset(directory)
+        assert (back.n, back.d, back.num_classes) == (ds.n, ds.d, ds.num_classes)
+        for name in ("features", "labels", "train_mask", "val_mask", "test_mask"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+        assert csr_to_dense(back.adjacency).tobytes() == csr_to_dense(ds.adjacency).tobytes()

@@ -1,9 +1,11 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
 
-from capgnn import landscape
+from capgnn import landscape, linalg
+from capgnn.graph import SbmParams, generate_sbm
 from capgnn.landscape import (
     LandscapeProfile,
     gaussian_attack_trials,
@@ -280,3 +282,40 @@ class TestGaussianAttack:
             gaussian_attack_trials(trained_small, small_sbm, -1.0, 3, make_rng(0))
         with pytest.raises(ValueError):
             gaussian_attack_trials(trained_small, small_sbm, 1.0, 0, make_rng(0))
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gaussian_attack_trials(trained_small, small_sbm, sigma, 3, make_rng(0))
+        wider = init_model([small_sbm.d + 1, 4, 2], make_rng(0))
+        with pytest.raises(ValueError, match="features must be"):
+            gaussian_attack_trials(wider, small_sbm, 1.0, 3, make_rng(0))
+
+    @pytest.fixture(scope="class")
+    def three_chunks(self):
+        """600 nodes, d=500, 64 hidden: X @ W0 streams in three 192-row-aligned chunks."""
+        ds = generate_sbm(
+            SbmParams((300, 300), 0.02, 0.004, 1.0, feature_dim=500), make_rng(13)
+        )
+        return ds, init_model([ds.d, 64, 2], make_rng(2), dropout_rate=0.0)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_streamed_chunks_match_reference_draws(self, monkeypatch, three_chunks, width):
+        ds, model = three_chunks
+        w0 = model.weights[0]
+        cuts = linalg._row_cuts(ds.n, ds.d * w0.shape[1], linalg._MIN_MATMUL, capped=False)
+        assert cuts == [0, 192, 384, 600]
+        monkeypatch.setattr(linalg, "_WIDTH", width)  # pool, or inline at width 1
+        seen = []
+
+        def spy(model, a_hat, x_eff, *args, first=None, **kwargs):
+            seen.append((x_eff.tobytes(), first.tobytes()))
+            return forward(model, a_hat, x_eff, *args, first=first, **kwargs)
+
+        monkeypatch.setattr(landscape, "forward", spy)
+        rng, ref = make_rng(9), make_rng(9)
+        accs = gaussian_attack_trials(model, ds, 0.7, 2, rng)
+        for t in range(2):
+            noisy = ds.features + 0.7 * ref.standard_normal(ds.features.shape)
+            assert seen[t] == (noisy.tobytes(), (noisy @ w0).tobytes())
+            logits = forward(model, ds.a_hat, noisy).logits
+            assert accs[t] == accuracy(logits, ds.labels, ds.test_mask)
+        assert rng.random() == ref.random()

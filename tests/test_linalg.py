@@ -381,6 +381,39 @@ class TestLpNorm:
         m = make_rng(seed).standard_normal((4, 5))
         assert lp_norm(c * m, 2) == pytest.approx(abs(c) * lp_norm(m, 2), rel=1e-12)
 
+    # One leaf up to 2^16 entries; above it, numpy's pairwise split at
+    # n//2 - (n//2) % 8 moves off n//2 for 2^17 + 3 and 19,717 x 500.
+    @pytest.mark.parametrize("shape", [
+        (1,), (7,), (8,), (1 << 16,), ((1 << 16) + 1,), ((1 << 17) + 3,), (19717, 500),
+    ])
+    def test_l2_has_the_bits_of_one_square_and_sum(self, shape):
+        m = make_rng(sum(shape)).standard_normal(shape) * 3.7
+        want = np.sqrt(np.sum(np.square(m)))
+        assert np.float64(lp_norm(m, 2)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [(1 << 16) + 1, (1 << 17) + 3, 19717 * 500])
+    def test_leaf_sums_add_up_to_the_bits_of_np_sum(self, size):
+        # Pins the tree itself: a sum of squares can round to the same root.
+        for seed in range(4):
+            v = make_rng(seed).standard_normal(size)
+            got = linalg._pairwise_sum(0, size, lambda lo, hi: np.sum(v[lo:hi]))
+            assert np.float64(got).tobytes() == np.sum(v).tobytes()
+
+    @pytest.mark.parametrize("view", ["transposed", "strided", "float32"])
+    def test_l2_of_other_layouts_has_the_bits_of_one_square_and_sum(self, view):
+        m = make_rng(5).standard_normal((701, 400))
+        m = {"transposed": m.T, "strided": m[:, ::3],
+             "float32": m.astype(np.float32)}[view]
+        want = np.sqrt(np.sum(np.square(m, dtype=np.float64)))
+        assert np.float64(lp_norm(m, 2)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_l2_with_a_non_finite_entry_far_from_the_first_leaf(self, bad):
+        m = make_rng(6).standard_normal((1000, 300))
+        m[-1, -1] = bad
+        want = np.sqrt(np.sum(np.square(m)))
+        assert np.float64(lp_norm(m, 2)).tobytes() == want.tobytes()
+
 
 def feature_direction(rows: int, cols: int, seed: int) -> np.ndarray:
     """One Gaussian direction with the norm of an all-ones rows x cols matrix."""
@@ -396,6 +429,15 @@ class TestGaussianSampling:
         # The draw is the generator's own stream, scaled to the source norm.
         g = make_rng(42).standard_normal((7, 5))
         want = g * (lp_norm(np.ones((7, 5)), 2) / lp_norm(g, 2))
+        assert a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_streamed_direction_matches_one_draw(self, width):
+        # 1,000 x 300 is eight leaves of the norm's summation tree.
+        with row_blocks(width):
+            a = feature_direction(1000, 300, 8)
+        g = make_rng(8).standard_normal((1000, 300))
+        want = g * (float(np.sqrt(1000 * 300)) / float(np.sqrt(np.sum(np.square(g)))))
         assert a.tobytes() == want.tobytes()
 
     def test_different_seeds_differ(self):
@@ -478,3 +520,38 @@ class TestCsrValidation:
         out = linalg._frozen(src, np.float64)
         src[0, 0] = -1.0
         assert out.tolist() == [[1.0, 2.0]] and not out.flags.writeable
+
+
+class TestStreamNormal:
+    """``_stream_normal`` draws range by range, ``fn`` behind each range."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("cuts", [[0, 1000], [0, 3, 500, 999, 1000]])
+    def test_bytes_and_state_of_one_draw(self, width, cuts):
+        rng, ref = make_rng(4), make_rng(4)
+        out, copy = np.empty((1000, 7)), np.full((1000, 7), np.nan)
+        seen = []
+
+        def fn(lo, hi):
+            copy[lo:hi] = out[lo:hi]  # what fn reads of its range is drawn
+            seen.append((lo, hi))
+
+        with row_blocks(width):
+            linalg._stream_normal(rng, out, cuts, fn)
+        want = ref.standard_normal((1000, 7))
+        assert out.tobytes() == want.tobytes()
+        assert copy.tobytes() == want.tobytes()
+        assert sorted(seen) == list(zip(cuts, cuts[1:]))
+        assert rng.random() == ref.random()
+
+    def test_an_error_in_fn_is_raised_after_every_range_is_done(self):
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise RuntimeError("range 0")
+            done.append(lo)
+
+        with row_blocks(2), pytest.raises(RuntimeError, match="range 0"):
+            linalg._stream_normal(make_rng(1), np.empty(40), [0, 10, 20, 30, 40], fn)
+        assert sorted(done) == [10, 20, 30]

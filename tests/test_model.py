@@ -210,6 +210,22 @@ class TestForward:
         with pytest.raises(ValueError, match="features must be"):
             forward(model, small_sbm.a_hat, small_sbm.features, training=False)
 
+    @pytest.mark.parametrize("hidden", [(16, 16), ()], ids=["three_layers", "one_layer"])
+    def test_given_first_product_gives_the_same_bytes(self, small_sbm, hidden):
+        ds = small_sbm
+        model = init_model([ds.d, *hidden, ds.num_classes], make_rng(6), dropout_rate=0.5)
+
+        def run(**first):
+            return cache_bytes(forward(model, ds.a_hat, ds.features, training=True,
+                                       rng=make_rng(7), **first))
+
+        assert run(first=ds.features @ model.weights[0]) == run()
+
+    def test_first_product_of_the_wrong_shape_rejected(self, small_sbm):
+        model = init_model([small_sbm.d, 4, 2], make_rng(0))
+        with pytest.raises(ValueError, match="first must be"):
+            forward(model, small_sbm.a_hat, small_sbm.features, first=np.zeros((small_sbm.n, 5)))
+
     def test_equivariance_under_node_permutation(self):
         rng = make_rng(8)
         ds = generate_sbm(SbmParams((6, 6), 0.5, 0.2, 0.3), rng)
@@ -264,6 +280,16 @@ class TestForwardCacheMemory:
         assert kept < 2.5  # the two outputs
         assert peak < 3.5
         assert back_peak < 3.5
+
+    def test_given_first_product_is_dropped_after_its_spmm(self, ds):
+        model = init_model([ds.d, 256, 256, ds.num_classes], make_rng(17), 0.5)
+        # Made inside the trace, so forward holds the only reference to it.
+        _, kept, peak = traced_bytes(lambda: forward(
+            model, ds.a_hat, ds.features, training=True, rng=make_rng(18),
+            first=ds.features @ model.weights[0]))
+        unit = ds.n * 256 * 8
+        assert kept / unit < 4.5  # as without it
+        assert peak / unit < 4.5
 
     @pytest.mark.parametrize("dropout_rate", [0.5, 0.0])
     def test_backward_holds_two_hidden_gradients(self, ds, dropout_rate):
