@@ -40,6 +40,8 @@ MODEL, PERTURB, LINALG = "model.py", "perturb.py", "linalg.py"
 FEATURE_PGD = "tests/test_perturb.py::TestFeaturePgd"
 SEED_WORKERS = "tests/test_cli.py::TestSeedWorkers"
 FEATURES_CSV = "tests/test_graph.py::TestFeaturesCsv"
+RANGE_BITS = ("tests/test_graph.py::TestFeatureRanges::"
+              "test_saved_wide_sbm_loads_to_the_serial_bits")
 STREAMED_ATTACK = ("tests/test_landscape.py::TestGaussianAttack::"
                    "test_streamed_chunks_match_reference_draws")
 
@@ -131,6 +133,13 @@ MUTATIONS = {
         "b[lo:hi] if lo == 0 else 0.0, out=out[lo:hi])",
         ("tests/test_landscape.py::TestProbeLandscape::"
          "test_split_feature_sweep_matches_one_block_and_reference",),
+    ),
+    # features.csv in forked ranges: where a range starts, and where its rows go.
+    "cut_not_at_a_line_start": Mutation(
+        "graph.py", "cut = f.tell() + len(f.readline())", "cut = f.tell()", (RANGE_BITS,),
+    ),
+    "range_rows_at_row_0": Mutation(
+        "graph.py", "dst = out[row:end]", "dst = out[:end - row]", (RANGE_BITS,),
     ),
     # Streamed draws: the norm's summation tree, and the attack's chunks.
     "pairwise_split_at_half": Mutation(

@@ -13,9 +13,9 @@ a ``train`` sweep run side by side on forked worker processes, at most
 one per CPU the process may run on (``taskset -c 0`` runs them one
 after another); every file and line of output is the same either way.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure (divergence), 4 IO failure, 5 a seed worker died (killed, out
-of memory) without reporting an error.
+Exit codes: 0 success, 2 configuration/validation error (an array too
+large to allocate too), 3 numerical failure (divergence), 4 IO failure,
+5 a seed worker died (killed, out of memory) without reporting an error.
 """
 
 from __future__ import annotations
@@ -556,6 +556,9 @@ def main(argv=None) -> int:
     except TrainingDivergedError as e:
         print(f"capgnn: training diverged: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # numpy names the shape that could not be allocated
+        print(f"capgnn: out of memory: {e}", file=sys.stderr)
+        return 2
     except OSError as e:
         print(f"capgnn: io error: {e}", file=sys.stderr)
         return 4

@@ -14,12 +14,25 @@ prints each feature as its shortest round-trip ``repr``. It formats each
 distinct nonzero value once per file and writes each run of zeros (most
 cells of bag-of-words features) as one ready-made "0.0,0.0,..." string,
 so its Python work grows with the nonzeros, not with n*d.
+
+A large features.csv is parsed on every CPU the process may run on
+(``linalg._WIDTH``): the file is cut on line starts into byte ranges of at
+least ``_RANGE_BYTES``, and one forked child per range after the first
+parses its bytes with the serial ``np.loadtxt`` call into one shared
+anonymous mmap, at the row of the line ends before them, while the
+parent reads edges.tsv and then its own range. Anything unexpected in
+any range falls back to the serial parse, so rows and errors are the
+serial parse's; every child is reaped before the loader returns or
+raises.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
+import os
+import signal
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +40,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .linalg import CsrMatrix, _frozen, make_rng
 
 
@@ -137,15 +151,16 @@ def make_dataset(
     )
 
 
-def row_normalize(features: np.ndarray) -> np.ndarray:
+def row_normalize(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scale each feature row to unit l1 mass; all-zero rows are left alone.
 
     The input is read as float64 (so integer features work too) and never
     modified; the quotient is written into the ``np.abs`` buffer, so the
-    result is the only n x d array this allocates.
+    result is the only n x d array this allocates (none when ``out``, an
+    array apart from the input, is given to hold it).
     """
     features = np.asarray(features, dtype=np.float64)
-    out = np.abs(features)
+    out = np.abs(features, out=out)
     sums = out.sum(axis=1, keepdims=True)
     sums[sums == 0.0] = 1.0
     return np.divide(features, sums, out=out)
@@ -156,6 +171,7 @@ def row_normalize(features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _FILES = ("meta.json", "edges.tsv", "features.csv", "labels.txt", "split.json")
+_RANGE_BYTES = 1 << 22  # least features.csv bytes per parse range (4 MiB)
 
 
 def dataset_fingerprint(directory) -> str:
@@ -190,7 +206,8 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     applies) for any missing file, bytes that are not UTF-8, sizes in
     ``meta.json`` that are not JSON integers >= 1, more classes than
     nodes, malformed line, out-of-range index, duplicate edge, self-loop,
-    node in two splits, or empty train split.
+    node in two splits, or empty train split. A large features.csv is
+    parsed in forked byte ranges (see above); no child outlives the call.
     """
     directory = Path(directory)
     for name in _FILES:
@@ -209,53 +226,22 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     if num_classes > n:
         raise _fail(meta_path, f"num_classes must be <= n ({n}), got {num_classes}")
 
-    edges_path = directory / "edges.tsv"
-    seen = set()
-    us, vs = [], []
-    for lineno, raw in _numbered_lines(edges_path):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise _fail(edges_path, f"expected 'u<TAB>v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise _fail(edges_path, f"non-integer endpoint in {line!r}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise _fail(edges_path, f"node index out of range in {line!r}", lineno)
-        if u == v:
-            raise _fail(edges_path, f"self-loop {u}-{v} not allowed", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise _fail(
-                edges_path,
-                f"duplicate undirected edge {u}-{v} (each edge listed once)",
-                lineno,
-            )
-        seen.add(key)
-        us.append(u)
-        vs.append(v)
-
     feat_path = directory / "features.csv"
+    pids = []  # forked range parsers not yet reaped
     try:
-        with warnings.catch_warnings():
-            # An empty file is rejected below, by its shape.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            features = np.loadtxt(
-                feat_path, delimiter=",", dtype=np.float64, ndmin=2, comments=None
-            )
-    except ValueError:
-        _locate_bad_csv_line(feat_path, d)
-        raise _fail(feat_path, "malformed features file")
-    if features.shape != (n, d):
-        raise _fail(
-            feat_path, f"expected {n}x{d} feature rows, got {features.shape}"
-        )
-    if not np.isfinite(features).all():
-        _locate_bad_csv_line(feat_path, d)
-        raise _fail(feat_path, "non-finite feature value")
+        ranges = _fork_ranges(feat_path, n, d, row_normalize_features, pids)
+        us, vs = _read_edges(directory / "edges.tsv", n)
+        features = (_join_ranges(feat_path, *ranges, row_normalize_features, pids)
+                    if ranges else None)
+    finally:
+        for pid in pids:  # running, or exited and not yet waited for
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if features is None:
+        ranges = None  # unmaps the shared rows before the serial parse
+        features = _read_features(feat_path, n, d)
+        if row_normalize_features:
+            features = row_normalize(features)
 
     labels_path = directory / "labels.txt"
     labels = np.empty(n, dtype=np.int64)
@@ -310,12 +296,144 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     adjacency = CsrMatrix.from_coo(
         n, n, us + vs, vs + us, np.ones(2 * len(us))
     )
-    if row_normalize_features:
-        features = row_normalize(features)
     return make_dataset(
         adjacency, features, labels, num_classes,
         masks["train"], masks["val"], masks["test"],
     )
+
+
+def _read_edges(path: Path, n: int) -> tuple[list, list]:
+    """Both endpoint lists of edges.tsv, each undirected edge once."""
+    seen = set()
+    us, vs = [], []
+    for lineno, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise _fail(path, f"expected 'u<TAB>v', got {line!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise _fail(path, f"non-integer endpoint in {line!r}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _fail(path, f"node index out of range in {line!r}", lineno)
+        if u == v:
+            raise _fail(path, f"self-loop {u}-{v} not allowed", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise _fail(
+                path,
+                f"duplicate undirected edge {u}-{v} (each edge listed once)",
+                lineno,
+            )
+        seen.add(key)
+        us.append(u)
+        vs.append(v)
+    return us, vs
+
+
+def _loadtxt(source, **kw) -> np.ndarray:
+    with warnings.catch_warnings():
+        # An empty file is rejected by its shape.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2, comments=None,
+                          **kw)
+
+
+def _read_features(path: Path, n: int, d: int) -> np.ndarray:
+    """Parse features.csv in this process, or raise naming its first bad line."""
+    try:
+        features = _loadtxt(path)
+    except ValueError:
+        _locate_bad_csv_line(path, d)
+        raise _fail(path, "malformed features file")
+    if features.shape != (n, d):
+        raise _fail(path, f"expected {n}x{d} feature rows, got {features.shape}")
+    if not np.isfinite(features).all():
+        _locate_bad_csv_line(path, d)
+        raise _fail(path, "non-finite feature value")
+    return features
+
+
+def _fork_ranges(path: Path, n: int, d: int, normalize: bool, pids: list):
+    """Fork a parser per byte range after the first, adding its pid to ``pids``.
+
+    Returns the first range's end and the shared n x d rows, or None for a
+    serial parse: no ``os.fork``, under two ranges of ``_RANGE_BYTES``, or
+    under the 2 bytes per cell (digit and separator) n x d needs.
+    """
+    size = path.stat().st_size
+    count = min(linalg._WIDTH, size // _RANGE_BYTES)
+    if not hasattr(os, "fork") or count < 2 or 2 * n * d > size:
+        return None
+    bounds = [0]
+    with path.open("rb") as f:
+        for i in range(1, count):
+            f.seek(size * i // count - 1)
+            cut = f.tell() + len(f.readline())  # just past the next line end
+            if bounds[-1] < cut < size:
+                bounds.append(cut)
+    if len(bounds) < 2:
+        return None
+    bounds.append(size)
+    out = np.frombuffer(mmap.mmap(-1, 8 * n * d), dtype=np.float64).reshape(n, d)
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        pid = os.fork()
+        if pid == 0:  # the child leaves here, without unwinding the parent's stack
+            ok = False
+            try:
+                ok = _parse_range(path, lo, hi, out, normalize, hi == size)
+            finally:
+                os._exit(0 if ok else 1)
+        pids.append(pid)
+    return bounds[1], out
+
+
+def _join_ranges(path: Path, first: int, out: np.ndarray, normalize: bool, pids: list):
+    """Parse the first range here, then reap the other parsers: ``out``, or None."""
+    ok = _parse_range(path, 0, first, out, normalize, False)
+    while ok and pids:
+        ok = os.waitpid(pids[-1], 0)[1] == 0  # exited with status 0
+        pids.pop()
+    return out if ok else None
+
+
+def _parse_range(path: Path, lo: int, hi: int, out: np.ndarray, normalize: bool,
+                 last: bool) -> bool:
+    """Parse bytes [lo, hi) of features.csv into ``out``, from the row of its line.
+
+    False, with ``out`` partly written, for what the serial parse might
+    read otherwise: a ValueError (non-ASCII bytes too), rows other than
+    line ends (an empty line, no final line end), other than d columns,
+    a non-finite value, or rows past ``out``'s end or, if ``last``, short of it.
+    """
+    with path.open("rb") as f:
+        row = sum(part.count(b"\n") for part in
+                  iter(lambda: f.read(min(lo - f.tell(), 1 << 20)), b""))
+        ends = 0
+
+        def lines():
+            nonlocal ends
+            for line in iter(lambda: f.readline(hi - f.tell()), b""):
+                ends += line.endswith(b"\n")
+                yield line
+
+        try:
+            rows = _loadtxt(lines(), encoding="ascii")
+        except ValueError:
+            return False
+    end = row + len(rows)
+    if (rows.shape[1] != out.shape[1] or len(rows) != ends or end > len(out)
+            or last and end < len(out) or not np.isfinite(rows).all()):
+        return False
+    dst = out[row:end]
+    if normalize:
+        row_normalize(rows, out=dst)
+    else:
+        dst[...] = rows
+    return True
 
 
 def _locate_bad_csv_line(path: Path, d: int) -> None:

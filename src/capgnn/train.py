@@ -81,8 +81,8 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError("weight_decay must be finite and >= 0")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be positive")
+        if not self.hidden_dims or any(not 1 <= h < 1 << 31 for h in self.hidden_dims):
+            raise ValueError("hidden_dims must be in [1, 2^31)")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capgnn import linalg
-from capgnn.graph import SbmParams, generate_sbm, make_dataset
+from capgnn import graph, linalg
+from capgnn.graph import DatasetError, SbmParams, generate_sbm, load_dataset, make_dataset
 from capgnn.linalg import CsrMatrix, make_rng
 from capgnn.model import forward, split_metrics
 from capgnn.train import TrainConfig, train
@@ -46,6 +46,27 @@ def row_blocks(count: int, chunk: int | None = None):
         if chunk is not None:
             mp.setattr(linalg, "_CHUNK", chunk)
         yield
+
+
+@contextlib.contextmanager
+def feature_ranges(count: int):
+    """Parse each features.csv of >= ``count`` bytes in ``count`` byte ranges.
+
+    The first range runs in the loading process and each other one in a
+    forked child, as a large file's do (the per-range byte floor is 1).
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_RANGE_BYTES", 1)
+        mp.setattr(linalg, "_WIDTH", count)
+        yield
+
+
+def load_outcome(directory, **kw) -> tuple:
+    """``("rows", feature bits)`` of a load, or ``("error", message)``."""
+    try:
+        return "rows", load_dataset(directory, **kw).features.view(np.int64).tobytes()
+    except DatasetError as e:
+        return "error", str(e)
 
 
 def traced_bytes(fn) -> tuple:

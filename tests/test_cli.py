@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,9 @@ from capgnn.linalg import CsrMatrix, make_rng
 from capgnn.model import load_model
 from capgnn.train import SgdOptimizer, TrainConfig
 
-from conftest import CHECKPOINT_CORRUPTIONS, clean_metrics, corrupt_checkpoint
+from conftest import (
+    CHECKPOINT_CORRUPTIONS, clean_metrics, corrupt_checkpoint, feature_ranges, load_outcome,
+)
 
 
 def run(*argv) -> int:
@@ -459,6 +462,23 @@ class TestDatasetFuzz:
         ) == 0
         return {name: tokens((d / name).read_text()) for name in DATASET_FILES}
 
+    @staticmethod
+    def mutant(base, tmp_path_factory, name, where, token) -> Path:
+        data = tmp_path_factory.mktemp("data")
+        for f, toks in base.items():
+            if f == name:
+                toks = list(toks)
+                toks[where % len(toks)] = token
+            (data / f).write_text("".join(toks), encoding="utf-8")
+        return data
+
+    @staticmethod
+    def train_exit(data: Path) -> int:
+        return run(
+            "train", "--dataset_dir", str(data), "--out_dir", str(data / "run"),
+            "--seeds", "1", "--epochs", "2", "--hidden_dims", "4", "--eval_every", "1",
+        )
+
     @given(
         name=st.sampled_from(DATASET_FILES),
         where=st.integers(0, 1 << 20),
@@ -468,16 +488,95 @@ class TestDatasetFuzz:
     @example(name="meta.json", where=-3, token="1" * 30)
     @settings(max_examples=200, deadline=None)
     def test_train_exits_0_or_2(self, base, tmp_path_factory, name, where, token):
-        data = tmp_path_factory.mktemp("data")
-        for f, toks in base.items():
-            if f == name:
-                toks = list(toks)
-                toks[where % len(toks)] = token
-            (data / f).write_text("".join(toks), encoding="utf-8")
+        assert self.train_exit(self.mutant(base, tmp_path_factory, name, where, token)) in (0, 2)
+
+    @given(
+        name=st.sampled_from(["features.csv", *DATASET_FILES]),
+        where=st.integers(0, 1 << 20),
+        token=st.sampled_from(FUZZ_TOKENS),
+        count=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ranges_load_as_the_serial_parse(self, base, tmp_path_factory, name, where,
+                                            token, count):
+        data = self.mutant(base, tmp_path_factory, name, where, token)
+        want = load_outcome(data)
+        with feature_ranges(count):
+            assert load_outcome(data) == want
+            assert self.train_exit(data) in (0, 2)
+        assert multiprocessing.active_children() == []
+
+
+def _capped_train(real_train):
+    """``train`` that runs at most 3 epochs of at most 2 ascent steps, whatever is asked."""
+    def capped(dataset, cfg, **kw):
+        steps = min(cfg.perturb.steps, 2)
+        cfg = replace(cfg, epochs=min(cfg.epochs, 3), perturb=replace(cfg.perturb, steps=steps))
+        return real_train(dataset, cfg, **kw)
+    return capped
+
+
+FUZZ_CONFIG = """\
+# A short cap run.
+mode = cap
+epochs = 3
+skip_epochs = 1
+frequency = 1
+lr = 0.05
+optimizer = adam
+weight_decay = 0.0005
+hidden_dims = 4,4
+dropout = 0.1
+model_selection = best_val
+rho_w = 0.1
+rho_x = 0.2
+beta = 0.02
+pgd_steps = 2
+seeds = 1,2
+eval_every = 1
+row_normalize_features = false
+"""
+HIDDEN_WIDTH_TOKEN = tokens(FUZZ_CONFIG).index("hidden_dims") + 4
+
+
+class TestLoaderFuzz:
+    """One token of a checkpoint or config replaced: probe, attack and train exit 0 or 2."""
+
+    @given(
+        command=st.sampled_from(["probe", "attack"]),
+        where=st.integers(0, 1 << 20),
+        token=st.sampled_from(FUZZ_TOKENS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_checkpoint_edit_exits_0_or_2(self, checkpoint, data_dir, tmp_path_factory,
+                                          command, where, token):
+        out = tmp_path_factory.mktemp("ckpt_fuzz")
+        toks = tokens(checkpoint.read_text())
+        toks[where % len(toks)] = token
+        (out / "checkpoint.json").write_text("".join(toks), encoding="utf-8")
+        dest = {"probe": ["--out_dir", str(out / "probe")],
+                "attack": ["--out", str(out / "a.csv"), "--sigmas", "0,0.1"]}[command]
         assert run(
-            "train", "--dataset_dir", str(data), "--out_dir", str(data / "run"),
-            "--seeds", "1", "--epochs", "2", "--hidden_dims", "4", "--eval_every", "1",
+            command, "--checkpoint", str(out / "checkpoint.json"),
+            "--dataset_dir", str(data_dir), *dest,
         ) in (0, 2)
+
+    @given(where=st.integers(0, 1 << 20), token=st.sampled_from(FUZZ_TOKENS))
+    # Widths no array can have, in place of hidden_dims' first "4".
+    @example(where=HIDDEN_WIDTH_TOKEN, token="2147483648")
+    @example(where=HIDDEN_WIDTH_TOKEN, token="1" * 30)
+    @settings(max_examples=150, deadline=None)
+    def test_config_edit_exits_0_or_2(self, data_dir, tmp_path_factory, where, token):
+        out = tmp_path_factory.mktemp("cfg_fuzz")
+        toks = tokens(FUZZ_CONFIG)
+        toks[where % len(toks)] = token
+        (out / "run.cfg").write_text("".join(toks), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "train", _capped_train(cli_mod.train))
+            assert run(
+                "train", "--config", str(out / "run.cfg"),
+                "--dataset_dir", str(data_dir), "--out_dir", str(out / "run"),
+            ) in (0, 2)
 
 
 def _diverge(seed):
@@ -592,6 +691,29 @@ def test_bad_seed_exits_2(case, checkpoint, data_dir, tmp_path, capsys):
     assert run(*argv, *paths, "--dataset_dir", str(data_dir)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_hidden_width_of_2_to_the_31_exits_2(data_dir, tmp_path, capsys):
+    assert run(
+        "train", "--dataset_dir", str(data_dir), "--out_dir", str(tmp_path / "run"),
+        "--seeds", "1", "--hidden_dims", str(1 << 31),
+    ) == 2
+    assert "hidden_dims must be in [1, 2^31)" in capsys.readouterr().err
+
+
+def test_array_too_large_to_allocate_exits_2(data_dir, tmp_path, capsys, monkeypatch):
+    def allocate(*args, **kw):
+        raise MemoryError("Unable to allocate 48.0 GiB for an array with shape (3, 2147483647)")
+
+    monkeypatch.setattr(cli_mod, "train", allocate)
+    assert run(
+        "train", "--dataset_dir", str(data_dir), "--out_dir", str(tmp_path / "run"),
+        "--seeds", "1", "--epochs", "2",
+    ) == 2
+    assert capsys.readouterr().err == (
+        "capgnn: out of memory: Unable to allocate 48.0 GiB for an array with shape "
+        "(3, 2147483647)\n"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from capgnn import graph
+from capgnn import graph, linalg
 from capgnn.graph import (
     DatasetError,
     SbmParams,
@@ -23,7 +26,7 @@ from capgnn.graph import (
 )
 from capgnn.linalg import CsrMatrix, make_rng
 
-from conftest import two_node_dataset
+from conftest import feature_ranges, load_outcome, two_node_dataset
 from oracles import csr_from_dense, csr_to_dense, reference_features_csv
 
 
@@ -280,6 +283,159 @@ class TestDatasetIO:
         out = row_normalize(x)
         assert np.allclose(out[0], [0.75, -0.25])
         assert np.array_equal(out[1], [0.0, 0.0])
+
+
+class TestDatasetIOInRanges(TestDatasetIO):
+    """Every TestDatasetIO case again, with features.csv parsed in two ranges."""
+
+    @pytest.fixture(autouse=True)
+    def two_ranges(self):
+        with feature_ranges(2):
+            yield
+
+
+def record_forks(monkeypatch, kill: bool = False) -> list:
+    """Pids of the children ``os.fork`` makes from now on; with ``kill``, each SIGKILLs itself."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0 and kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+# 13 bytes a line, so a cut at half of 7 such lines and 5 lines 4 bytes longer
+# falls just before line 8 (index 7).
+ROWS = [f"{i:02d}.5,1.5,2.5\n" for i in range(12)]
+
+# case -> (features.csv lines, fragment of the serial error or None for rows)
+RANGE_EDITS = {
+    "non_numeric": (ROWS[:-1] + ["11.5,1.5,x\n"], "features.csv:12: non-numeric value 'x'"),
+    "inf": (ROWS[:-1] + ["11.5,inf,2.5\n"], "features.csv:12: non-finite feature value"),
+    "arity": (ROWS[:-1] + ["11.5,1.5\n"], "features.csv:12: expected 3 values, got 2"),
+    "not_utf8": (ROWS[:-1] + ["11.5,1.5,\udcff\n"], "features.csv: not UTF-8 text"),
+    "wider_last_range": (
+        ROWS[:7] + [r[:-1] + ",3.5\n" for r in ROWS[7:]],
+        "features.csv:8: expected 3 values, got 4",
+    ),
+    "empty_line": (ROWS[:-1] + ["\n", ROWS[-1]], None),
+    "no_final_newline": (ROWS[:-1] + [ROWS[-1][:-1]], None),
+    "crlf_line_ends": ([r[:-1] + "\r\n" for r in ROWS], None),
+}
+
+
+class TestFeatureRanges:
+    """features.csv in forked ranges: the serial parse's bits or error, and no child left."""
+
+    @pytest.fixture(scope="class")
+    def wide_dir(self, wide_sbm, tmp_path_factory):
+        d = tmp_path_factory.mktemp("wide") / "data"
+        save_dataset(wide_sbm, d)
+        return d
+
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        d = tmp_path / "data"
+        save_dataset(edgeless_dataset(np.arange(36.0).reshape(12, 3)), d)
+        return d
+
+    @staticmethod
+    def no_serial_parse(monkeypatch):
+        def serial(*args):
+            raise AssertionError("features.csv fell back to the serial parse")
+
+        monkeypatch.setattr(graph, "_read_features", serial)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_saved_wide_sbm_loads_to_the_serial_bits(self, wide_dir, monkeypatch, count,
+                                                     normalize):
+        want = load_dataset(wide_dir, row_normalize_features=normalize).features
+        self.no_serial_parse(monkeypatch)
+        pids = record_forks(monkeypatch)
+        with feature_ranges(count):
+            got = load_dataset(wide_dir, row_normalize_features=normalize).features
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(pids) == count - 1
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("case", sorted(RANGE_EDITS))
+    def test_edited_file_gives_the_serial_rows_or_error(self, data_dir, monkeypatch, case,
+                                                        count):
+        lines, error = RANGE_EDITS[case]
+        text = "".join(lines).encode("utf-8", "surrogateescape")
+        (data_dir / "features.csv").write_bytes(text)
+        want = load_outcome(data_dir)
+        assert want[0] == ("rows" if error is None else "error")
+        assert error is None or error in want[1]
+        pids = record_forks(monkeypatch)
+        with feature_ranges(count):
+            assert load_outcome(data_dir) == want
+        assert len(pids) == count - 1
+        assert_reaped(pids)
+
+    def test_a_file_below_two_byte_floors_parses_serially(self, wide_dir, monkeypatch):
+        assert (wide_dir / "features.csv").stat().st_size < 2 * graph._RANGE_BYTES
+        monkeypatch.setattr(linalg, "_WIDTH", 2)
+        pids = record_forks(monkeypatch)
+        load_dataset(wide_dir)
+        assert pids == []
+
+    def test_without_fork_parses_serially(self, data_dir, monkeypatch):
+        want = load_outcome(data_dir)
+        monkeypatch.delattr(os, "fork")
+        with feature_ranges(2):
+            assert load_outcome(data_dir) == want
+
+    def test_killed_child_falls_back_to_the_serial_bits(self, data_dir, monkeypatch):
+        want = load_outcome(data_dir, row_normalize_features=True)
+        pids = record_forks(monkeypatch, kill=True)
+        with feature_ranges(3):
+            assert load_outcome(data_dir, row_normalize_features=True) == want
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_edges_error_while_the_child_parses_leaves_no_child(self, data_dir, monkeypatch):
+        parent, parse = os.getpid(), graph._parse_range
+
+        def slow_in_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return parse(*args)
+
+        monkeypatch.setattr(graph, "_parse_range", slow_in_child)
+        (data_dir / "edges.tsv").write_text("0\t0\n")
+        pids = record_forks(monkeypatch)
+        start = time.monotonic()
+        with feature_ranges(2), pytest.raises(DatasetError, match=r"edges\.tsv:1: self-loop"):
+            load_dataset(data_dir)
+        assert time.monotonic() - start < 30
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_interrupt_during_the_load_leaves_no_child(self, data_dir, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(graph, "_read_edges", interrupt)
+        pids = record_forks(monkeypatch)
+        with feature_ranges(2), pytest.raises(KeyboardInterrupt):
+            load_dataset(data_dir)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
 
 
 def edgeless_dataset(features):
