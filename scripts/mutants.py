@@ -77,7 +77,7 @@ MUTATIONS = {
     # Row blocks: cuts, ranges and the pool.
     "unaligned_cuts": Mutation(
         LINALG,
-        "[_ROW_ALIGN * (units * i // blocks) for i in range(blocks)]",
+        "[align * (units * i // blocks) for i in range(blocks)]",
         "[rows * i // blocks for i in range(blocks)]",
         ("tests/test_linalg.py::TestMatmulRows",),
     ),
@@ -85,13 +85,26 @@ MUTATIONS = {
         LINALG, "_ROW_ALIGN = 192", "_ROW_ALIGN = 8",
         ("tests/test_linalg.py::TestMatmulRows",),
     ),
-    "no_width_cap": Mutation(
-        LINALG, "blocks = min(units // per_block, _WIDTH)", "blocks = units // per_block",
+    # The cuts stopped depending on the CPU count; the old one-per-CPU cap:
+    "cuts_capped_at_width": Mutation(
+        LINALG, "blocks = units // per_block", "blocks = min(units // per_block, _WIDTH)",
         ("tests/test_linalg.py::TestRowCuts",),
     ),
+    "transposed_cut_at_the_sparse_floor": Mutation(
+        LINALG,
+        "return _row_cuts(rows, row_work, _MIN_TRANSPOSED, 1)",
+        "return _row_cuts(rows, row_work, _MIN_BLOCK, 1)",
+        ("tests/test_linalg.py::TestMatmulRows::test_weight_gradient_bitwise_equal",),
+    ),
+    # The shared queue of ranges: what it hands out, and who drains it.
     "dropped_last_range": Mutation(
-        LINALG, "zip(bounds[1:-1], bounds[2:])", "zip(bounds[1:-2], bounds[2:-1])",
+        LINALG, "fn(bounds[i], bounds[i + 1])",
+        "fn(bounds[i], bounds[min(i + 1, ranges - 1)])",
         ("tests/test_linalg.py::TestSpmmRowBlocks",),
+    ),
+    "drain_skips_its_last_range": Mutation(
+        LINALG, "while (i := next(taken)) < ranges:", "while (i := next(taken)) < ranges - 1:",
+        ("tests/test_linalg.py::TestSharedQueue",),
     ),
     # The child waits on a pool thread it does not have; the test kills it at 10 s.
     "no_fork_hook": Mutation(
@@ -119,6 +132,17 @@ MUTATIONS = {
         MODEL, "        del back\n", "",
         ("tests/test_model.py::TestForwardCacheMemory::"
          "test_backward_holds_two_hidden_gradients",),
+    ),
+    # The workspace's lifetime rule, and feature PGD's start on X.
+    "back_into_the_live_hidden_output": Mutation(
+        MODEL, "prod, _, grad = work[l - 1] if work else _FRESH",
+        "_, prod, grad = work[l - 1] if work else _FRESH",
+        ("tests/test_train.py::TestWorkspace::"
+         "test_train_step_gives_the_bytes_of_fresh_arrays",),
+    ),
+    "first_eps_without_plus_zero": Mutation(
+        PERTURB, "np.add(s, 0.0, out=e)", "np.copyto(e, s)",
+        (f"{FEATURE_PGD}::test_negative_zero_features_match_the_reference",),
     ),
     # The features.csv writer's segments, and the landscape's scale-and-shift sweep.
     "line_end_one_column_early": Mutation(

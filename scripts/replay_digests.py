@@ -13,8 +13,9 @@ values, a -0.0, exponent-form reprs) with ``save_dataset``, the path
 that formats sparse features. Last it saves a seeded 9,216-node ring
 graph with d=64 (chords on its first third only) and trains it with cap
 for two epochs with a PGD trace, so the row-blocked kernels split; then
-generates a 2,304-node SBM with d=384 and trains it the same way, so the
-first layer's weight gradient splits too; then does the same on a
+generates a 2,304-node SBM with d=384 and trains it the same way, with
+wider first-layer products (its weight gradient is one range under the
+2^27 transposed floor); then does the same on a
 4,096-node ring with d=500 features at one decimal, where a second BLAS
 thread would change the first layer's products, so a lost BLAS pin shows.
 It then prints one ``sha256  relpath`` line per file written, sorted by

@@ -238,8 +238,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # No earlier run's outputs may sit next to this manifest; files capgnn
     # did not write stay.
     (out_dir / "summary.json").unlink(missing_ok=True)
-    for old in out_dir.glob("seed_*"):
-        if old.is_dir() and old.name[5:].isdigit():
+    for old in out_dir.glob("seed_*"):  # seed_<s>/, and seed_<s>.tmp/ of a killed run
+        if old.is_dir() and old.name[5:].removesuffix(".tmp").isdigit():
             for name in ("metrics.csv", "checkpoint.json", "pgd_trace.csv"):
                 (old / name).unlink(missing_ok=True)
             if not any(old.iterdir()):
@@ -274,17 +274,28 @@ _job: tuple | None = None  # (dataset, cfg, out_dir, pgd_trace) of the sweep in 
 
 
 def _run_seed(seed: int) -> dict:
-    """Train ``seed`` of the sweep in ``_job``, write ``seed_<s>/``, return its row."""
+    """Train ``seed`` of the sweep in ``_job``, write ``seed_<s>/``, return its row.
+
+    The files go to ``seed_<s>.tmp/``, renamed onto ``seed_<s>/`` at once
+    (file by file if files capgnn did not write keep it), so a killed
+    worker leaves no half-written ``seed_<s>/``.
+    """
     dataset, cfg, out_dir, trace = _job
     pgd_trace = [] if trace else None
     model, history = train(dataset, replace(cfg, seed=seed), pgd_trace=pgd_trace)
-    seed_dir = out_dir / f"seed_{seed}"
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(history, seed_dir / "metrics.csv")
+    seed_dir, tmp = out_dir / f"seed_{seed}", out_dir / f"seed_{seed}.tmp"
+    tmp.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(history, tmp / "metrics.csv")
     if pgd_trace is not None:
-        write_pgd_trace_csv(pgd_trace, seed_dir / "pgd_trace.csv")
+        write_pgd_trace_csv(pgd_trace, tmp / "pgd_trace.csv")
+    save_model(model, tmp / "checkpoint.json")
+    try:
+        os.replace(tmp, seed_dir)  # seed_dir is absent or empty
+    except OSError:
+        for f in tmp.iterdir():
+            os.replace(f, seed_dir / f.name)
+        tmp.rmdir()
     ckpt = seed_dir / "checkpoint.json"
-    save_model(model, ckpt)
     logits = forward(model, dataset.a_hat, dataset.features).logits
     _, train_acc, val_acc, test_acc = split_metrics(logits, dataset)
     return {

@@ -105,9 +105,19 @@ def make_dataset(
     """Validate parts, normalize the adjacency, and freeze everything.
 
     Accepts only what :func:`load_dataset` reads back: at least one
-    feature column and at most ``n`` classes.
+    feature column and at most ``n`` classes. Every part is copied, so
+    later changes to the caller's arrays leave the dataset alone.
     """
-    features = np.asarray(features, dtype=np.float64)
+    return _dataset(adjacency, np.asarray(features, dtype=np.float64), labels, num_classes,
+                    train_mask, val_mask, test_mask, own=False)
+
+
+def _dataset(adjacency, features, labels, num_classes, train_mask, val_mask, test_mask,
+             own: bool) -> Dataset:
+    """``make_dataset``; with ``own``, ``features`` is frozen in place, not copied.
+
+    ``own`` is for ``load_dataset``'s own array, which nothing else holds.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     n = adjacency.rows
     if features.ndim != 2 or features.shape[0] != n or features.shape[1] < 1:
@@ -137,13 +147,17 @@ def make_dataset(
         raise DatasetError("split masks must be pairwise disjoint")
     if not train.any():
         raise DatasetError("train mask must select at least one node")
+    if own:
+        features.flags.writeable = False
+    else:  # after the checks, so their temporaries never sit beside the copy
+        features = _frozen(features, np.float64)
     return Dataset(
         n=n,
         d=features.shape[1],
         num_classes=num_classes,
         adjacency=adjacency,
         a_hat=normalize_adjacency(adjacency),
-        features=_frozen(features, np.float64),
+        features=features,
         labels=_frozen(labels, np.int64),
         train_mask=_frozen(train, bool),
         val_mask=_frozen(val, bool),
@@ -296,9 +310,9 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     adjacency = CsrMatrix.from_coo(
         n, n, us + vs, vs + us, np.ones(2 * len(us))
     )
-    return make_dataset(
+    return _dataset(
         adjacency, features, labels, num_classes,
-        masks["train"], masks["val"], masks["test"],
+        masks["train"], masks["val"], masks["test"], own=True,
     )
 
 

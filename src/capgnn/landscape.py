@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import (
-    _MIN_MATMUL, _normal_norm, _row_cuts, _stream_normal, _sweep_rows, lp_norm,
-)
+from .linalg import _dense_cuts, _normal_norm, _stream_normal, _sweep_rows, lp_norm
 from .model import GnnModel, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
@@ -195,7 +193,7 @@ def gaussian_attack_trials(
     if x.shape[1] != w0.shape[0]:  # before any chunk reaches np.matmul
         raise ValueError(f"features must be {x.shape[0]}x{w0.shape[0]}, got {x.shape}")
     # Chunks of rows whose products have the bytes of one noisy @ w0 call.
-    cuts = _row_cuts(x.shape[0], x.shape[1] * w0.shape[1], _MIN_MATMUL, capped=False)
+    cuts = _dense_cuts(x, w0.shape[1])
     accs = np.empty(trials)
     # Every trial draws, scales and shifts in this one buffer; x + e and
     # e + x have the same bits, so accs match sigma * draw + features.

@@ -8,36 +8,46 @@ runs with the same inputs are bit-identical.
 
 Row blocks: ``spmm``, the model's dense products ``H @ W``, ``g @ W.T``
 and ``H.T @ g``, and the elementwise sweeps (forward's ReLU and dropout,
-backward's dropout and ReLU gating, the feature ascent's step) split
-their output rows into contiguous ranges, at most one per CPU the
-process may run on when capgnn is imported (``_WIDTH``). The first range
-runs on the caller's thread, the others on a thread pool created on
-first use and dropped in a forked child; pool workers run only numpy
-array operations, ``np.matmul`` and scipy's CSR kernel. One rule,
-``_row_cuts``, places every cut: on a multiple of ``_ROW_ALIGN`` = 192
-rows, with every range doing at least a floor of work (``_MIN_BLOCK`` =
-2^18 output entries for sparse and elementwise kernels, ``_MIN_MATMUL``
-= 2^22 multiply-adds for a dense product), so small outputs such as the
-400-node SBM's stay one inline block. Sparse and elementwise rows come
-from the same kernel and operands whatever range holds them, so their
-bytes hold at any cut. A dense range is one single-threaded BLAS call on
-a slice of rows (of ``H.T``: a column slice of ``H``, read in place),
-whose inner kernels OpenBLAS picks by row offset and product size; the
-alignment and the work floor are what keep its bytes equal to one
-``a @ b`` call. A second BLAS thread does change bytes, so
-``import capgnn`` pins BLAS to one thread; the pool is the only way
-capgnn uses more cores.
+backward's dropout and ReLU gating, the feature ascent's step) cut their
+output rows into contiguous ranges on one shared queue, which the caller
+and up to ``_WIDTH - 1`` pool threads drain (``_WIDTH``: the CPUs the
+process may run on when capgnn is imported), so a thread whose CPU is
+busy elsewhere leaves its share to the others. The pool is created on
+first use and dropped in a forked child; its threads run only numpy
+array operations, ``np.matmul`` and scipy's CSR kernel. ``_row_cuts``
+places every cut: as many ranges as fit on multiples of an alignment
+while each does at least a floor of work, whatever ``_WIDTH`` is, so
+small outputs such as the 400-node SBM's stay one inline range. Sparse
+and elementwise rows come from the same kernel and operands whatever
+range holds them, so any cut keeps their bytes (floor ``_MIN_BLOCK`` =
+2^18 output entries). A dense range is one single-threaded BLAS call on
+a slice of rows, whose inner kernels OpenBLAS picks by row offset and
+product size; two rules keep its bytes equal to one ``a @ b`` call:
+
+- a C-ordered left operand (``H @ W``, ``g @ W.T``): multiples of
+  ``_ROW_ALIGN`` = 192 rows, at least ``_MIN_MATMUL`` = 2^22
+  multiply-adds per range;
+- a transposed one (``H.T @ g``, whose rows are columns of ``H``, read in
+  place): any row, at least ``_MIN_TRANSPOSED`` = 2^27 multiply-adds per
+  range. A byte sweep found such cuts exact down to ~1e6 multiply-adds
+  (below, OpenBLAS's small-matrix kernel sums in another order); the
+  higher floor is for speed, as each range packs all of ``g`` again.
+  Pubmed's 500 x 19,717 @ 19,717 x 64 gets four ranges.
+
+A second BLAS thread does change bytes, so ``import capgnn`` pins BLAS
+to one thread; the pool is the only way capgnn uses more cores.
 
 Streamed draws (``_stream_normal``): a large Gaussian draw is made in
 consecutive chunks on the caller's thread, which keeps the bytes and the
 generator state of one draw, while the pool works on each drawn chunk:
 a landscape direction sums its squares leaf by leaf (``_normal_norm``),
 and the noise attack shifts rows and multiplies them by the first
-layer's weights, cut by ``_row_cuts`` without the one-per-CPU cap.
+layer's weights, cut as ``_matmul_rows`` cuts them (``_dense_cuts``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -50,10 +60,11 @@ from scipy.sparse._sparsetools import csr_matvecs
 
 _MIN_BLOCK = 1 << 18  # output entries per sparse or elementwise row block
 _MIN_MATMUL = 1 << 22  # multiply-adds per row block of a dense product
-_ROW_ALIGN = 192  # every row cut falls on a multiple of this
+_MIN_TRANSPOSED = 1 << 27  # multiply-adds per row block of a transposed product
+_ROW_ALIGN = 192  # every cut of a C-ordered dense product falls on a multiple of this
 _CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
 _LEAF = 1 << 16  # most entries in one leaf of lp_norm's summation tree
-# CPUs this process may run on at import: the most row blocks one call uses.
+# CPUs this process may run on at import: the most threads draining one call's ranges.
 _WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")  # Linux
           else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
@@ -157,19 +168,19 @@ class CsrMatrix:
         return cls(rows, cols, row_ptr, c, v)
 
 
-def _row_cuts(rows: int, row_work: int, min_work: int, capped: bool = True) -> list[int]:
+def _row_cuts(rows: int, row_work: int, min_work: int, align: int) -> list[int]:
     """Cuts of [0, rows) into ranges of ``row_work`` work per row (module docstring).
 
-    At most one range per CPU (any number if not ``capped``), every inner
-    cut a multiple of ``_ROW_ALIGN`` and every range at least
-    ``min_work``; the cuts strictly increase, so no range is empty.
+    As many ranges as fit with every inner cut a multiple of ``align``
+    and every range at least ``min_work``; the cuts strictly increase,
+    so no range is empty.
     """
-    units = rows // _ROW_ALIGN
-    per_block = -(-min_work // max(_ROW_ALIGN * row_work, 1))  # in units
-    blocks = min(units // per_block, _WIDTH) if capped else units // per_block
+    units = rows // align
+    per_block = -(-min_work // max(align * row_work, 1))  # in units
+    blocks = units // per_block
     if blocks < 2:
         return [0, rows]
-    return [_ROW_ALIGN * (units * i // blocks) for i in range(blocks)] + [rows]
+    return [align * (units * i // blocks) for i in range(blocks)] + [rows]
 
 
 def _drop_pool() -> None:
@@ -183,14 +194,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _submit(fn, lo: int, hi: int):
+def _submit(fn, *args):
     global _pool
     if _pool is None:
         _pool = ThreadPoolExecutor(_WIDTH, thread_name_prefix="capgnn-rows")
-    return _pool.submit(fn, lo, hi)
+    return _pool.submit(fn, *args)
 
 
 def _finish(futures) -> None:
+    futures = [f for f in futures if not f.cancelled()]  # those never run
     wait(futures)  # no worker may still write once this returns
     for f in futures:
         f.result()
@@ -199,16 +211,28 @@ def _finish(futures) -> None:
 def _run_row_blocks(bounds: list[int], fn) -> None:
     """Call ``fn(lo, hi)`` on each range between consecutive ``_row_cuts`` bounds.
 
-    The first range runs on the caller's thread and the others on the
-    pool. Returns once every range is done, raising the first error.
+    The caller and up to ``_WIDTH - 1`` pool workers take the ranges in
+    order from one shared counter (``next`` on an ``itertools.count`` is
+    atomic under the GIL) until none is left; a worker that has not
+    started by then is cancelled, not waited for. Returns once every
+    range is done, raising the first error.
     """
-    if len(bounds) == 2:
+    ranges = len(bounds) - 1
+    if ranges == 1:
         fn(*bounds)
         return
-    futures = [_submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    taken = itertools.count()
+
+    def drain():
+        while (i := next(taken)) < ranges:
+            fn(bounds[i], bounds[i + 1])
+
+    futures = [_submit(drain) for _ in range(min(_WIDTH, ranges) - 1)]
     try:
-        fn(bounds[0], bounds[1])
+        drain()
     finally:
+        for f in futures:
+            f.cancel()  # one still queued would find every range taken
         _finish(futures)
 
 
@@ -231,12 +255,20 @@ def _stream_normal(rng: np.random.Generator, out: np.ndarray, cuts: list[int], f
         _finish(futures)
 
 
+def _dense_cuts(a: np.ndarray, cols: int) -> list[int]:
+    """The ``_row_cuts`` of ``a @ b`` for a 2-D ``a`` and a ``b`` of ``cols`` columns."""
+    rows, row_work = a.shape[0], a.shape[1] * cols
+    if a.strides[0] < a.strides[1]:  # a transposed view: each row is a column of H
+        return _row_cuts(rows, row_work, _MIN_TRANSPOSED, 1)
+    return _row_cuts(rows, row_work, _MIN_MATMUL, _ROW_ALIGN)
+
+
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for 2-D float64 arrays, in aligned row blocks (module docstring).
 
     Written into ``out`` (C-contiguous, of the product's shape) when given.
     """
-    bounds = _row_cuts(a.shape[0], a.shape[1] * b.shape[1], _MIN_MATMUL)
+    bounds = _dense_cuts(a, b.shape[1])
     if len(bounds) == 2:
         return np.matmul(a, b, out=out)
     if out is None:
@@ -261,7 +293,7 @@ def _sweep_rows(shape: tuple[int, int], fn) -> None:
         for c in range(lo, hi, step):
             fn(c, min(c + step, hi))
 
-    _run_row_blocks(_row_cuts(rows, cols, _MIN_BLOCK), block)
+    _run_row_blocks(_row_cuts(rows, cols, _MIN_BLOCK, 1), block)
 
 
 def _add_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -270,14 +302,15 @@ def _add_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
-    """CSR @ dense product.
+def spmm(a: CsrMatrix, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """CSR @ dense product, written into ``out`` when given.
 
     Accumulation is row-major and index-ascending within each row (the
     scipy CSR kernel walks nonzeros in storage order), matching a naive
     triple loop bit for bit on canonical input. Large outputs are
     computed in row blocks (module docstring), each zeroed and written
-    in place in the one output.
+    in place in the one output. ``out`` must be a C-contiguous float64
+    array of the product's shape that does not overlap ``b``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
@@ -287,19 +320,19 @@ def spmm(a: CsrMatrix, b: np.ndarray) -> np.ndarray:
             f"spmm shape mismatch: {a.rows}x{a.cols} @ {b.shape[0]}x{b.shape[1]}"
         )
     k = b.shape[1]
-    bounds = _row_cuts(a.rows, k, _MIN_BLOCK)
-    split = len(bounds) > 2
-    # With several blocks, each zeroes its own rows, so they start in its cache.
-    out = np.empty((a.rows, k)) if split else np.zeros((a.rows, k))
-    xs, ys = b.ravel(), out.ravel()  # xs copies a non-contiguous b
+    if out is None:
+        out = np.empty((a.rows, k))
+    elif (out.shape != (a.rows, k) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"spmm out must be a C-contiguous {a.rows}x{k} float64 array")
+    xs, ys = b.ravel(), out.reshape(-1)  # xs copies a non-contiguous b
 
-    def block(lo, hi):
+    def block(lo, hi):  # zeroes its own rows, so they start in its cache
         y = ys[lo * k:hi * k]
-        if split:
-            y.fill(0.0)
+        y.fill(0.0)
         csr_matvecs(hi - lo, a.cols, k, a.row_ptr[lo:hi + 1], a.col_idx, a.values, xs, y)
 
-    _run_row_blocks(bounds, block)
+    _run_row_blocks(_row_cuts(a.rows, k, _MIN_BLOCK, 1), block)
     return out
 
 

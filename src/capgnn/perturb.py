@@ -12,11 +12,14 @@ forward pass's effective-input channel.
 Each loop asks ``backward`` only for the gradient its step reads, and
 computes the ascent loss only when a trace records it. The feature loop
 runs on n x d arrays, so it keeps two of them: the perturbation and the
-effective features X + eps. Once ``forward`` has run, X + eps is idle (a
+effective features X + eps. Step 0 runs ``forward`` on X itself: X + 0.0
+differs from X only at -0.0 entries, which no product sum starting at
++0.0 can tell apart. Once ``forward`` has run, X + eps is idle (a
 ``need_weights=False`` backward never reads it), so ``backward`` writes
 the feature gradient there. The step then takes each chunk of the
 gradient, writes its sign into a fresh chunk-sized temporary (with numpy
-2.4 an in-place ``np.sign`` is several times slower), adds it to eps and
+2.4 an in-place ``np.sign`` is several times slower), adds it to eps
+(step 0 writes eps as ``step + 0.0``, the bits of ``0.0 + step``) and
 rebuilds that chunk of X + eps over the spent gradient. The whole step
 is one sweep over row chunks of ~2^16 entries, each taken through every
 pass while it sits in cache, with the chunks split across CPUs in row
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import _add_rows, _sweep_rows, lp_norm
+from .linalg import _sweep_rows, lp_norm
 from .model import GnnModel, backward, forward, masked_cross_entropy
 
 _GRAD_NORM_FLOOR = 1e-12
@@ -83,6 +86,8 @@ def pgd_weight_perturbation(
     dataset: Dataset,
     cfg: PerturbConfig,
     trace: list[PgdTraceRow] | None = None,
+    *,
+    work: list | None = None,
 ) -> list[np.ndarray]:
     """Multi-step projected ascent on the train loss in weight space.
 
@@ -98,12 +103,12 @@ def pgd_weight_perturbation(
     eps = [np.zeros_like(w) for w in model.weights]
     for t in range(cfg.steps):
         w_eff = [w + e for w, e in zip(model.weights, eps)]
-        cache = forward(model, dataset.a_hat, dataset.features, w_eff, training=False)
+        cache = forward(model, dataset.a_hat, dataset.features, w_eff, work=work)
         if trace is not None:
             loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
         grads = backward(
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_features=False,
+            need_features=False, work=work,
         )
         for l, g in enumerate(grads.d_weights):
             gn = lp_norm(g, 2)
@@ -125,6 +130,8 @@ def pgd_feature_perturbation(
     dataset: Dataset,
     cfg: PerturbConfig,
     trace: list[PgdTraceRow] | None = None,
+    *,
+    work: list | None = None,
 ) -> np.ndarray:
     """Multi-step projected sign ascent on the train loss in feature space.
 
@@ -145,29 +152,32 @@ def pgd_feature_perturbation(
     ``eps`` is the caller's to keep or overwrite.
     """
     x = dataset.features
-    eps = np.zeros_like(x)
-    x_eff = _add_rows(x, eps, np.empty_like(x))
+    eps, x_eff = np.empty_like(x), np.empty_like(x)  # both filled by step 0
     reach = 0.0
     for t in range(cfg.steps):
-        cache = forward(model, dataset.a_hat, x_eff, training=False)
+        cache = forward(model, dataset.a_hat, x_eff if t else x, work=work)
         if not np.isfinite(cache.logits).all():
             raise FloatingPointError(f"feature ascent step {t}: non-finite logits")
         grad = backward(  # into X + eps, idle until the step rebuilds it
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_weights=False, out=x_eff,
+            need_weights=False, out=x_eff, work=work,
         ).d_features
         if trace is not None:
             loss = masked_cross_entropy(cache.logits, dataset.labels, dataset.train_mask)
             gn = lp_norm(grad, math.inf)
         reach += cfg.beta
         clamp = reach > cfg.rho_x
+        first = t == 0
         rebuild = t + 1 < cfg.steps  # the caller adds the final eps itself
 
         def step(lo, hi):
             s = np.sign(grad[lo:hi])  # a chunk temporary: in place is slower
             s *= cfg.beta
             e = eps[lo:hi]
-            e += s
+            if first:
+                np.add(s, 0.0, out=e)  # 0.0 + s: a -0.0 step gives +0.0
+            else:
+                e += s
             if clamp:
                 np.clip(e, -cfg.rho_x, cfg.rho_x, out=e)
             if rebuild:

@@ -23,6 +23,7 @@ from .graph import Dataset
 from .linalg import _add_rows, make_rng
 from .model import (
     GnnModel,
+    _workspace,
     backward,
     forward,
     init_model,
@@ -177,6 +178,8 @@ def train_step(
     epoch: int = 0,
     evaluate_metrics: bool = True,
     pgd_trace: list | None = None,
+    *,
+    work: list | None = None,
 ) -> EpochRecord:
     """One optimizer step under the given epoch mode.
 
@@ -189,7 +192,8 @@ def train_step(
     raises ``TrainingDivergedError`` naming the epoch (and the ascent
     loop, for the first).
     When ``pgd_trace`` is given, per-step inner-loop rows are appended
-    as (epoch, PgdTraceRow) pairs.
+    as (epoch, PgdTraceRow) pairs. Every pass writes into ``work``, a
+    ``model._workspace``, when given.
     """
     t0 = time.perf_counter()
     a_hat, x = dataset.a_hat, dataset.features
@@ -199,10 +203,10 @@ def train_step(
     x_eff, w_eff = x, None
     try:
         if mode_used == WEIGHT_PERTURB:
-            eps_w = pgd_weight_perturbation(model, dataset, cfg.perturb, trace=rows)
+            eps_w = pgd_weight_perturbation(model, dataset, cfg.perturb, trace=rows, work=work)
             w_eff = [w + e for w, e in zip(model.weights, eps_w)]
         elif mode_used == FEATURE_PERTURB:
-            eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows)
+            eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows, work=work)
             x_eff = _add_rows(x, eps_x, out=eps_x)  # eps_x is discarded after this step
         elif mode_used != STANDARD:
             raise ValueError(f"unknown epoch mode {mode_used!r}")
@@ -211,13 +215,14 @@ def train_step(
     if pgd_trace is not None and rows:
         pgd_trace.extend((epoch, row) for row in rows)
 
-    cache = forward(model, a_hat, x_eff, w_eff, training=True, rng=rng)
+    cache = forward(model, a_hat, x_eff, w_eff, training=True, rng=rng, work=work)
     loss = masked_cross_entropy(cache.logits, labels, train_mask)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite training loss at epoch {epoch} ({mode_used})"
         )
-    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False)
+    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False,
+                     work=work)
     optimizer.step(model.weights, grads.d_weights)
     if not all(np.isfinite(w).all() for w in model.weights):
         raise TrainingDivergedError(
@@ -226,7 +231,7 @@ def train_step(
 
     train_loss = train_acc = val_acc = test_acc = None
     if evaluate_metrics:
-        clean = forward(model, a_hat, x, training=False)
+        clean = forward(model, a_hat, x, work=work)
         train_loss, train_acc, val_acc, test_acc = split_metrics(clean.logits, dataset)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(
@@ -255,12 +260,14 @@ def train(
     All randomness (init and dropout) flows from ``cfg.seed``, so two
     runs with the same config and dataset are bit-identical. With
     ``model_selection="best_val"`` the returned weights are the earliest
-    checkpoint achieving the best validation accuracy.
+    checkpoint achieving the best validation accuracy. Every epoch's
+    passes reuse one ``model._workspace``, which dies with the call.
     """
     rng = make_rng(cfg.seed)
     dims = [dataset.d, *cfg.hidden_dims, dataset.num_classes]
     model = init_model(dims, rng, dropout_rate=cfg.dropout)
     optimizer = make_optimizer(cfg)
+    work = _workspace(model, dataset.n)
 
     history: list[EpochRecord] = []
     best_val = -1.0
@@ -270,7 +277,7 @@ def train(
         do_eval = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         record = train_step(
             model, dataset, mode_used, cfg, optimizer, rng,
-            epoch=epoch, evaluate_metrics=do_eval, pgd_trace=pgd_trace,
+            epoch=epoch, evaluate_metrics=do_eval, pgd_trace=pgd_trace, work=work,
         )
         history.append(record)
         if (

@@ -32,16 +32,15 @@ def wide_sbm():
 
 @contextlib.contextmanager
 def row_blocks(count: int, chunk: int | None = None):
-    """Split each sparse or elementwise output of >= ``count`` rows into ``count`` blocks.
+    """Drain every row-blocked kernel's ranges on ``count`` threads, the caller's first.
 
-    ``chunk``, when given, is the entries per chunk of an elementwise sweep.
-    Cuts may fall on any row (``_ROW_ALIGN`` is 1). Dense products keep
-    their own floor, and no test under this seam multiplies 2 x 2^22
-    multiply-adds, so each of its dense products stays one block.
+    Each sparse or elementwise output is cut into one-row ranges; with
+    ``chunk`` (the entries per chunk of an elementwise sweep), into ranges
+    of at least two chunks. Dense products keep their own alignment and
+    floors, so they are cut as at full size.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_MIN_BLOCK", 1)
-        mp.setattr(linalg, "_ROW_ALIGN", 1)
+        mp.setattr(linalg, "_MIN_BLOCK", 1 if chunk is None else 2 * chunk)
         mp.setattr(linalg, "_WIDTH", count)
         if chunk is not None:
             mp.setattr(linalg, "_CHUNK", chunk)

@@ -403,6 +403,20 @@ class TestTrain:
         assert [p.name for p in (out / "seed_3").iterdir()] == ["notes.txt"]
         assert (out / "seed_other" / "metrics.csv").read_text() == "kept"
 
+    def test_rerun_keeps_files_capgnn_did_not_write_in_a_seed_dir(self, data_dir, tmp_path):
+        out = tmp_path / "reused"
+        flags = ["--dataset_dir", str(data_dir), "--out_dir", str(out), "--seeds", "1",
+                 "--epochs", "2", "--mode", "vanilla", "--hidden_dims", "8"]
+        assert run("train", *flags) == 0
+        want = (out / "seed_1" / "checkpoint.json").read_bytes()
+        (out / "seed_1" / "notes.txt").write_text("kept")
+        assert run("train", *flags) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "seed_1",
+                                                         "summary.json"]
+        assert sorted(p.name for p in (out / "seed_1").iterdir()) == [
+            "checkpoint.json", "metrics.csv", "notes.txt"]
+        assert (out / "seed_1" / "checkpoint.json").read_bytes() == want
+
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
         def snapshot():
             return {
@@ -620,6 +634,29 @@ class TestSeedWorkers:
         assert self.sweep(data_dir, out) == 5
         assert capsys.readouterr().err == "capgnn: a seed worker died\n"
         assert not (out / "summary.json").exists()
+
+    def test_a_worker_killed_while_writing_leaves_no_half_written_seed_dir(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        real_save = cli_mod.save_model
+
+        def save(model, path):  # seed 2's metrics.csv is written by now
+            if Path(path).parent.name.startswith("seed_2"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_save(model, path)
+
+        monkeypatch.setattr(cli_mod, "save_model", save)
+        out = tmp_path / "run"
+        assert self.sweep(data_dir, out) == 5
+        assert not (out / "seed_2").exists()
+        monkeypatch.setattr(cli_mod, "save_model", real_save)
+        assert self.sweep(data_dir, out) == 0  # into the same out_dir
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "seed_1", "seed_2", "seed_3", "summary.json"]
+        rows = json.loads((out / "summary.json").read_text())["per_seed"]
+        assert rows[1]["checkpoint"] == str(out / "seed_2" / "checkpoint.json")
+        assert sorted(p.name for p in (out / "seed_2").iterdir()) == [
+            "checkpoint.json", "metrics.csv"]
 
     def test_rows_arrive_in_seed_order_when_seed_1_finishes_last(
         self, data_dir, tmp_path, capsys, monkeypatch
@@ -987,6 +1024,14 @@ if sys.argv[1]:
 from capgnn.cli import main
 sys.exit(main(sys.argv[2:]))
 """
+# As _PINNABLE_MAIN unpinned, with every X.T @ g in one range.
+_ONE_RANGE_MAIN = """
+import sys
+from capgnn import linalg
+linalg._MIN_TRANSPOSED = 1 << 62
+from capgnn.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def _save_ring(path: Path, n: int, d: int, decimals: int | None = None) -> None:
@@ -1004,14 +1049,14 @@ def _save_ring(path: Path, n: int, d: int, decimals: int | None = None) -> None:
     save_dataset(make_dataset(adjacency, features, labels, 3, *split), path)
 
 
-def _train_ring(data: Path, out: Path, env: dict, cpus: str = ""):
+def _train_ring(data: Path, out: Path, env: dict, cpus: str = "", main=_PINNABLE_MAIN):
     """Train 2 traced ``cap`` epochs in a subprocess (pinned to ``cpus`` if given).
 
     Returns the checkpoint, the PGD trace and the metrics rows without
     their ``wall_ms`` column.
     """
     proc = subprocess.run(
-        [sys.executable, "-c", _PINNABLE_MAIN, cpus, "train",
+        [sys.executable, "-c", main, cpus, "train",
          "--dataset_dir", str(data), "--out_dir", str(out),
          "--seeds", "1", "--epochs", "2", "--skip_epochs", "0", "--frequency", "2",
          "--mode", "cap", "--hidden_dims", "64", "--pgd_trace"],
@@ -1032,13 +1077,13 @@ def _train_ring(data: Path, out: Path, env: dict, cpus: str = ""):
     reason="needs two CPUs to compare against one",
 )
 def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
-    # 9,216 nodes x 64 features (and 64 hidden units) is 48 aligned 192-row
-    # units, and a 2^18-entry block needs 22 of them, so with two CPUs spmm
-    # and the feature sweep run in two row blocks; the 9,216 x 64 @ 64 x 64
-    # products X @ W0 and g @ W0.T (6 units per 2^22 multiply-adds) split too.
+    # 9,216 nodes x 64 features (and 64 hidden units): a 2^18-entry range
+    # holds 4,096 rows, so spmm and the feature sweep run in two ranges; the
+    # 9,216 x 64 @ 64 x 64 products X @ W0 and g @ W0.T (6 aligned 192-row
+    # units per 2^22 multiply-adds) in eight. One CPU drains them all alone.
     n, d = 9216, 64
-    assert len(linalg._row_cuts(n, d, linalg._MIN_BLOCK)) == 3
-    assert len(linalg._row_cuts(n, d * 64, linalg._MIN_MATMUL)) > 2
+    assert len(linalg._row_cuts(n, d, linalg._MIN_BLOCK, 1)) == 3
+    assert len(linalg._dense_cuts(np.empty((n, d)), 64)) == 9
     _save_ring(tmp_path / "data", n, d)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outputs = [
@@ -1101,4 +1146,16 @@ def test_outputs_do_not_depend_on_preset_thread_vars(tmp_path):
     preset = dict(env, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", CAPGNN_THREADS="2")
     assert _train_ring(tmp_path / "data", tmp_path / "run_unset", env) == _train_ring(
         tmp_path / "data", tmp_path / "run_preset", preset
+    )
+
+
+def test_a_split_weight_gradient_keeps_the_bytes_of_one_range(tmp_path):
+    # 8,192 nodes x 512 features, 64 hidden: X.T @ g holds two 2^27 floors,
+    # so the shipped rule cuts it at row 256; against one range per product.
+    n, d = 8192, 512
+    assert linalg._dense_cuts(np.empty((n, d)).T, 64) == [0, 256, 512]
+    _save_ring(tmp_path / "data", n, d, decimals=1)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert _train_ring(tmp_path / "data", tmp_path / "run_split", env) == _train_ring(
+        tmp_path / "data", tmp_path / "run_one", env, main=_ONE_RANGE_MAIN
     )

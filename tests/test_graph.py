@@ -707,6 +707,26 @@ class TestMakeDataset:
             m[:] = ~m
         assert [p.tobytes() for p in parts] == before
 
+    @pytest.mark.parametrize("count", [1, 2], ids=["serial", "ranges"])
+    def test_a_load_keeps_its_own_features_array(self, tmp_path, monkeypatch, count):
+        # Frozen in place, not copied: one n x d pass and array fewer per load.
+        save_dataset(edgeless_dataset(np.arange(36.0).reshape(12, 3)), tmp_path / "data")
+        name = "_read_features" if count == 1 else "_join_ranges"
+        real, built = getattr(graph, name), []
+        monkeypatch.setattr(graph, name, lambda *a: built.append(real(*a)) or built[-1])
+        with feature_ranges(count):
+            ds = load_dataset(tmp_path / "data")
+        assert ds.features is built[0]
+        assert not ds.features.flags.writeable
+        assert ds.features.tolist() == np.arange(36.0).reshape(12, 3).tolist()
+
+    def test_a_callers_features_are_copied_and_stay_writeable(self):
+        features = np.arange(36.0).reshape(12, 3)
+        ds = edgeless_dataset(features)
+        assert features.flags.writeable
+        assert not ds.features.flags.writeable
+        assert not np.shares_memory(ds.features, features)
+
     def test_rejects_more_classes_than_nodes(self):
         adj = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 1.0])
         with pytest.raises(DatasetError, match=r"num_classes must be in \[1, n\]"):

@@ -111,7 +111,7 @@ class TestProbeLandscape:
     def test_split_feature_sweep_matches_one_block_and_reference(
         self, monkeypatch, wide_sbm
     ):
-        # Two row blocks of three-row chunks, against one block of 218-row chunks.
+        # Two threads on six-row ranges of three-row chunks, against one 218-row chunk.
         ds = wide_sbm
         model = init_model([ds.d, 16, 2], make_rng(1), dropout_rate=0.0)
         dirs = sample_directions(ds.features, "feature", 2, make_rng(3))
@@ -254,7 +254,7 @@ class TestGaussianAttack:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_noise_matches_reference_draws(self, monkeypatch, wide_sbm, split):
-        # split: two row blocks of three-row chunks, against one block.
+        # split: two threads on six-row ranges of three-row chunks, against one block.
         ds = wide_sbm
         model = init_model([ds.d, 16, 2], make_rng(1), dropout_rate=0.0)
         one = gaussian_attack_trials(model, ds, 0.7, 3, make_rng(9))
@@ -301,8 +301,7 @@ class TestGaussianAttack:
     def test_streamed_chunks_match_reference_draws(self, monkeypatch, three_chunks, width):
         ds, model = three_chunks
         w0 = model.weights[0]
-        cuts = linalg._row_cuts(ds.n, ds.d * w0.shape[1], linalg._MIN_MATMUL, capped=False)
-        assert cuts == [0, 192, 384, 600]
+        assert linalg._dense_cuts(ds.features, w0.shape[1]) == [0, 192, 384, 600]
         monkeypatch.setattr(linalg, "_WIDTH", width)  # pool, or inline at width 1
         seen = []
 

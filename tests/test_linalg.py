@@ -1,6 +1,9 @@
+import concurrent.futures
 import math
 import multiprocessing
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -90,77 +93,119 @@ BLOCK_CASES = {
 }
 
 
-FLOORS = {"sparse": linalg._MIN_BLOCK, "dense": linalg._MIN_MATMUL}
+# rule -> (floor, alignment) of every row-blocked kernel's cuts
+RULES = {
+    "sparse": (linalg._MIN_BLOCK, 1),
+    "dense": (linalg._MIN_MATMUL, linalg._ROW_ALIGN),
+    "transposed": (linalg._MIN_TRANSPOSED, 1),
+}
 
 
 def matmul_cuts(rows: int, inner: int, cols: int) -> list[int]:
-    """The row cuts ``_matmul_rows`` uses for a rows x inner @ inner x cols product."""
-    return linalg._row_cuts(rows, inner * cols, linalg._MIN_MATMUL)
+    """The row cuts ``_matmul_rows`` uses for a C-ordered rows x inner @ inner x cols."""
+    return linalg._row_cuts(rows, inner * cols, linalg._MIN_MATMUL, linalg._ROW_ALIGN)
 
 
-def assert_cut_invariants(bounds, rows, row_work, min_work, width) -> None:
-    """Cuts strictly increase on multiples of 192 rows; <= width ranges, each >= min_work."""
+def transposed_cuts(rows: int, inner: int, cols: int) -> list[int]:
+    """The row cuts ``_matmul_rows`` uses for ``H.T @ g`` with H inner x rows."""
+    return linalg._row_cuts(rows, inner * cols, linalg._MIN_TRANSPOSED, 1)
+
+
+def assert_cut_invariants(bounds, rows, row_work, min_work, align) -> None:
+    """Cuts rise on multiples of ``align``, each range clears ``min_work``, no more fit."""
     assert bounds[0] == 0 and bounds[-1] == rows
-    assert len(bounds) - 1 <= max(width, 1)
     assert bounds == [0, 0] or all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
-    if len(bounds) > 2:
-        assert all(cut % 192 == 0 for cut in bounds[1:-1])
+    ranges = len(bounds) - 1
+    if ranges > 1:
+        assert all(cut % align == 0 for cut in bounds[1:-1])
         assert all((hi - lo) * row_work >= min_work for lo, hi in zip(bounds, bounds[1:]))
+    if row_work:
+        # The fewest aligned units of rows that clear the floor: one more
+        # range of them would not fit in the aligned rows.
+        per_range = -(-min_work // (align * row_work))
+        assert (ranges + 1) * per_range > rows // align
+
+
+def drained_product(a, b, width, min_transposed=None):
+    """``_matmul_rows(a, b)`` drained by ``width`` threads, at the given transposed floor."""
+    with row_blocks(width), pytest.MonkeyPatch.context() as mp:
+        if min_transposed is not None:
+            mp.setattr(linalg, "_MIN_TRANSPOSED", min_transposed)
+        return linalg._matmul_rows(a, b)
 
 
 class TestRowCuts:
     """``_row_cuts`` places the cuts of every row-blocked kernel.
 
-    Its block-count and invariant tests sit with the kernels below
-    (``TestSpmmRowBlocks``, ``TestMatmulRows``); both use either floor.
+    Its range-count and invariant tests sit with the kernels below
+    (``TestSpmmRowBlocks``, ``TestMatmulRows``); all use every rule.
     """
 
-    # (rows, work per row, floor) -> blocks at width 2, for every row-blocked
-    # kernel of the shipped workloads: the Pubmed-shaped graph (n=19,717,
-    # d=500, 64 hidden, K=3) and the 400-node SBM (d=8, 64 hidden, K=2).
-    # A rule change that moves which of them split fails here.
+    # (rows, work per row, rule) -> ranges, for every row-blocked kernel of
+    # the shipped workloads: the Pubmed-shaped graph (n=19,717, d=500, 64
+    # hidden, K=3) and the 400-node SBM (d=8, 64 hidden, K=2). A rule
+    # change that moves how any of them splits fails here.
     SHIPPED = {
-        "pubmed_sweep_x": (19717, 500, "sparse", 2),
-        "pubmed_spmm_hidden": (19717, 64, "sparse", 2),
+        "pubmed_sweep_x": (19717, 500, "sparse", 37),
+        "pubmed_spmm_hidden": (19717, 64, "sparse", 4),
         "pubmed_spmm_classes": (19717, 3, "sparse", 1),
         "sbm_spmm_hidden": (400, 64, "sparse", 1),
-        "pubmed_x_at_w0": (19717, 500 * 64, "dense", 2),
-        "pubmed_g_at_w0t": (19717, 64 * 500, "dense", 2),
+        "pubmed_x_at_w0": (19717, 500 * 64, "dense", 102),
+        "pubmed_g_at_w0t": (19717, 64 * 500, "dense", 102),
         "pubmed_h_at_w1": (19717, 64 * 3, "dense", 1),
         "pubmed_g_at_w1t": (19717, 3 * 64, "dense", 1),
         "sbm_x_at_w0": (400, 8 * 64, "dense", 1),
         "sbm_g_at_w0t": (400, 64 * 8, "dense", 1),
         "sbm_h_at_w1": (400, 64 * 2, "dense", 1),
         "sbm_g_at_w1t": (400, 2 * 64, "dense", 1),
-        "pubmed_xt_at_g": (500, 19717 * 64, "dense", 2),
-        "pubmed_h1t_at_g": (64, 19717 * 3, "dense", 1),
-        "sbm_xt_at_g": (8, 400 * 64, "dense", 1),
-        "sbm_h1t_at_g": (64, 400 * 2, "dense", 1),
+        "pubmed_xt_at_g": (500, 19717 * 64, "transposed", 4),
+        "pubmed_h1t_at_g": (64, 19717 * 3, "transposed", 1),
+        "sbm_xt_at_g": (8, 400 * 64, "transposed", 1),
+        "sbm_h1t_at_g": (64, 400 * 2, "transposed", 1),
     }
 
     @pytest.mark.parametrize("case", SHIPPED)
     def test_shipped_kernel_block_counts(self, monkeypatch, case):
-        rows, row_work, floor, blocks = self.SHIPPED[case]
-        monkeypatch.setattr(linalg, "_WIDTH", 2)
-        assert len(linalg._row_cuts(rows, row_work, FLOORS[floor])) - 1 == blocks
+        rows, row_work, rule, ranges = self.SHIPPED[case]
+        for width in (1, 2, 8):  # the cuts do not depend on the CPU count
+            monkeypatch.setattr(linalg, "_WIDTH", width)
+            assert len(linalg._row_cuts(rows, row_work, *RULES[rule])) - 1 == ranges
 
-    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("floor", ["sparse", "dense"])
     def test_width_is_not_asked_below_two_floors(self, monkeypatch, floor):
         monkeypatch.setattr(linalg, "_WIDTH", 8)
-        assert linalg._row_cuts(400, 64, FLOORS[floor]) == [0, 400]  # the SBM
-        assert linalg._row_cuts(0, 64, FLOORS[floor]) == [0, 0]
+        assert linalg._row_cuts(400, 64, *RULES[floor]) == [0, 400]  # the SBM
+        assert linalg._row_cuts(0, 64, *RULES[floor]) == [0, 0]
+
+    def test_transposed_operands_take_the_second_rule(self):
+        x = np.empty((19717, 500))
+        assert linalg._dense_cuts(x.T, 64) == [0, 125, 250, 375, 500]
+        assert linalg._dense_cuts(np.asfortranarray(x), 64) == transposed_cuts(19717, 500, 64)
+        assert linalg._dense_cuts(x, 64) == matmul_cuts(19717, 500, 64)
 
 
 def _spmm_equals(a, b, want, blocks) -> None:
-    # Runs in a forked child: exit code 0 means the bytes match.
+    # Runs in a forked child: exit code 0 means the bytes match and a pool
+    # worker took a range while the caller held the first (without a pool
+    # of the child's own, the caller would drain every range alone).
+    worker = threading.Event()
+
+    def fn(lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            worker.set()
+        elif lo == 0:
+            worker.wait(5)
+
     with row_blocks(blocks):
-        sys.exit(0 if spmm(a, b).tobytes() == want.tobytes() else 1)
+        same = spmm(a, b).tobytes() == want.tobytes()
+        linalg._run_row_blocks([0, 1, 2], fn)
+    sys.exit(0 if same and worker.is_set() else 1)
 
 
 class TestSpmmRowBlocks:
     """``spmm`` calls scipy's private ``csr_matvecs`` on row ranges.
 
-    Every block count must give the bytes of the public ``@``; a scipy
+    Every drain width must give the bytes of the public ``@``; a scipy
     release that moves or changes the kernel fails here.
     """
 
@@ -183,6 +228,25 @@ class TestSpmmRowBlocks:
             got = spmm(a, b)
         assert got.tobytes() == scipy_product(a, b).tobytes()
 
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_writes_into_a_given_buffer(self, blocks):
+        rng = make_rng(15)
+        a = with_empty_rows(rng, 50, 40)
+        b = rng.standard_normal((40, 16))
+        buf = np.full((50, 16), np.nan)
+        with row_blocks(blocks):
+            assert spmm(a, b, buf) is buf
+        assert buf.tobytes() == scipy_product(a, b).tobytes()
+
+    @pytest.mark.parametrize("bad", [(49, 16), (50, 8)], ids=["rows", "cols"])
+    def test_rejects_a_buffer_of_another_shape(self, bad):
+        rng = make_rng(15)
+        a = with_empty_rows(rng, 50, 40)
+        with pytest.raises(ValueError, match="spmm out"):
+            spmm(a, rng.standard_normal((40, 16)), np.empty(bad))
+        with pytest.raises(ValueError, match="spmm out"):
+            spmm(a, rng.standard_normal((40, 16)), np.empty((16, 50)).T)
+
     def test_more_blocks_than_cores_under_fast_switching(self):
         rng = make_rng(6)
         a = with_empty_rows(rng, 64, 64)
@@ -202,7 +266,12 @@ class TestSpmmRowBlocks:
         b = rng.standard_normal((20, 8))
         with row_blocks(2):
             want = spmm(a, b)
-        assert linalg._pool is not None
+        # Every thread the pool may have is started, so an inherited pool
+        # could start none in the child.
+        threads = linalg._pool._max_workers
+        barrier = threading.Barrier(threads)
+        for f in [linalg._submit(barrier.wait, 5) for _ in range(threads)]:
+            f.result()
         child = multiprocessing.get_context("fork").Process(
             target=_spmm_equals, args=(a, b, want, 2)
         )
@@ -213,24 +282,101 @@ class TestSpmmRowBlocks:
             child.join()
         assert child.exitcode == 0
 
-    def test_block_count_follows_width_and_floor(self, monkeypatch):
-        for min_work in FLOORS.values():
+    def test_range_count_follows_the_floor_alone(self, monkeypatch):
+        for min_work, align in RULES.values():
             for row_work in (1, 3, 64, 192, 32_000):
-                # The fewest rows with room for two ranges of whole 192-row units.
-                two = 2 * 192 * -(-min_work // (192 * row_work))
-                monkeypatch.setattr(linalg, "_WIDTH", 2)
-                assert linalg._row_cuts(two - 1, row_work, min_work) == [0, two - 1]
-                assert linalg._row_cuts(two, row_work, min_work) == [0, two // 2, two]
-                assert len(linalg._row_cuts(8 * two, row_work, min_work)) == 3
-                monkeypatch.setattr(linalg, "_WIDTH", 1)
-                assert linalg._row_cuts(8 * two, row_work, min_work) == [0, 8 * two]
+                # The fewest rows with room for two ranges of whole aligned units.
+                two = 2 * align * -(-min_work // (align * row_work))
+                for width in (1, 2, 8):
+                    monkeypatch.setattr(linalg, "_WIDTH", width)
+                    cuts = lambda rows: linalg._row_cuts(rows, row_work, min_work, align)
+                    assert cuts(two - 1) == [0, two - 1]
+                    assert cuts(two) == [0, two // 2, two]
+                    assert len(cuts(8 * two)) == 17
+
+
+class TestSharedQueue:
+    """``_run_row_blocks``: the caller and the pool drain one queue of ranges."""
+
+    CUTS = [0, 3, 7, 8, 20, 21, 40]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_every_range_runs_once(self, monkeypatch, width):
+        monkeypatch.setattr(linalg, "_WIDTH", width)
+        seen = []
+        linalg._run_row_blocks(self.CUTS, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == list(zip(self.CUTS, self.CUTS[1:]))
+
+    @pytest.mark.parametrize("late", ["sleeps", "never_starts"])
+    def test_a_late_worker_leaves_the_caller_to_drain_the_rest(self, monkeypatch, late):
+        # A pool worker whose CPU is stolen before its first range: one that
+        # starts 0.3 s late, and one still queued (cancelled, not waited for).
+        real_submit = linalg._submit
+        monkeypatch.setattr(linalg, "_WIDTH", 2)
+        monkeypatch.setattr(linalg, "_submit", {
+            "sleeps": lambda fn: real_submit(lambda: (time.sleep(0.3), fn())[1]),
+            "never_starts": lambda fn: concurrent.futures.Future(),
+        }[late])
+        ranges = []
+        call = threading.Thread(target=linalg._run_row_blocks, args=(
+            self.CUTS, lambda lo, hi: ranges.append((lo, threading.current_thread() is call))))
+        call.start()
+        call.join(timeout=10)
+        assert not call.is_alive()
+        assert sorted(ranges) == [(lo, True) for lo in self.CUTS[:-1]]
+
+    @pytest.mark.parametrize("kernel", ["spmm", "x_at_w", "xt_at_g"])
+    def test_a_late_worker_keeps_the_bytes(self, monkeypatch, kernel):
+        rng = make_rng(16)
+        x = rng.standard_normal((4099, 500))
+        g = rng.standard_normal((4099, 64))
+        a = with_empty_rows(rng, 300, 40)
+        b = rng.standard_normal((40, 64))
+        run = {
+            "spmm": lambda: spmm(a, b),
+            "x_at_w": lambda: linalg._matmul_rows(x, g[:500]),
+            "xt_at_g": lambda: linalg._matmul_rows(x.T, g),
+        }[kernel]
+        want = {"spmm": lambda: scipy_product(a, b), "x_at_w": lambda: x @ g[:500],
+                "xt_at_g": lambda: x.T @ g}[kernel]().tobytes()
+        real_submit = linalg._submit
+        monkeypatch.setattr(
+            linalg, "_submit",
+            lambda fn, *args: real_submit(lambda: (time.sleep(0.2), fn(*args))[1]),
+        )
+        with row_blocks(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_MIN_TRANSPOSED", linalg._MIN_MATMUL)
+            assert run().tobytes() == want
+
+    @pytest.mark.parametrize("bad", [0, 20])
+    def test_an_error_is_raised_once_no_range_is_running(self, monkeypatch, bad):
+        monkeypatch.setattr(linalg, "_WIDTH", 2)
+        running = []
+
+        def fn(lo, hi):
+            running.append(lo)
+            time.sleep(0.01)
+            running.remove(lo)
+            if lo == bad:
+                raise RuntimeError(f"range {lo}")
+
+        for _ in range(20):
+            with pytest.raises(RuntimeError, match=f"range {bad}"):
+                linalg._run_row_blocks(self.CUTS, fn)
+            assert running == []
+
+
+# (n, d, h) of the byte sweep behind the transposed rule: Pubmed, Cora and
+# Citeseer shapes, and a wide hidden layer.
+SWEEP_SHAPES = [(19717, 500, 64), (19717, 500, 16), (2708, 1433, 64), (2708, 1433, 16),
+                (3327, 3703, 16), (5000, 300, 128)]
 
 
 class TestMatmulRows:
     """``_matmul_rows`` splits dense products at aligned cuts above a work floor.
 
-    Only ``_WIDTH`` is patched: the floor stays, since small blocks can
-    take OpenBLAS's small-matrix path, whose bytes differ.
+    The floors stay: small blocks can take OpenBLAS's small-matrix path,
+    whose bytes differ. ``_WIDTH`` only sets how many threads drain them.
     """
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
@@ -241,9 +387,11 @@ class TestMatmulRows:
         w = rng.standard_normal((d, 64))
         monkeypatch.setattr(linalg, "_WIDTH", width)
         bounds = matmul_cuts(rows, d, 64)
-        assert_cut_invariants(bounds, rows, d * 64, linalg._MIN_MATMUL, width)
-        # 4,099 x 64 @ 64 x 64 has 21 aligned 192-row units, 6 per floor.
-        assert len(bounds) - 1 == (min(width, 3) if (rows, d) == (4099, 64) else width)
+        assert_cut_invariants(bounds, rows, d * 64, linalg._MIN_MATMUL, 192)
+        # 4,099 rows hold 21 aligned 192-row units, 19,717 hold 102; at
+        # d=64 a range needs 6 units to clear the floor, at d=500 one.
+        ranges = {(4099, 64): 3, (4099, 500): 21, (19717, 64): 17, (19717, 500): 102}
+        assert len(bounds) - 1 == ranges[rows, d]
         assert linalg._matmul_rows(h, w).tobytes() == (h @ w).tobytes()
 
     @pytest.mark.parametrize("width", [2, 3, 4])
@@ -252,7 +400,7 @@ class TestMatmulRows:
         g = rng.standard_normal((19717, 64))
         w = rng.standard_normal((500, 64))
         monkeypatch.setattr(linalg, "_WIDTH", width)
-        assert len(matmul_cuts(19717, 64, 500)) == width + 1
+        assert len(matmul_cuts(19717, 64, 500)) == 103
         assert linalg._matmul_rows(g, w.T).tobytes() == (g @ w.T).tobytes()
 
     @pytest.mark.parametrize("width", [2, 4])
@@ -276,20 +424,48 @@ class TestMatmulRows:
         x = rng.standard_normal((n, d))
         g = rng.standard_normal((n, h))
         monkeypatch.setattr(linalg, "_WIDTH", width)
-        bounds = matmul_cuts(d, n, h)
-        assert_cut_invariants(bounds, d, n * h, linalg._MIN_MATMUL, width)
-        # Every aligned 192-row unit clears the floor: 500 and 384 rows hold two.
-        assert len(bounds) - 1 == min(width, d // 192)
+        bounds = transposed_cuts(d, n, h)
+        assert_cut_invariants(bounds, d, n * h, linalg._MIN_TRANSPOSED, 1)
+        # Only Pubmed's 631M multiply-adds hold two 2^27 floors.
+        assert len(bounds) - 1 == (4 if n == 19717 else 1)
         assert linalg._matmul_rows(x.T, g).tobytes() == (x.T @ g).tobytes()
 
     @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("n, d, h", SWEEP_SHAPES, ids=lambda v: str(v))
+    def test_drained_ranges_at_the_sweep_shapes(self, n, d, h, width):
+        # Down at the C-order floor, the transposed rule cuts ranges of 4 to
+        # 103 rows; both products must keep the bytes of one call.
+        rng = make_rng(n + d + h)
+        x = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.1)
+        g = rng.standard_normal((n, h))
+        cuts = linalg._row_cuts(d, n * h, linalg._MIN_MATMUL, 1)
+        assert len(cuts) > 10
+        got = drained_product(x.T, g, width, min_transposed=linalg._MIN_MATMUL)
+        assert got.tobytes() == (x.T @ g).tobytes()
+        w = rng.standard_normal((d, h))
+        assert drained_product(x, w, width).tobytes() == (x @ w).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_four_transposed_ranges_of_128_rows(self, monkeypatch, width):
+        rng = make_rng(17)
+        x = rng.standard_normal((19717, 500)) * (rng.random((19717, 500)) < 0.1)
+        g = rng.standard_normal((19717, 64))
+        out = np.empty((500, 64))
+        monkeypatch.setattr(linalg, "_WIDTH", width)
+        linalg._run_row_blocks(
+            [0, 128, 256, 384, 500],
+            lambda lo, hi: np.matmul(x[:, lo:hi].T, g, out=out[lo:hi]),
+        )
+        assert out.tobytes() == (x.T @ g).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2])
     def test_writes_into_a_given_buffer(self, monkeypatch, width):
-        # The feature gradient g @ W0.T: one call at width 1, two blocks at 2.
+        # The feature gradient g @ W0.T, in 21 ranges whatever the width.
         rng = make_rng(14)
         g = rng.standard_normal((4099, 64))
         w = rng.standard_normal((500, 64))
         monkeypatch.setattr(linalg, "_WIDTH", width)
-        assert len(matmul_cuts(4099, 64, 500)) == width + 1
+        assert len(matmul_cuts(4099, 64, 500)) == 22
         buf = np.full((4099, 500), np.nan)
         assert linalg._matmul_rows(g, w.T, out=buf) is buf
         assert buf.tobytes() == (g @ w.T).tobytes()
@@ -299,7 +475,7 @@ class TestMatmulRows:
         h1 = rng.standard_normal((19717, 64))
         g = rng.standard_normal((19717, 3))
         monkeypatch.setattr(linalg, "_WIDTH", 4)
-        assert matmul_cuts(64, 19717, 3) == [0, 64]
+        assert transposed_cuts(64, 19717, 3) == [0, 64]
         assert linalg._matmul_rows(h1.T, g).tobytes() == (h1.T @ g).tobytes()
 
     def test_small_output_layer_stays_one_block(self, monkeypatch):
@@ -317,7 +493,7 @@ class TestMatmulRows:
         w = rng.standard_normal((500, 64))
         want = (h @ w).tobytes()
         monkeypatch.setattr(linalg, "_WIDTH", 8)
-        assert len(matmul_cuts(4099, 500, 64)) == 9
+        assert len(matmul_cuts(4099, 500, 64)) == 22
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -327,18 +503,17 @@ class TestMatmulRows:
 
     @given(
         st.integers(0, 30_000), st.integers(0, 2_000), st.integers(1, 600),
-        st.sampled_from(sorted(FLOORS.values())), st.integers(1, 8),
+        st.sampled_from(sorted(RULES)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bounds_are_aligned_and_above_the_floor(self, rows, inner, cols, min_work, width):
-        # Either floor: ``inner * cols`` stands for any kernel's work per row.
+    def test_bounds_are_aligned_and_above_the_floor(self, rows, inner, cols, rule):
+        # Any rule: ``inner * cols`` stands for any kernel's work per row.
         row_work = inner * cols
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_WIDTH", width)
-            bounds = linalg._row_cuts(rows, row_work, min_work)
-        assert_cut_invariants(bounds, rows, row_work, min_work, width)
-        unit = 192 * row_work  # work per aligned unit of rows
-        if width > 1 and unit and rows // 192 * unit >= 2 * (min_work + unit):
+        min_work, align = RULES[rule]
+        bounds = linalg._row_cuts(rows, row_work, min_work, align)
+        assert_cut_invariants(bounds, rows, row_work, min_work, align)
+        unit = align * row_work  # work per aligned unit of rows
+        if unit and rows // align * unit >= 2 * (min_work + unit):
             assert len(bounds) > 2  # room for two ranges above the floor: it splits
 
 

@@ -9,6 +9,7 @@ from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import CsrMatrix, make_rng, spmm
 from capgnn.model import (
     GnnModel,
+    _workspace,
     accuracy,
     backward,
     forward,
@@ -108,21 +109,27 @@ class TestGradientsAgainstFiniteDifferences:
         assert alone.d_features.tobytes() == full.d_features.tobytes()
 
     def test_weight_gradients_do_not_depend_on_the_cpu_count(self, monkeypatch):
-        # X.T @ g is 384 x 400 @ 400 x 64: two CPUs cut it at row 192.
+        # X.T @ g is 384 x 400 @ 400 x 64: one range at the transposed floor;
+        # at the C-order floor, cut at row 192 and drained by one thread or two.
         ds = generate_sbm(
             SbmParams((200, 200), 0.05, 0.02, 1.0, feature_dim=384), make_rng(13)
         )
         model = init_model([ds.d, 64, ds.num_classes], make_rng(14), dropout_rate=0.5)
         cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(15))
-        got = {}
-        for width in (1, 2):
-            monkeypatch.setattr(linalg, "_WIDTH", width)
-            assert len(linalg._row_cuts(ds.d, ds.n * 64, linalg._MIN_MATMUL)) == width + 1
+
+        def weight_grads():
             grads = backward(
                 model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=False
             )
-            got[width] = [w.tobytes() for w in grads.d_weights]
-        assert got[1] == got[2]
+            return [w.tobytes() for w in grads.d_weights]
+
+        assert linalg._dense_cuts(ds.features.T, 64) == [0, 384]
+        want = weight_grads()
+        monkeypatch.setattr(linalg, "_MIN_TRANSPOSED", linalg._MIN_MATMUL)
+        assert linalg._dense_cuts(ds.features.T, 64) == [0, 192, 384]
+        for width in (1, 2):
+            monkeypatch.setattr(linalg, "_WIDTH", width)
+            assert weight_grads() == want
 
     @pytest.mark.parametrize("need_features", [True, False])
     def test_output_masks_give_the_bytes_of_pre_activation_masks(
@@ -315,7 +322,8 @@ class TestSplitSweeps:
     """Forward's ReLU and dropout and backward's gating give one block's bytes.
 
     Under ``row_blocks(2, chunk=...)`` each 40 x 16 hidden array is swept
-    in two row blocks of three-row chunks; outside it, in one chunk.
+    by two threads in six-row ranges of three-row chunks; outside it, in
+    one chunk.
     """
 
     CHUNK = 3 * 16
@@ -387,6 +395,26 @@ class TestSplitSweeps:
         for w in model.weights[:-1]:
             ref.random((small_sbm.n, w.shape[1]))
         assert rng.random() == ref.random()
+
+
+class TestWorkspace:
+    """``forward`` and ``backward`` with a ``_workspace``: its arrays, fresh bytes."""
+
+    @pytest.mark.parametrize("hidden", [[16], [16, 8]], ids=["one_hidden", "two_hidden"])
+    def test_passes_write_into_the_workspace(self, small_sbm, hidden):
+        ds = small_sbm
+        model = init_model([ds.d, *hidden, ds.num_classes], make_rng(6), dropout_rate=0.5)
+        work = _workspace(model, ds.n)
+        fresh = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7))
+        want = gradient_bytes(backward(model, ds.a_hat, fresh, ds.labels, ds.train_mask))
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7),
+                        work=work)
+        assert cache_bytes(cache) == cache_bytes(fresh)
+        for j, (_, hidden_out, scale) in enumerate(work):
+            assert cache.layer_inputs[j + 1] is hidden_out
+            assert cache.drop_scales[j] is scale
+        got = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask, work=work)
+        assert gradient_bytes(got) == want
 
 
 class TestMaskedCrossEntropy:

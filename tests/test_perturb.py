@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capgnn.graph import SbmParams, generate_sbm
+from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import lp_norm, make_rng
 from capgnn.model import GnnModel, backward, forward, init_model, masked_cross_entropy
 from capgnn.perturb import (
@@ -217,6 +217,28 @@ class TestFeaturePgd:
         assert ds.features.tobytes() == snapshot
         assert got.flags.owndata and not np.shares_memory(got, ds.features)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.02])
+    def test_negative_zero_features_match_the_reference(self, small_sbm, beta):
+        # Step 0 runs on X itself, where the reference runs on X + 0.0 (whose
+        # -0.0 entries are +0.0); with beta=0 every step is +-0.0 and eps
+        # must still come out +0.0.
+        ds = small_sbm
+        x = ds.features.copy()
+        x[::3] = -0.0
+        x[1::5, 0] = -0.0
+        ds = make_dataset(ds.adjacency, x, ds.labels, ds.num_classes,
+                          ds.train_mask, ds.val_mask, ds.test_mask)
+        model = init_model([ds.d, 5, 2], make_rng(9), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_x=0.05, beta=beta, steps=2)
+        trace = []
+        got = pgd_feature_perturbation(model, ds, cfg, trace=trace)
+        eps, want_trace = reference_feature_pgd(model, ds, cfg)
+        assert got.tobytes() == eps.tobytes()
+        assert [
+            (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
+        ] == want_trace
+        assert got.flags.owndata and not np.shares_memory(got, ds.features)
+
     @given(
         beta=st.floats(0.0, 0.5),
         rho_x=st.floats(1e-3, 1.0),
@@ -299,7 +321,8 @@ class TestFeaturePgd:
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_split_sweeps_match_the_reference_at_every_step(self, small_sbm, steps):
-        # Two row blocks of three-row chunks; the clamp binds at the third step.
+        # Two threads on six-row ranges of three-row chunks; the clamp binds at
+        # the third step.
         model = init_model([small_sbm.d, 5, 2], make_rng(9), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=steps)
         want, want_trace = reference_feature_pgd(model, small_sbm, cfg)
