@@ -44,6 +44,7 @@ RANGE_BITS = ("tests/test_graph.py::TestFeatureRanges::"
               "test_saved_wide_sbm_loads_to_the_serial_bits")
 STREAMED_ATTACK = ("tests/test_landscape.py::TestGaussianAttack::"
                    "test_streamed_chunks_match_reference_draws")
+PROBE = "tests/test_landscape.py::TestProbeLandscape"
 
 MUTATIONS = {
     # Numerics that tier-1 once let through.
@@ -144,7 +145,7 @@ MUTATIONS = {
         PERTURB, "np.add(s, 0.0, out=e)", "np.copyto(e, s)",
         (f"{FEATURE_PGD}::test_negative_zero_features_match_the_reference",),
     ),
-    # The features.csv writer's segments, and the landscape's scale-and-shift sweep.
+    # The features.csv writer's segments, and the feature profile's range build.
     "line_end_one_column_early": Mutation(
         "graph.py", "ends[d - 1 - last]", "ends[d - 2 - last]", (FEATURES_CSV,),
     ),
@@ -153,10 +154,9 @@ MUTATIONS = {
     ),
     "shift_in_first_chunk_only": Mutation(
         "landscape.py",
-        "b[lo:hi], out=out[lo:hi])",
-        "b[lo:hi] if lo == 0 else 0.0, out=out[lo:hi])",
-        ("tests/test_landscape.py::TestProbeLandscape::"
-         "test_split_feature_sweep_matches_one_block_and_reference",),
+        "alpha, out=rows), x[lo:hi], out=rows)",
+        "alpha, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
+        (f"{PROBE}::test_chunked_products_match_reference",),
     ),
     # features.csv in forked ranges: where a range starts, and where its rows go.
     "cut_not_at_a_line_start": Mutation(
@@ -165,13 +165,14 @@ MUTATIONS = {
     "range_rows_at_row_0": Mutation(
         "graph.py", "dst = out[row:end]", "dst = out[:end - row]", (RANGE_BITS,),
     ),
-    # Streamed draws: the norm's summation tree, and the attack's chunks.
+    # Streamed draws: the norm's summation tree, and the attack's ranges and buffers.
     "pairwise_split_at_half": Mutation(
         LINALG, "half = n // 2 - (n // 2) % 8", "half = n // 2",
         ("tests/test_linalg.py::TestLpNorm::test_leaf_sums_add_up_to_the_bits_of_np_sum",),
     ),
     "attack_shift_in_first_chunk_only": Mutation(
-        "landscape.py", "x[lo:hi], out=rows)", "x[lo:hi] if lo == 0 else 0.0, out=rows)",
+        "landscape.py", "sigma, out=rows), x[lo:hi], out=rows)",
+        "sigma, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
         (STREAMED_ATTACK,),
     ),
     "drawn_chunk_without_product": Mutation(
@@ -179,6 +180,19 @@ MUTATIONS = {
         "        np.matmul(rows, w0, out=first[lo:hi])",
         "        if hi < len(x):\n            np.matmul(rows, w0, out=first[lo:hi])",
         (STREAMED_ATTACK,),
+    ),
+    # A range's buffer spare again as soon as it is drawn, before its product.
+    "attack_buffer_reused_before_its_product": Mutation(
+        "landscape.py", "_stream_normal(rng, cuts, take, shift_and_multiply)",
+        "_stream_normal(rng, cuts, lambda lo, hi: (rows := take(lo, hi), give(rows))[0],"
+        " shift_and_multiply)",
+        ("tests/test_landscape.py::TestGaussianAttack::"
+         "test_a_lagging_pool_reads_every_range_as_drawn",),
+    ),
+    # The chunked X @ W0 written where forward's spmm writes the hidden output.
+    "probe_product_into_the_hidden_slot": Mutation(
+        "landscape.py", "work[0][0] if work", "work[0][1] if work",
+        (f"{PROBE}::test_one_clean_forward_per_call",),
     ),
     # Seed workers: the order rows come back in, and what stopping early leaves running.
     "rows_in_completion_order": Mutation(

@@ -308,7 +308,7 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
         raise _fail(split_path, "'train' must list at least one node")
 
     adjacency = CsrMatrix.from_coo(
-        n, n, us + vs, vs + us, np.ones(2 * len(us))
+        n, n, np.concatenate((us, vs)), np.concatenate((vs, us)), np.ones(2 * len(us))
     )
     return _dataset(
         adjacency, features, labels, num_classes,
@@ -316,8 +316,55 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
     )
 
 
-def _read_edges(path: Path, n: int) -> tuple[list, list]:
-    """Both endpoint lists of edges.tsv, each undirected edge once."""
+_TAB, _LF = 9, 10
+_EDGE_BYTE = np.zeros(256, dtype=bool)  # the bytes _parse_edges reads: digits, TAB, LF
+_EDGE_BYTE[[_TAB, _LF, *range(ord("0"), ord("9") + 1)]] = True
+
+
+def _read_edges(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoint arrays of edges.tsv, each undirected edge once.
+
+    Parsed in numpy when ``_parse_edges`` reads the file; otherwise line
+    by line, which reads what ``int()`` reads and names the first bad line.
+    """
+    edges = _parse_edges(path.read_bytes(), n)
+    if edges is None:
+        edges = tuple(np.array(e, dtype=np.int64) for e in _edge_lines(path, n))
+    return edges
+
+
+def _parse_edges(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(us, vs)`` of an edges.tsv whose lines are all ``digits TAB digits LF``
+    or empty, naming in-range, distinct, loop-free edges; else None.
+
+    Each endpoint's digits are read by Horner's rule, a column at a time,
+    so one takes at most 18 digits (below 2^63).
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size and (buf[-1] != _LF or not _EDGE_BYTE[buf].all()):
+        return None
+    seps = np.flatnonzero(buf < ord("0"))  # TAB or LF
+    digits = np.diff(seps, prepend=-1) - 1  # before each separator
+    tab = buf[seps] == _TAB
+    # An empty line: an LF with no digit since the last LF, or since the start.
+    blank = ~tab & (digits == 0) & np.concatenate(([True], ~tab[:-1]))
+    ends, digits, tab = seps[~blank], digits[~blank], tab[~blank]
+    if (len(ends) % 2 or not tab[0::2].all() or tab[1::2].any()
+            or not ((digits >= 1) & (digits <= 18)).all()):
+        return None
+    values = np.zeros(len(ends), dtype=np.int64)
+    for back in range(int(digits.max(initial=0)), 0, -1):  # the digit `back` before the end
+        at = np.maximum(ends - back, 0)
+        values = values * 10 + np.where(digits >= back, buf[at] - ord("0"), 0)
+    us, vs = values[0::2], values[1::2]
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    if not (hi < n).all() or (lo == hi).any() or len(np.unique(lo * n + hi)) < len(lo):
+        return None
+    return us, vs
+
+
+def _edge_lines(path: Path, n: int) -> tuple[list, list]:
+    """``_read_edges`` line by line: raises naming the first bad line."""
     seen = set()
     us, vs = [], []
     for lineno, raw in _numbered_lines(path):

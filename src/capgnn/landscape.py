@@ -7,15 +7,21 @@ matrix norm) by a scalar grid of magnitudes. The sharpness scalar is a
 pragmatic summary of such a profile, not a Hessian quantity: the mean
 symmetric loss rise at a reference magnitude.
 
-The feature-side passes work on n x d arrays, so they keep n x d
-temporaries few: each source's l2 norm is computed once per draw, not
-once per direction; a feature profile builds every displaced matrix in
-one reused buffer; and the noise attack draws, scales and shifts in one
-buffer. The profile scales and shifts in one ``linalg._sweep_rows``
-pass. Each draw is one serial stream, made in chunks with the pool
-working behind it (``linalg._stream_normal``): a direction sums its
-squares there, and the attack shifts each chunk of rows and multiplies
-it into the first layer's product.
+The feature-side passes never build a displaced n x d matrix whole. Each
+range of rows that ``_matmul_rows`` would cut the first layer's product
+into (``linalg._dense_cuts``) is built in a buffer of that range's size,
+``alpha * direction + features`` for a profile and ``sigma * draw +
+features`` for the attack, and multiplied by ``W_0`` while it is in
+cache, into the first layer's product; ``forward`` takes that product
+in place of the features. A profile runs its ranges on the row-block
+pool. The attack draws each range on the caller's thread, one serial
+stream (``linalg._stream_normal``), with the pool shifting and
+multiplying the ranges already drawn. A buffer is reused only once its
+product is written, so a call holds one per range in flight: a few at
+most while the pool keeps up with the draws, all of them (one n x d
+array in total) if it does not. Every forward of one call writes into
+one ``model._workspace``, and its first ``prod`` array takes the chunked
+product. A direction's l2 norm is summed as it is drawn, once per draw.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import _dense_cuts, _normal_norm, _stream_normal, _sweep_rows, lp_norm
-from .model import GnnModel, accuracy, forward, masked_cross_entropy
+from .linalg import (
+    _dense_cuts, _normal_norm, _run_row_blocks, _stream_normal, _sweep_rows, lp_norm,
+)
+from .model import GnnModel, _workspace, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
 FEATURE_KIND = "feature"
@@ -75,11 +83,34 @@ def _scaled_like(
     return g
 
 
-def _scaled_plus(a: np.ndarray, scale, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = a * scale + b``, one row chunk at a time."""
-    _sweep_rows(out.shape, lambda lo, hi: np.add(
-        np.multiply(a[lo:hi], scale, out=out[lo:hi]), b[lo:hi], out=out[lo:hi]))
-    return out
+def _range_buffers(cols: int):
+    """``(take, give)``: ``take(lo, hi)`` is a ``(hi - lo) x cols`` buffer for
+    rows [lo, hi), and ``give(rows)`` hands it back once they are read.
+
+    A buffer is handed out again only once given back, so no two ranges
+    in flight share one. A new one is made only when no spare one is long
+    enough, and a spare one too short is dropped, so there are never more
+    buffers than the most ranges in flight at once.
+    """
+    spare = []
+
+    def take(lo, hi):
+        try:
+            buf = spare.pop()
+        except IndexError:  # none is spare
+            buf = None
+        if buf is None or len(buf) < hi - lo:
+            buf = None  # frees a short one before the one replacing it is made
+            buf = np.empty((hi - lo, cols))
+        return buf[:hi - lo]
+
+    return take, lambda rows: spare.append(rows.base)
+
+
+def _call_space(model: GnnModel, n: int):
+    """One call's ``_workspace`` and the array its first-layer products go in."""
+    work = _workspace(model, n)
+    return work, work[0][0] if work else np.empty((n, model.weights[0].shape[1]))
 
 
 def sample_directions(
@@ -122,9 +153,12 @@ def probe_landscape(
     The grid must be strictly increasing and contain 0; the alpha=0
     column is the unperturbed loss, from one clean forward per call
     shared by every direction, so it is bit-exact. Dropout is always
-    off here. Feature displacements are built in one reused buffer as
-    ``alpha * direction + features``, which has the bits of
-    ``features + alpha * direction`` (IEEE * and + commute).
+    off here. Every direction must have its source's shape: the
+    features', or one array per layer with that layer's. A feature
+    displacement is built range by range as ``alpha * direction +
+    features``, which has the bits of ``features + alpha * direction``
+    (IEEE * and + commute), and multiplied by ``W_0`` there (module
+    docstring).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or len(alphas) < 1:
@@ -139,26 +173,55 @@ def probe_landscape(
         mask = dataset.test_mask
     else:
         raise ValueError(f"loss_mask must be 'train' or 'test', got {loss_mask!r}")
+    x, w0 = dataset.features, model.weights[0]
+    _check_directions(dirs, model, x)
+    work, prod = _call_space(model, len(x))
 
-    def loss_at(x_eff, w_eff=None) -> float:
-        cache = forward(model, dataset.a_hat, x_eff, w_eff)
+    def loss_at(x_eff, w_eff=None, first=None) -> float:
+        cache = forward(model, dataset.a_hat, x_eff, w_eff, first=first, work=work)
         return masked_cross_entropy(cache.logits, dataset.labels, mask)
 
+    cuts = _dense_cuts(x, w0.shape[1])
+    take, give = _range_buffers(x.shape[1])
+
+    def displaced_first(direction, alpha) -> np.ndarray:
+        def displace_and_multiply(lo, hi):
+            rows = take(lo, hi)
+            np.add(np.multiply(direction[lo:hi], alpha, out=rows), x[lo:hi], out=rows)
+            np.matmul(rows, w0, out=prod[lo:hi])
+            give(rows)
+
+        _run_row_blocks(cuts, displace_and_multiply)
+        return prod
+
     losses = np.empty((len(dirs.directions), len(alphas)))
-    losses[:, alphas == 0.0] = loss_at(dataset.features)
-    x_eff = np.empty_like(dataset.features) if dirs.kind == FEATURE_KIND else None
+    losses[:, alphas == 0.0] = loss_at(x)
     for i, direction in enumerate(dirs.directions):
         for j, alpha in enumerate(alphas):
             if alpha == 0.0:
                 continue
             if dirs.kind == WEIGHT_KIND:
                 w_eff = [w + alpha * d for w, d in zip(model.weights, direction)]
-                losses[i, j] = loss_at(dataset.features, w_eff)
+                losses[i, j] = loss_at(x, w_eff)
             else:
-                losses[i, j] = loss_at(
-                    _scaled_plus(direction, alpha, dataset.features, x_eff)
-                )
+                losses[i, j] = loss_at(None, first=displaced_first(direction, alpha))
     return LandscapeProfile(alphas=alphas, losses=losses)
+
+
+def _check_directions(dirs: DirectionSet, model: GnnModel, features: np.ndarray) -> None:
+    """Raise naming the first direction (and layer) not shaped like its source."""
+    for i, direction in enumerate(dirs.directions):
+        if dirs.kind == WEIGHT_KIND:
+            if len(direction) != model.depth:
+                raise ValueError(f"weight direction {i} has {len(direction)} layers, "
+                                 f"model has {model.depth}")
+            for l, (d, w) in enumerate(zip(direction, model.weights)):
+                if np.shape(d) != w.shape:
+                    raise ValueError(f"weight direction {i} layer {l} is "
+                                     f"{np.shape(d)}, layer is {w.shape}")
+        elif np.shape(direction) != features.shape:
+            raise ValueError(f"feature direction {i} is {np.shape(direction)}, "
+                             f"features are {features.shape}")
 
 
 def _grid_index(alphas: np.ndarray, value: float) -> int:
@@ -184,7 +247,13 @@ def gaussian_attack_trials(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Test accuracy per trial on features plus N(0, sigma^2) noise."""
+    """Test accuracy per trial on features plus N(0, sigma^2) noise.
+
+    Each trial's noisy features are drawn, shifted and multiplied by
+    ``W_0`` range by range (module docstring); ``x + e`` and ``e + x``
+    have the same bits, so the accuracies are those of
+    ``features + sigma * rng.standard_normal(features.shape)``.
+    """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if trials < 1:
@@ -192,28 +261,18 @@ def gaussian_attack_trials(
     x, w0 = dataset.features, model.weights[0]
     if x.shape[1] != w0.shape[0]:  # before any chunk reaches np.matmul
         raise ValueError(f"features must be {x.shape[0]}x{w0.shape[0]}, got {x.shape}")
-    # Chunks of rows whose products have the bytes of one noisy @ w0 call.
     cuts = _dense_cuts(x, w0.shape[1])
-    accs = np.empty(trials)
-    # Every trial draws, scales and shifts in this one buffer; x + e and
-    # e + x have the same bits, so accs match sigma * draw + features.
-    noisy = np.empty_like(x)
-    for t in range(trials):
-        # Fills noisy before forward runs; first is forward's alone to drop.
-        cache = forward(model, dataset.a_hat, noisy,
-                        first=_noisy_first(noisy, x, sigma, w0, cuts, rng))
-        accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
-    return accs
+    work, first = _call_space(model, len(x))
+    take, give = _range_buffers(x.shape[1])
 
-
-def _noisy_first(noisy, x, sigma, w0, cuts, rng) -> np.ndarray:
-    """Draw ``sigma * N(0, 1) + x`` into ``noisy`` by chunks; return ``noisy @ w0``."""
-    first = np.empty((len(x), w0.shape[1]))
-
-    def shift_and_multiply(lo, hi):
-        rows = noisy[lo:hi]
+    def shift_and_multiply(lo, hi, rows):
         np.add(np.multiply(rows, sigma, out=rows), x[lo:hi], out=rows)
         np.matmul(rows, w0, out=first[lo:hi])
+        give(rows)
 
-    _stream_normal(rng, noisy, cuts, shift_and_multiply)
-    return first
+    accs = np.empty(trials)
+    for t in range(trials):
+        _stream_normal(rng, cuts, take, shift_and_multiply)
+        cache = forward(model, dataset.a_hat, None, first=first, work=work)
+        accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
+    return accs

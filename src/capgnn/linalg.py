@@ -39,10 +39,13 @@ to one thread; the pool is the only way capgnn uses more cores.
 
 Streamed draws (``_stream_normal``): a large Gaussian draw is made in
 consecutive chunks on the caller's thread, which keeps the bytes and the
-generator state of one draw, while the pool works on each drawn chunk:
-a landscape direction sums its squares leaf by leaf (``_normal_norm``),
-and the noise attack shifts rows and multiplies them by the first
-layer's weights, cut as ``_matmul_rows`` cuts them (``_dense_cuts``).
+generator state of one draw, while the pool works on each drawn chunk.
+The caller says where each chunk is drawn: a landscape direction draws
+into its own output and sums its squares leaf by leaf (``_normal_norm``);
+the noise attack draws each range of rows, cut as ``_matmul_rows`` cuts
+them (``_dense_cuts``), into a buffer of that range's size, which the
+pool shifts and multiplies by the first layer's weights before the
+buffer is drawn into again.
 """
 
 from __future__ import annotations
@@ -236,21 +239,23 @@ def _run_row_blocks(bounds: list[int], fn) -> None:
         _finish(futures)
 
 
-def _stream_normal(rng: np.random.Generator, out: np.ndarray, cuts: list[int], fn) -> None:
-    """``rng.standard_normal(out=out)``, drawn in order range by range between ``cuts``.
+def _stream_normal(rng: np.random.Generator, cuts: list[int], into, fn) -> None:
+    """One standard normal draw, made in order range by range between ``cuts``.
 
-    ``fn(lo, hi)`` runs on the pool as soon as ``out[lo:hi]`` is drawn
+    Range [lo, hi) is drawn into the array ``into(lo, hi)`` returns, on
+    the caller's thread, so the bytes and the generator state are those
+    of one ``rng.standard_normal`` call over all the ranges in order.
+    ``fn(lo, hi, drawn)`` runs on the pool as soon as they are drawn
     (inline at width 1 or with one range), so it must not use the pool.
     """
-    inline = _WIDTH < 2 or len(cuts) == 2
     futures = []
+    run = fn if _WIDTH < 2 or len(cuts) == 2 else (
+        lambda *args: futures.append(_submit(fn, *args)))
     try:
         for lo, hi in zip(cuts, cuts[1:]):
-            rng.standard_normal(out=out[lo:hi])
-            if inline:
-                fn(lo, hi)
-            else:
-                futures.append(_submit(fn, lo, hi))
+            # Nothing here keeps the drawn rows once fn has them, so ``into``
+            # may free their buffer.
+            run(lo, hi, rng.standard_normal(out=into(lo, hi)))
     finally:
         _finish(futures)
 
@@ -361,8 +366,8 @@ def _normal_norm(rng: np.random.Generator, out: np.ndarray) -> float:
     """
     flat, cuts, sums = out.reshape(-1), [0], {}
     _pairwise_sum(0, flat.size, lambda lo, hi: cuts.append(hi) or 0.0)
-    _stream_normal(rng, flat, cuts,
-                   lambda lo, hi: sums.__setitem__(lo, _square_sum(flat[lo:hi])))
+    _stream_normal(rng, cuts, lambda lo, hi: flat[lo:hi],
+                   lambda lo, hi, leaf: sums.__setitem__(lo, _square_sum(leaf)))
     return float(np.sqrt(_pairwise_sum(0, flat.size, lambda lo, hi: sums[lo])))
 
 

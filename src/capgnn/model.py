@@ -17,9 +17,9 @@ optional ``w_eff``, so callers can evaluate at (W + eps_w, X) or
 at the point recorded in the forward cache, never at re-passed inputs.
 The cache keeps the logits and only what ``backward`` reads: no
 pre-activation, as ReLU and dropout write into each layer's own output.
-Within one ``train()`` call, every pass writes its n x hidden arrays into
-one ``_workspace`` instead of fresh ones, under the lifetime rule stated
-in ``backward``.
+Within one ``train()``, ``probe_landscape`` or ``gaussian_attack_trials``
+call, every pass writes its n x hidden arrays into one ``_workspace``
+instead of fresh ones, under the lifetime rule stated in ``backward``.
 """
 
 from __future__ import annotations
@@ -99,13 +99,13 @@ class ForwardCache:
     ``weights`` are the effective weights the pass used, in a list of its
     own so an optimizer step on ``model.weights`` leaves it unchanged;
     ``layer_inputs[l]`` is the matrix fed into layer l (index 0 holds the
-    effective features), and ``drop_scales[l]`` the inverted-dropout
+    effective features, or None if ``forward`` got ``first`` alone), and ``drop_scales[l]`` the inverted-dropout
     multiplier applied after the ReLU of layer l (None when dropout was
     off); ``backward`` reads its ReLU masks from ``layer_inputs``.
     """
 
     weights: list[np.ndarray]
-    layer_inputs: list[np.ndarray]
+    layer_inputs: list[np.ndarray | None]
     drop_scales: list[np.ndarray | None]
     logits: np.ndarray
 
@@ -150,7 +150,7 @@ def _workspace(model: GnnModel, n: int) -> list[tuple[np.ndarray, ...]]:
 def forward(
     model: GnnModel,
     a_hat: CsrMatrix,
-    x_eff: np.ndarray,
+    x_eff: np.ndarray | None,
     w_eff: list[np.ndarray] | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
@@ -163,12 +163,16 @@ def forward(
     Dropout is applied to hidden post-activations only, and only when
     ``training`` is set (requires ``rng``); with ``training=False`` the
     pass is a deterministic pure function of its arguments. ``first``,
-    when given, is the first layer's product ``x_eff @ W_0``, computed by
-    the caller with the bytes of one such call; it is propagated in
-    place of that product and not kept past the first ``spmm``.
-    ``work``, when given, is a ``_workspace`` the pass writes into in
-    place of fresh arrays (lifetime rule in ``backward``), with the same
-    bytes.
+    when given, is the first layer's product of the effective features
+    and ``W_0``, computed by the caller with the bytes of one such
+    ``np.matmul`` call; it is propagated in place of that product and
+    not kept past the first ``spmm``. ``x_eff`` may then be None, so a
+    caller that builds the features chunk by chunk never passes an n x d
+    array that ``first`` might not match; the cache then keeps None as
+    layer 0's input, and ``backward`` rejects it. ``work``, when given, is
+    a ``_workspace`` the pass writes into in place of fresh arrays
+    (lifetime rule in ``backward``), with the same bytes; ``first`` may
+    be its first ``prod`` array.
     """
     ws = list(model.weights if w_eff is None else w_eff)
     if len(ws) != model.depth:
@@ -176,11 +180,14 @@ def forward(
     for l, (w, ref) in enumerate(zip(ws, model.weights)):
         if w.shape != ref.shape:
             raise ValueError(f"w_eff[{l}] shape {w.shape} != {ref.shape}")
-    x_eff = np.asarray(x_eff, dtype=np.float64)
-    if x_eff.ndim != 2 or x_eff.shape != (a_hat.rows, ws[0].shape[0]):
-        raise ValueError(
-            f"features must be {a_hat.rows}x{ws[0].shape[0]}, got {x_eff.shape}"
-        )
+    if x_eff is not None:
+        x_eff = np.asarray(x_eff, dtype=np.float64)
+        if x_eff.ndim != 2 or x_eff.shape != (a_hat.rows, ws[0].shape[0]):
+            raise ValueError(
+                f"features must be {a_hat.rows}x{ws[0].shape[0]}, got {x_eff.shape}"
+            )
+    elif first is None:
+        raise ValueError("forward needs x_eff or first")
     if first is not None and first.shape != (a_hat.rows, ws[0].shape[1]):
         raise ValueError(f"first must be {a_hat.rows}x{ws[0].shape[1]}, got {first.shape}")
     use_dropout = training and model.dropout_rate > 0.0
@@ -294,6 +301,8 @@ def backward(
     ws = cache.weights
     if len(ws) != model.depth:
         raise ValueError("cache does not match the model depth")
+    if cache.layer_inputs[0] is None:
+        raise ValueError("cache has no layer-0 input: its forward got first, not x_eff")
     d_weights = [np.empty(0)] * len(ws) if need_weights else None
     g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
     for l in range(len(ws) - 1, 0, -1):

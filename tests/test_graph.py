@@ -167,6 +167,42 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=r"edges\.tsv:1"):
             load_dataset(fixture_dir)
 
+    # Lines int() reads that the numpy parse leaves to the line loop, and
+    # lines either path rejects: the loader's result or message is the loop's.
+    EDGE_TEXTS = {
+        "plain": b"0\t1\n2\t11\n", "leading_zeros": b"007\t010\n",
+        "empty_lines": b"\n0\t1\n\n\n2\t3\n", "empty_file": b"", "only_lf": b"\n",
+        "plus": b"+1\t2\n", "space_before": b" 1\t2\n", "space_after": b"1\t2 \n",
+        "underscore": b"1_0\t2\n", "arabic_indic_one": "\u0661\t2\n".encode(),
+        "fullwidth_one": "\uff11\t2\n".encode(), "crlf": b"0\t1\r\n2\t3\r\n",
+        "lone_cr": b"0\t1\r2\t3\n", "no_final_lf": b"0\t1\n2\t3",
+        "duplicate": b"0\t1\n0\t1\n", "reversed_duplicate": b"0\t1\n3\t4\n1\t0\n",
+        "self_loop": b"0\t1\n5\t5\n", "out_of_range": b"0\t1\n0\t12\n",
+        "twenty_digits": b"0\t1\n1\t" + b"9" * 20 + b"\n", "three_fields": b"0\t1\t2\n",
+        "one_field": b"0\t1\n3\n", "empty_field": b"0\t\n", "tab_first": b"\t1\n",
+        "comma": b"0,1\n", "not_utf8": b"0\t1\n\xff\n",
+    }
+
+    @pytest.mark.parametrize("name", EDGE_TEXTS)
+    def test_edges_read_as_the_line_loop_reads_them(self, tmp_path, name):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(self.EDGE_TEXTS[name])
+
+        def outcome(read):
+            try:
+                return "edges", [np.asarray(e, dtype=np.int64).tobytes() for e in read(path, 12)]
+            except DatasetError as e:
+                return "error", str(e)
+
+        assert outcome(graph._read_edges) == outcome(graph._edge_lines)
+
+    def test_written_edges_parse_without_the_line_loop(self, tmp_path, monkeypatch):
+        ds = generate_sbm(SbmParams((6, 7, 5), 0.6, 0.1, 0.35), make_rng(21))
+        save_dataset(ds, tmp_path / "d")
+        monkeypatch.setattr(graph, "_edge_lines", None)  # any call fails
+        back = load_dataset(tmp_path / "d")
+        assert csr_to_dense(back.adjacency).tobytes() == csr_to_dense(ds.adjacency).tobytes()
+
     def test_label_out_of_range_reports_line(self, fixture_dir):
         (fixture_dir / "labels.txt").write_text("0\n7\n")
         with pytest.raises(DatasetError, match=r"labels\.txt:2"):

@@ -1,5 +1,9 @@
 import contextlib
 import math
+import sys
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from capgnn import landscape, linalg
 from capgnn.graph import SbmParams, generate_sbm
 from capgnn.landscape import (
+    DirectionSet,
     LandscapeProfile,
     gaussian_attack_trials,
     probe_landscape,
@@ -20,15 +25,55 @@ from conftest import clean_metrics, peak_traced_bytes, row_blocks
 
 
 def count_forwards(monkeypatch) -> list:
-    """Record the ``x_eff`` bytes of every forward that landscape runs."""
+    """Record ``(x_eff, first)`` of every forward that landscape runs, each as
+    its bytes when the forward starts, or None."""
     seen = []
 
-    def spy(model, a_hat, x_eff, *args, **kwargs):
-        seen.append(x_eff.tobytes())
-        return forward(model, a_hat, x_eff, *args, **kwargs)
+    def spy(model, a_hat, x_eff, *args, first=None, **kwargs):
+        seen.append(tuple(None if a is None else a.tobytes() for a in (x_eff, first)))
+        return forward(model, a_hat, x_eff, *args, first=first, **kwargs)
 
     monkeypatch.setattr(landscape, "forward", spy)
     return seen
+
+
+@contextlib.contextmanager
+def lagging_pool():
+    """Two-wide, with every pool task run only once its caller waits for it.
+
+    So the attack draws every range before the pool has read any, as on a
+    pool whose CPU is busy elsewhere.
+    """
+    queued, finish = [], linalg._finish
+
+    def submit(fn, *args):
+        future = Future()
+        queued.append((future, fn, args))
+        return future
+
+    def run_then_finish(futures):
+        while queued:
+            future, fn, args = queued.pop(0)
+            if future.set_running_or_notify_cancel():
+                future.set_result(fn(*args))
+        finish(futures)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_WIDTH", 2)
+        mp.setattr(linalg, "_submit", submit)
+        mp.setattr(linalg, "_finish", run_then_finish)
+        yield
+
+
+@pytest.fixture(scope="module")
+def three_chunks():
+    """600 nodes, d=500, 64 hidden: X @ W0 is cut into three 192-row-aligned ranges."""
+    ds = generate_sbm(
+        SbmParams((300, 300), 0.02, 0.004, 1.0, feature_dim=500), make_rng(13)
+    )
+    model = init_model([ds.d, 64, 2], make_rng(2), dropout_rate=0.0)
+    assert linalg._dense_cuts(ds.features, 64) == [0, 192, 384, 600]
+    return ds, model
 
 
 def grid(lo=-1.0, hi=1.0, num=9):
@@ -127,11 +172,48 @@ class TestProbeLandscape:
                 if alpha == 0.0:
                     continue
                 x = ds.features + alpha * direction
-                assert next(displaced) == x.tobytes()
+                assert next(displaced) == (None, np.matmul(x, model.weights[0]).tobytes())
                 logits = forward(model, ds.a_hat, x).logits
                 assert split.losses[i, j] == masked_cross_entropy(
                     logits, ds.labels, ds.train_mask
                 )
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_chunked_products_match_reference(self, monkeypatch, three_chunks, width):
+        # Three ranges, built and multiplied inline at width 1, on two threads at 2.
+        ds, model = three_chunks
+        dirs = sample_directions(ds.features, "feature", 2, make_rng(3))
+        alphas = grid(num=3)
+        monkeypatch.setattr(linalg, "_WIDTH", width)
+        seen = count_forwards(monkeypatch)
+        profile = probe_landscape(model, ds, dirs, alphas)
+        displaced = iter(seen[1:])
+        for i, direction in enumerate(dirs.directions):
+            for j in (0, 2):
+                x = ds.features + alphas[j] * direction
+                assert next(displaced) == (None, np.matmul(x, model.weights[0]).tobytes())
+                logits = forward(model, ds.a_hat, x).logits
+                assert profile.losses[i, j] == masked_cross_entropy(
+                    logits, ds.labels, ds.train_mask)
+
+    def test_feature_direction_of_another_shape_rejected(self, small_sbm, trained_small):
+        # Longer by 7 rows: the ranges would read only the first n of them.
+        n, d = small_sbm.features.shape
+        dirs = DirectionSet("feature", [np.ones((n, d)), np.ones((n + 7, d))])
+        with pytest.raises(ValueError, match=rf"feature direction 1 is \({n + 7}, {d}\)"):
+            probe_landscape(trained_small, small_sbm, dirs, grid())
+
+    def test_weight_direction_of_another_shape_rejected(self, small_sbm, trained_small):
+        # One row where the layer has d: w + alpha * d would broadcast it.
+        ws = trained_small.weights
+        bad = [np.ones((1, ws[0].shape[1])), np.ones(ws[1].shape)]
+        for direction, error in (
+            (bad, r"weight direction 0 layer 0 is \(1, 16\), layer is"),
+            (bad[1:], r"weight direction 0 has 1 layers, model has 2"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                probe_landscape(trained_small, small_sbm,
+                                DirectionSet("weight", [direction]), grid())
 
     def test_zero_directions_give_constant_profile(self, small_sbm, trained_small):
         dirs = sample_directions(trained_small, "weight", 2, make_rng(0))
@@ -265,7 +347,7 @@ class TestGaussianAttack:
         rng = make_rng(9)
         for t in range(3):
             noisy = ds.features + 0.7 * rng.standard_normal(ds.features.shape)
-            assert seen[t] == noisy.tobytes()
+            assert seen[t] == (None, np.matmul(noisy, model.weights[0]).tobytes())
             logits = forward(model, ds.a_hat, noisy).logits
             assert accs[t] == accuracy(logits, ds.labels, ds.test_mask)
 
@@ -289,32 +371,92 @@ class TestGaussianAttack:
         with pytest.raises(ValueError, match="features must be"):
             gaussian_attack_trials(wider, small_sbm, 1.0, 3, make_rng(0))
 
-    @pytest.fixture(scope="class")
-    def three_chunks(self):
-        """600 nodes, d=500, 64 hidden: X @ W0 streams in three 192-row-aligned chunks."""
-        ds = generate_sbm(
-            SbmParams((300, 300), 0.02, 0.004, 1.0, feature_dim=500), make_rng(13)
-        )
-        return ds, init_model([ds.d, 64, 2], make_rng(2), dropout_rate=0.0)
-
     @pytest.mark.parametrize("width", [1, 2])
     def test_streamed_chunks_match_reference_draws(self, monkeypatch, three_chunks, width):
         ds, model = three_chunks
-        w0 = model.weights[0]
-        assert linalg._dense_cuts(ds.features, w0.shape[1]) == [0, 192, 384, 600]
         monkeypatch.setattr(linalg, "_WIDTH", width)  # pool, or inline at width 1
-        seen = []
-
-        def spy(model, a_hat, x_eff, *args, first=None, **kwargs):
-            seen.append((x_eff.tobytes(), first.tobytes()))
-            return forward(model, a_hat, x_eff, *args, first=first, **kwargs)
-
-        monkeypatch.setattr(landscape, "forward", spy)
+        seen = count_forwards(monkeypatch)
         rng, ref = make_rng(9), make_rng(9)
         accs = gaussian_attack_trials(model, ds, 0.7, 2, rng)
         for t in range(2):
             noisy = ds.features + 0.7 * ref.standard_normal(ds.features.shape)
-            assert seen[t] == (noisy.tobytes(), (noisy @ w0).tobytes())
+            assert seen[t] == (None, np.matmul(noisy, model.weights[0]).tobytes())
             logits = forward(model, ds.a_hat, noisy).logits
             assert accs[t] == accuracy(logits, ds.labels, ds.test_mask)
         assert rng.random() == ref.random()
+
+    def test_a_lagging_pool_reads_every_range_as_drawn(self, monkeypatch, three_chunks):
+        # Every range is drawn before the pool multiplies any, so no buffer
+        # may be drawn into again before its product is written.
+        ds, model = three_chunks
+        want = gaussian_attack_trials(model, ds, 0.7, 2, make_rng(9))
+        seen = count_forwards(monkeypatch)
+        with lagging_pool():
+            got = gaussian_attack_trials(model, ds, 0.7, 2, make_rng(9))
+        assert got.tobytes() == want.tobytes()
+        ref = make_rng(9)
+        for t in range(2):
+            noisy = ds.features + 0.7 * ref.standard_normal(ds.features.shape)
+            assert seen[t] == (None, np.matmul(noisy, model.weights[0]).tobytes())
+
+
+class TestFeatureSideMemory:
+    """Bytes the feature-side passes allocate beyond their inputs, against X's.
+
+    Neither builds an n x d array: each range's displaced rows go into a
+    buffer of that range's size, and every n x hidden array into the
+    call's workspace, an anonymous map that ``tracemalloc`` does not see.
+    """
+
+    @pytest.mark.parametrize("run", ["profile", "attack"])
+    def test_one_range_at_a_time_inline(self, monkeypatch, three_chunks, run):
+        ds, model = three_chunks
+        dirs = sample_directions(ds.features, "feature", 2, make_rng(3))
+        monkeypatch.setattr(linalg, "_WIDTH", 1)
+        call = {
+            "profile": lambda: probe_landscape(model, ds, dirs, grid(num=3)),
+            "attack": lambda: gaussian_attack_trials(model, ds, 0.5, 2, make_rng(0)),
+        }[run]
+        # The 216-row last range's buffer is 0.36 of X.
+        assert peak_traced_bytes(call) < 0.5 * ds.features.nbytes
+
+    def test_a_lagging_pool_holds_one_feature_array(self, three_chunks):
+        # Every range drawn before any is read: one buffer per range, X's rows in all.
+        ds, model = three_chunks
+        with lagging_pool():
+            peak = peak_traced_bytes(
+                lambda: gaussian_attack_trials(model, ds, 0.5, 2, make_rng(0)))
+        assert ds.features.nbytes < peak < 1.1 * ds.features.nbytes
+
+
+class TestRangeBuffers:
+    """``_range_buffers``, the spare list the pool's threads share."""
+
+    def test_no_two_threads_hold_one_buffer_under_fast_switching(self):
+        # More threads than cores take and give back ranges of three sizes;
+        # a buffer handed to two at once would show the other's marks.
+        take, give = landscape._range_buffers(64)
+        clashes = []
+
+        def worker(mark):
+            for k in range(300):
+                lo = 7 * (k % 3)
+                rows = take(lo, lo + 5 + k % 3)
+                rows.fill(mark)
+                time.sleep(0)  # lets another thread run while this one holds rows
+                if not (rows == mark).all():
+                    clashes.append(mark)
+                give(rows)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(m,)) for m in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert clashes == []

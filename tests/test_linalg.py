@@ -700,33 +700,48 @@ class TestCsrValidation:
 class TestStreamNormal:
     """``_stream_normal`` draws range by range, ``fn`` behind each range."""
 
-    @pytest.mark.parametrize("width", [1, 2])
-    @pytest.mark.parametrize("cuts", [[0, 1000], [0, 3, 500, 999, 1000]])
-    def test_bytes_and_state_of_one_draw(self, width, cuts):
+    @staticmethod
+    def _stream(width, cuts, into):
+        """The rows ``fn`` saw of a 1000 x 7 stream drawn ``into(lo, hi)``, checked
+        against one draw; and the output ``into`` may slice."""
         rng, ref = make_rng(4), make_rng(4)
-        out, copy = np.empty((1000, 7)), np.full((1000, 7), np.nan)
+        copy = np.full((1000, 7), np.nan)
         seen = []
 
-        def fn(lo, hi):
-            copy[lo:hi] = out[lo:hi]  # what fn reads of its range is drawn
+        def fn(lo, hi, drawn):
+            copy[lo:hi] = drawn  # what fn reads of its range is drawn
             seen.append((lo, hi))
 
         with row_blocks(width):
-            linalg._stream_normal(rng, out, cuts, fn)
+            linalg._stream_normal(rng, cuts, into, fn)
         want = ref.standard_normal((1000, 7))
-        assert out.tobytes() == want.tobytes()
         assert copy.tobytes() == want.tobytes()
         assert sorted(seen) == list(zip(cuts, cuts[1:]))
         assert rng.random() == ref.random()
+        return want
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("cuts", [[0, 1000], [0, 3, 500, 999, 1000]])
+    def test_bytes_and_state_of_one_draw(self, width, cuts):
+        out = np.empty((1000, 7))
+        want = self._stream(width, cuts, lambda lo, hi: out[lo:hi])
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("cuts", [[0, 1000], [0, 3, 500, 999, 1000]])
+    def test_each_range_into_a_buffer_of_its_own(self, width, cuts):
+        self._stream(width, cuts, lambda lo, hi: np.empty((hi - lo, 7)))
 
     def test_an_error_in_fn_is_raised_after_every_range_is_done(self):
         done = []
 
-        def fn(lo, hi):
+        def fn(lo, hi, drawn):
             if lo == 0:
                 raise RuntimeError("range 0")
             done.append(lo)
 
+        out = np.empty(40)
         with row_blocks(2), pytest.raises(RuntimeError, match="range 0"):
-            linalg._stream_normal(make_rng(1), np.empty(40), [0, 10, 20, 30, 40], fn)
+            linalg._stream_normal(make_rng(1), [0, 10, 20, 30, 40],
+                                  lambda lo, hi: out[lo:hi], fn)
         assert sorted(done) == [10, 20, 30]

@@ -228,6 +228,23 @@ class TestForward:
 
         assert run(first=ds.features @ model.weights[0]) == run()
 
+    def test_first_product_without_features_gives_the_same_logits(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 16, ds.num_classes], make_rng(6), dropout_rate=0.0)
+        cache = forward(model, ds.a_hat, None, first=ds.features @ model.weights[0])
+        assert cache.layer_inputs[0] is None
+        assert cache.logits.tobytes() == forward(model, ds.a_hat, ds.features).logits.tobytes()
+        with pytest.raises(ValueError, match="x_eff or first"):
+            forward(model, ds.a_hat, None)
+
+    def test_backward_refuses_a_cache_without_features(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 4, ds.num_classes], make_rng(0))
+        cache = forward(model, ds.a_hat, None, first=ds.features @ model.weights[0])
+        for flags in ({}, {"need_weights": False}, {"need_features": False}):
+            with pytest.raises(ValueError, match="no layer-0 input"):
+                backward(model, ds.a_hat, cache, ds.labels, ds.train_mask, **flags)
+
     def test_first_product_of_the_wrong_shape_rejected(self, small_sbm):
         model = init_model([small_sbm.d, 4, 2], make_rng(0))
         with pytest.raises(ValueError, match="first must be"):
