@@ -58,8 +58,8 @@ MUTATIONS = {
     ),
     "weight_ball_at_twice_the_radius": Mutation(
         PERTURB,
-        "eps[l] = e * (radii[l] / nrm) if nrm > radii[l] else e",
-        "eps[l] = e * (2 * radii[l] / nrm) if nrm > 2 * radii[l] else e",
+        "(e * (radii[l] / nrm), None) if nrm > radii[l]",
+        "(e * (2 * radii[l] / nrm), None) if nrm > 2 * radii[l]",
         ("tests/test_perturb.py::TestWeightPgd",),
     ),
     "weight_radius_from_linf_norm": Mutation(
@@ -123,6 +123,17 @@ MUTATIONS = {
     "clamp_in_first_chunk_only": Mutation(
         PERTURB, "            if clamp:", "            if clamp and lo == 0:",
         (FEATURE_PGD,),
+    ),
+    # The PGD trace: each norm from the right point and over every chunk.
+    "trace_eps_norm_before_projection": Mutation(
+        PERTURB, "(e * (radii[l] / nrm), None)", "(e * (radii[l] / nrm), nrm)",
+        ("tests/test_perturb.py::TestWeightPgd::"
+         "test_trace_rows_hold_each_layer_after_projection",),
+    ),
+    "trace_max_without_the_first_chunk": Mutation(
+        PERTURB, "g_ends.append((g.max(), g.min()))",
+        "g_ends.append((g.max() if lo else -np.inf, g.min()))",
+        (f"{FEATURE_PGD}::test_trace_norms_are_lp_norms_over_every_chunk",),
     ),
     # Memory: arrays kept alive longer than their readers need them.
     "feature_gradient_without_out": Mutation(

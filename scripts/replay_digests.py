@@ -2,17 +2,17 @@
 """Replay a fixed list of CLI runs and print a digest of every artefact.
 
 Inside OUT_DIR this generates the README's 400-node SBM, trains it six
-ways (cap with a PGD trace; vanilla with best_val selection; fp with a
-PGD trace, once as configured and once with a feature ball small enough
-that the clamp binds; cap with dropout, weight decay, Adam and two
-hidden layers; every key but the paths and seeds at its default), probes one
-checkpoint twice (both kinds on the train loss; then feature-only on the
-test loss with another grid, alpha_ref and seed) and attacks it, runs
+ways (cap; vanilla with best_val selection; fp, once as configured and
+once with a feature ball small enough that the clamp binds; cap with
+dropout, weight decay, Adam and two hidden layers; every key but the
+paths and seeds at its default), probes one checkpoint twice (both
+kinds on the train loss; then feature-only on the test loss with
+another grid, alpha_ref and seed) and attacks it, runs
 ``run_sbm_study.py``, and saves a seeded ~10%-dense dataset (repeated
 values, a -0.0, exponent-form reprs) with ``save_dataset``, the path
 that formats sparse features. Last it saves a seeded 9,216-node ring
 graph with d=64 (chords on its first third only) and trains it with cap
-for two epochs with a PGD trace, so the row-blocked kernels split; then
+for two epochs, so the row-blocked kernels split; then
 generates a 2,304-node SBM with d=384 and trains it the same way, with
 wider first-layer products (its weight gradient is one range under the
 2^27 transposed floor); then does the same on a
@@ -54,18 +54,17 @@ COMMANDS = [
     ["gen-sbm", "--blocks", "200,200", "--p_in", "0.05", "--p_out", "0.02",
      "--feature_noise", "1.2", "--feature_dim", "8", "--seed", "2024",
      "--out_dir", "data/sbm"],
-    ["train", *CAP, "--seeds", "1..3", "--pgd_trace"],
+    ["train", *CAP, "--seeds", "1..3"],
     ["train", *CAP, "--mode", "vanilla", "--model_selection", "best_val",
      "--seeds", "1..2", "--out_dir", "runs/sbm_vanilla"],
     ["train", *CAP, "--mode", "fp", "--seeds", "1", "--epochs", "60",
-     "--out_dir", "runs/sbm_fp", "--pgd_trace"],
+     "--out_dir", "runs/sbm_fp"],
     # No shipped config lets the feature ascent reach rho_x; 0.03 < 3 x 0.02 does.
     ["train", *CAP, "--mode", "fp", "--rho_x", "0.03", "--seeds", "1", "--epochs", "60",
-     "--out_dir", "runs/sbm_fp_clamped", "--pgd_trace"],
+     "--out_dir", "runs/sbm_fp_clamped"],
     ["train", *CAP, "--mode", "cap", "--dropout", "0.5", "--weight_decay", "0.0005",
      "--optimizer", "adam", "--hidden_dims", "16,8", "--seeds", "4,7",
-     "--epochs", "30", "--skip_epochs", "5", "--out_dir", "runs/sbm_cap_adam",
-     "--pgd_trace"],
+     "--epochs", "30", "--skip_epochs", "5", "--out_dir", "runs/sbm_cap_adam"],
     ["train", "--dataset_dir", "data/sbm", "--out_dir", "runs/defaults", "--seeds", "1,2"],
     ["probe", *CKPT, "--directions", "4", "--out_dir", "runs/probe"],
     ["probe", *CKPT, "--kind", "feature", "--loss_mask", "test", "--directions", "2",
@@ -113,9 +112,9 @@ x = rng.standard_normal((n, d)) + labels[:, None]
 split = random_split(labels, (0.6, 0.2, 0.2), rng)
 save_dataset(make_dataset(adjacency, x, labels, 3, *split), "data/ring")
 """
-# Two traced cap epochs, one of each perturbation, at 64 hidden units.
+# Two cap epochs, one of each perturbation, at 64 hidden units.
 CAP_64 = ["--seeds", "1", "--mode", "cap", "--hidden_dims", "64", "--epochs", "2",
-          "--skip_epochs", "0", "--frequency", "2", "--pgd_trace"]
+          "--skip_epochs", "0", "--frequency", "2"]
 RING_TRAIN = ["train", "--dataset_dir", "data/ring", "--out_dir", "runs/ring_cap", *CAP_64]
 # 2,304 nodes x 384 features, 64 hidden: with two or more CPUs the weight
 # gradient X.T @ g (384 x 2,304 @ 2,304 x 64) splits over its rows at 192.

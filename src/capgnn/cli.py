@@ -246,7 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 old.rmdir()
 
     per_seed = []
-    for row in _seed_rows(resolved["seeds"], (dataset, cfg, out_dir, args.pgd_trace)):
+    for row in _seed_rows(resolved["seeds"], (dataset, cfg, out_dir)):
         per_seed.append(row)
         print(f"seed {row['seed']}: test_acc={row['test_acc']} "
               f"gap={row['generalization_gap']}")
@@ -270,24 +270,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-_job: tuple | None = None  # (dataset, cfg, out_dir, pgd_trace) of the sweep in progress
+_job: tuple | None = None  # (dataset, cfg, out_dir) of the sweep in progress
 
 
 def _run_seed(seed: int) -> dict:
     """Train ``seed`` of the sweep in ``_job``, write ``seed_<s>/``, return its row.
 
-    The files go to ``seed_<s>.tmp/``, renamed onto ``seed_<s>/`` at once
-    (file by file if files capgnn did not write keep it), so a killed
-    worker leaves no half-written ``seed_<s>/``.
+    ``seed_<s>/`` holds ``metrics.csv``, ``pgd_trace.csv`` (every inner
+    ascent step; header only when no epoch ascended) and
+    ``checkpoint.json``. The files go to ``seed_<s>.tmp/``, renamed onto
+    ``seed_<s>/`` at once (file by file if files capgnn did not write keep
+    it), so a killed worker leaves no half-written ``seed_<s>/``.
     """
-    dataset, cfg, out_dir, trace = _job
-    pgd_trace = [] if trace else None
-    model, history = train(dataset, replace(cfg, seed=seed), pgd_trace=pgd_trace)
+    dataset, cfg, out_dir = _job
+    model, history = train(dataset, replace(cfg, seed=seed))
     seed_dir, tmp = out_dir / f"seed_{seed}", out_dir / f"seed_{seed}.tmp"
     tmp.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(history, tmp / "metrics.csv")
-    if pgd_trace is not None:
-        write_pgd_trace_csv(pgd_trace, tmp / "pgd_trace.csv")
+    write_pgd_trace_csv(history, tmp / "pgd_trace.csv")
     save_model(model, tmp / "checkpoint.json")
     try:
         os.replace(tmp, seed_dir)  # seed_dir is absent or empty
@@ -499,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_train.add_argument("--config", help="flat config file or a manifest.json to replay")
-    p_train.add_argument(
-        "--pgd_trace", action="store_true",
-        help="also write per-inner-step PGD trace CSVs (seed_<s>/pgd_trace.csv)",
-    )
     for key in CONFIG_KEYS:
         p_train.add_argument(f"--{key}", default=None, help=argparse.SUPPRESS)
     p_train.set_defaults(func=cmd_train)

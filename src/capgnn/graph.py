@@ -358,7 +358,8 @@ def _parse_edges(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
         values = values * 10 + np.where(digits >= back, buf[at] - ord("0"), 0)
     us, vs = values[0::2], values[1::2]
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    if not (hi < n).all() or (lo == hi).any() or len(np.unique(lo * n + hi)) < len(lo):
+    if (n >= 1 << 31 or not (hi < n).all() or (lo == hi).any()  # lo * n + hi < 2^62
+            or len(np.unique(lo * n + hi)) < len(lo)):
         return None
     return us, vs
 

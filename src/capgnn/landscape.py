@@ -150,15 +150,15 @@ def probe_landscape(
 ) -> LandscapeProfile:
     """Evaluate the masked loss along every direction at every magnitude.
 
-    The grid must be strictly increasing and contain 0; the alpha=0
-    column is the unperturbed loss, from one clean forward per call
-    shared by every direction, so it is bit-exact. Dropout is always
-    off here. Every direction must have its source's shape: the
-    features', or one array per layer with that layer's. A feature
-    displacement is built range by range as ``alpha * direction +
-    features``, which has the bits of ``features + alpha * direction``
-    (IEEE * and + commute), and multiplied by ``W_0`` there (module
-    docstring).
+    The grid must be strictly increasing and contain 0; the alpha=0 column
+    is the unperturbed loss, from one clean forward per call shared by
+    every direction, so it is bit-exact. Dropout is always off here. The
+    kind must be one ``sample_directions`` draws, and every direction must
+    have its source's shape: the features', or one array per layer with
+    that layer's. A feature displacement is built range by range as
+    ``alpha * direction + features``, which has the bits of ``features +
+    alpha * direction`` (IEEE * and + commute), and multiplied by ``W_0``
+    there (module docstring).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or len(alphas) < 1:
@@ -209,7 +209,9 @@ def probe_landscape(
 
 
 def _check_directions(dirs: DirectionSet, model: GnnModel, features: np.ndarray) -> None:
-    """Raise naming the first direction (and layer) not shaped like its source."""
+    """Raise unless ``dirs`` has a known kind and each direction its source's shape."""
+    if dirs.kind not in (WEIGHT_KIND, FEATURE_KIND):
+        raise ValueError(f"kind must be {WEIGHT_KIND!r} or {FEATURE_KIND!r}")
     for i, direction in enumerate(dirs.directions):
         if dirs.kind == WEIGHT_KIND:
             if len(direction) != model.depth:

@@ -114,6 +114,7 @@ class ForwardCache:
 class Gradients:
     d_weights: list[np.ndarray] | None
     d_features: np.ndarray | None
+    loss: float  # the masked cross-entropy at the cache's point
 
 
 _FRESH = (None, None, None)  # a layer's arrays without a workspace: all fresh
@@ -244,17 +245,20 @@ def masked_cross_entropy(logits: np.ndarray, labels, mask) -> float:
     return float(np.mean(lse - picked))
 
 
-def _loss_grad_logits(logits: np.ndarray, labels, mask) -> np.ndarray:
-    """d(masked cross-entropy)/d(logits): (softmax - onehot)/count on masked rows."""
+def _loss_grad_logits(logits: np.ndarray, labels, mask) -> tuple[float, np.ndarray]:
+    """``masked_cross_entropy`` (same bits) and its logit gradient, from one softmax."""
     idx, y = _masked_rows(labels, mask)
     sub = logits[idx]
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(idx.size), y] -= 1.0
+    m = sub.max(axis=1, keepdims=True)
+    e = np.exp(sub - m)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(idx.size)
+    loss = float(np.mean(m[:, 0] + np.log(s[:, 0]) - sub[rows, y]))
+    e /= s
+    e[rows, y] -= 1.0
     grad = np.zeros_like(logits)
-    grad[idx] = p / idx.size
-    return grad
+    grad[idx] = e / idx.size
+    return loss, grad
 
 
 def backward(
@@ -280,7 +284,8 @@ def backward(
     the features, so each is computed only on request: the outer descent
     and weight PGD pass ``need_features=False`` (``d_features`` is None),
     feature PGD passes ``need_weights=False`` (``d_weights`` is None).
-    What is computed is the same bytes whichever flags are set.
+    What is computed is the same bytes whichever flags are set. ``loss``
+    is the masked cross-entropy there, from the logit gradient's softmax.
 
     ``out``, when given, receives ``d_features`` (an n x d C-contiguous
     float64 array). ``work``, when given, is the ``_workspace`` the
@@ -304,7 +309,8 @@ def backward(
     if cache.layer_inputs[0] is None:
         raise ValueError("cache has no layer-0 input: its forward got first, not x_eff")
     d_weights = [np.empty(0)] * len(ws) if need_weights else None
-    g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
+    loss, g = _loss_grad_logits(cache.logits, labels, mask)
+    g = spmm(a_hat, g)
     for l in range(len(ws) - 1, 0, -1):
         prod, _, grad = work[l - 1] if work else _FRESH
         if need_weights:
@@ -324,7 +330,8 @@ def backward(
         del back
     if need_weights:
         d_weights[0] = _matmul_rows(cache.layer_inputs[0].T, g)
-    return Gradients(d_weights, _matmul_rows(g, ws[0].T, out) if need_features else None)
+    d_features = _matmul_rows(g, ws[0].T, out) if need_features else None
+    return Gradients(d_weights, d_features, loss)
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:

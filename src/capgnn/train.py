@@ -21,15 +21,7 @@ import numpy as np
 
 from .graph import Dataset
 from .linalg import _add_rows, make_rng
-from .model import (
-    GnnModel,
-    _workspace,
-    backward,
-    forward,
-    init_model,
-    masked_cross_entropy,
-    split_metrics,
-)
+from .model import GnnModel, _workspace, backward, forward, init_model, split_metrics
 from .perturb import PerturbConfig, pgd_feature_perturbation, pgd_weight_perturbation
 
 STANDARD = "standard"
@@ -98,6 +90,7 @@ class EpochRecord:
     val_acc: float | None
     test_acc: float | None
     wall_ms: float
+    pgd_rows: list = field(default_factory=list)  # the ascent's PgdTraceRows
 
 
 def schedule(epoch: int, cfg: TrainConfig) -> str:
@@ -177,7 +170,6 @@ def train_step(
     rng: np.random.Generator,
     epoch: int = 0,
     evaluate_metrics: bool = True,
-    pgd_trace: list | None = None,
     *,
     work: list | None = None,
 ) -> EpochRecord:
@@ -190,39 +182,33 @@ def train_step(
     A non-finite value inside either ascent, a non-finite loss before the
     update, a non-finite weight after it or a non-finite clean loss
     raises ``TrainingDivergedError`` naming the epoch (and the ascent
-    loop, for the first).
-    When ``pgd_trace`` is given, per-step inner-loop rows are appended
-    as (epoch, PgdTraceRow) pairs. Every pass writes into ``work``, a
-    ``model._workspace``, when given.
+    loop, for the first). The record carries the ascent's trace rows.
+    Every pass writes into ``work``, a ``model._workspace``, when given.
     """
     t0 = time.perf_counter()
     a_hat, x = dataset.a_hat, dataset.features
     labels, train_mask = dataset.labels, dataset.train_mask
-    rows = None if pgd_trace is None else []
 
-    x_eff, w_eff = x, None
+    x_eff, w_eff, rows = x, None, []
     try:
         if mode_used == WEIGHT_PERTURB:
-            eps_w = pgd_weight_perturbation(model, dataset, cfg.perturb, trace=rows, work=work)
+            eps_w, rows = pgd_weight_perturbation(model, dataset, cfg.perturb, work=work)
             w_eff = [w + e for w, e in zip(model.weights, eps_w)]
         elif mode_used == FEATURE_PERTURB:
-            eps_x = pgd_feature_perturbation(model, dataset, cfg.perturb, trace=rows, work=work)
+            eps_x, rows = pgd_feature_perturbation(model, dataset, cfg.perturb, work=work)
             x_eff = _add_rows(x, eps_x, out=eps_x)  # eps_x is discarded after this step
         elif mode_used != STANDARD:
             raise ValueError(f"unknown epoch mode {mode_used!r}")
     except FloatingPointError as e:
         raise TrainingDivergedError(f"at epoch {epoch} ({mode_used}), {e}") from e
-    if pgd_trace is not None and rows:
-        pgd_trace.extend((epoch, row) for row in rows)
 
     cache = forward(model, a_hat, x_eff, w_eff, training=True, rng=rng, work=work)
-    loss = masked_cross_entropy(cache.logits, labels, train_mask)
-    if not np.isfinite(loss):
+    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False,
+                     work=work)
+    if not np.isfinite(grads.loss):
         raise TrainingDivergedError(
             f"non-finite training loss at epoch {epoch} ({mode_used})"
         )
-    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False,
-                     work=work)
     optimizer.step(model.weights, grads.d_weights)
     if not all(np.isfinite(w).all() for w in model.weights):
         raise TrainingDivergedError(
@@ -242,19 +228,16 @@ def train_step(
         epoch=epoch,
         mode_used=mode_used,
         train_loss=train_loss,
-        adv_loss=None if mode_used == STANDARD else loss,
+        adv_loss=None if mode_used == STANDARD else grads.loss,
         train_acc=train_acc,
         val_acc=val_acc,
         test_acc=test_acc,
         wall_ms=(time.perf_counter() - t0) * 1e3,
+        pgd_rows=rows,
     )
 
 
-def train(
-    dataset: Dataset,
-    cfg: TrainConfig,
-    pgd_trace: list | None = None,
-) -> tuple[GnnModel, list[EpochRecord]]:
+def train(dataset: Dataset, cfg: TrainConfig) -> tuple[GnnModel, list[EpochRecord]]:
     """Full training run; returns the selected model and per-epoch history.
 
     All randomness (init and dropout) flows from ``cfg.seed``, so two
@@ -277,7 +260,7 @@ def train(
         do_eval = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         record = train_step(
             model, dataset, mode_used, cfg, optimizer, rng,
-            epoch=epoch, evaluate_metrics=do_eval, pgd_trace=pgd_trace, work=work,
+            epoch=epoch, evaluate_metrics=do_eval, work=work,
         )
         history.append(record)
         if (
@@ -315,12 +298,13 @@ def write_metrics_csv(history: list[EpochRecord], path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
-def write_pgd_trace_csv(pgd_trace: list, path) -> None:
-    """Per-inner-step CSV of the PGD loops, as collected by ``train``."""
+def write_pgd_trace_csv(history: list[EpochRecord], path) -> None:
+    """Per-inner-step CSV of the PGD loops; header only if no epoch ascended."""
     lines = ["epoch,step,layer,grad_norm,eps_norm,loss\n"]
-    for epoch, row in pgd_trace:
-        lines.append(
-            f"{epoch},{row.step},{row.layer},{_fmt(row.grad_norm)},"
+    for r in history:
+        lines.extend(
+            f"{r.epoch},{row.step},{row.layer},{_fmt(row.grad_norm)},"
             f"{_fmt(row.eps_norm)},{_fmt(row.loss)}\n"
+            for row in r.pgd_rows
         )
     Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")

@@ -82,7 +82,7 @@ def reference_backward(a_hat, cache, labels, mask) -> Gradients:
     """
     ws = cache.weights
     d_weights = [None] * len(ws)
-    g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask))
+    g = spmm(a_hat, _loss_grad_logits(cache.logits, labels, mask)[1])
     for l in range(len(ws) - 1, 0, -1):
         d_weights[l] = cache.layer_inputs[l].T @ g
         z = spmm(a_hat, cache.layer_inputs[l - 1] @ ws[l - 1])
@@ -91,7 +91,8 @@ def reference_backward(a_hat, cache, labels, mask) -> Gradients:
             back = back * cache.drop_scales[l - 1]
         g = spmm(a_hat, back * (z > 0.0))
     d_weights[0] = cache.layer_inputs[0].T @ g
-    return Gradients(d_weights, g @ ws[0].T)
+    loss = masked_cross_entropy(cache.logits, labels, mask)
+    return Gradients(d_weights, g @ ws[0].T, loss)
 
 
 def reference_feature_pgd(model, ds, cfg):

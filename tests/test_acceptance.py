@@ -135,13 +135,13 @@ def test_c2_projection_and_pgd_properties(sbm200):
         features_before = sbm200.features.tobytes()
 
         zero_beta = PerturbConfig(rho_w=0.1, rho_x=0.2, beta=0.0, steps=3)
-        eps_w = pgd_weight_perturbation(model, sbm200, zero_beta)
-        eps_x = pgd_feature_perturbation(model, sbm200, zero_beta)
+        eps_w, _ = pgd_weight_perturbation(model, sbm200, zero_beta)
+        eps_x, _ = pgd_feature_perturbation(model, sbm200, zero_beta)
         assert all(np.count_nonzero(e) == 0 for e in eps_w)
         assert np.count_nonzero(eps_x) == 0
 
-        eps_w = pgd_weight_perturbation(model, sbm200, FIXTURE_PERTURB)
-        eps_x = pgd_feature_perturbation(model, sbm200, FIXTURE_PERTURB)
+        eps_w, _ = pgd_weight_perturbation(model, sbm200, FIXTURE_PERTURB)
+        eps_x, _ = pgd_feature_perturbation(model, sbm200, FIXTURE_PERTURB)
         for e, w in zip(eps_w, model.weights):
             assert lp_norm(e, 2) <= FIXTURE_PERTURB.rho_w * lp_norm(w, 2) + 1e-9
         assert lp_norm(eps_x, math.inf) <= FIXTURE_PERTURB.rho_x + 1e-12
@@ -183,11 +183,11 @@ def test_c4_inner_maximization_ascent(sbm200):
         for seed in range(100):
             model, _ = train(sbm200, TrainConfig(mode="vanilla", seed=seed, **warm))
             clean = train_loss(model, sbm200)
-            eps_w = pgd_weight_perturbation(model, sbm200, FIXTURE_PERTURB)
+            eps_w, _ = pgd_weight_perturbation(model, sbm200, FIXTURE_PERTURB)
             w_eff = [w + e for w, e in zip(model.weights, eps_w)]
             if train_loss(model, sbm200, w_eff=w_eff) >= clean:
                 wins_w += 1
-            eps_x = pgd_feature_perturbation(model, sbm200, FIXTURE_PERTURB)
+            eps_x, _ = pgd_feature_perturbation(model, sbm200, FIXTURE_PERTURB)
             if train_loss(model, sbm200, x_eff=sbm200.features + eps_x) >= clean:
                 wins_x += 1
         assert wins_w >= 95, f"weight ascent won only {wins_w}/100"

@@ -201,18 +201,33 @@ class TestTrain:
         assert len(set(accs)) > 1  # else both stds are 0
         assert summary["test_acc_std"] == pytest.approx(float(np.std(accs)), rel=1e-12)
 
-    def test_pgd_trace_flag_writes_inner_step_csv(self, data_dir, tmp_path):
-        out = tmp_path / "traced"
-        assert run(
-            "train", "--dataset_dir", str(data_dir), "--out_dir", str(out),
-            "--seeds", "1", "--epochs", "6", "--mode", "cap",
-            "--skip_epochs", "3", "--frequency", "3", "--lr", "0.05",
-            "--hidden_dims", "8", "--pgd_trace",
-        ) == 0
-        rows = (out / "seed_1" / "pgd_trace.csv").read_text().splitlines()
-        assert rows[0] == "epoch,step,layer,grad_norm,eps_norm,loss"
-        assert all(int(r.split(",")[0]) > 3 for r in rows[1:])
-        assert len(rows) > 1
+    def test_every_seed_writes_its_pgd_trace(self, data_dir, tmp_path):
+        # Read from the run directory alone: each epoch's mode, and its trace rows.
+        out = tmp_path / "run"
+        flags = ["--dataset_dir", str(data_dir), "--out_dir", str(out), "--seeds", "1",
+                 "--epochs", "6", "--skip_epochs", "3", "--frequency", "3",
+                 "--hidden_dims", "8,4", "--pgd_steps", "2", "--lr", "0.05"]
+        assert run("train", *flags, "--mode", "cap") == 0
+        seed_dir = out / "seed_1"
+        metrics = (seed_dir / "metrics.csv").read_text().splitlines()[1:]
+        modes = dict(line.split(",")[:2] for line in metrics)
+        header, *rows = (seed_dir / "pgd_trace.csv").read_text().splitlines()
+        assert header == "epoch,step,layer,grad_norm,eps_norm,loss"
+        layers = {e: [tuple(r.split(",")[1:3]) for r in rows if r.split(",")[0] == e]
+                  for e in modes}
+        want = {
+            "standard": [],
+            "weight_perturb": [(str(t), f"w{l}") for t in range(2) for l in range(3)],
+            "feature_perturb": [("0", "x"), ("1", "x")],
+        }
+        assert layers == {e: want[m] for e, m in modes.items()}
+        assert set(modes.values()) == set(want)
+        # A rerun without an ascent leaves a header-only trace, no stale rows.
+        assert run("train", *flags, "--mode", "vanilla") == 0
+        assert (seed_dir / "pgd_trace.csv").read_text() == header + "\n"
+        with pytest.raises(SystemExit) as stop:
+            run("train", *flags, "--pgd_trace")
+        assert stop.value.code == 2
 
     def test_manifest_replay(self, data_dir, tmp_path):
         out1 = tmp_path / "orig"
@@ -366,16 +381,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"at epoch 3 ({perturb_mode}), {loop} step 0: non-finite" in err
 
-    def test_untraced_rerun_drops_the_earlier_pgd_trace(self, data_dir, tmp_path):
-        out = tmp_path / "reused"
-        flags = ["--dataset_dir", str(data_dir), "--out_dir", str(out), "--seeds", "1",
-                 "--epochs", "4", "--skip_epochs", "2", "--hidden_dims", "8"]
-        assert run("train", *flags, "--mode", "fp", "--pgd_trace") == 0
-        assert (out / "seed_1" / "pgd_trace.csv").is_file()
-        assert run("train", *flags, "--mode", "vanilla") == 0
-        assert (out / "seed_1" / "checkpoint.json").is_file()
-        assert not (out / "seed_1" / "pgd_trace.csv").exists()
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_rerun_drops_the_earlier_summary(self, data_dir, tmp_path):
         out = tmp_path / "reused"
@@ -414,7 +419,7 @@ class TestTrain:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "seed_1",
                                                          "summary.json"]
         assert sorted(p.name for p in (out / "seed_1").iterdir()) == [
-            "checkpoint.json", "metrics.csv", "notes.txt"]
+            "checkpoint.json", "metrics.csv", "notes.txt", "pgd_trace.csv"]
         assert (out / "seed_1" / "checkpoint.json").read_bytes() == want
 
     def test_input_dataset_directory_is_never_mutated(self, data_dir, tmp_path):
@@ -445,10 +450,10 @@ class TestTrain:
 def _seeds_that(action, seeds, real=train_mod.train):
     """A ``cli.train`` that calls ``action(seed)`` first for the given seeds."""
 
-    def patched(dataset, cfg, **kwargs):
+    def patched(dataset, cfg):
         if cfg.seed in seeds:
             action(cfg.seed)
-        return real(dataset, cfg, **kwargs)
+        return real(dataset, cfg)
 
     return patched
 
@@ -498,8 +503,10 @@ class TestDatasetFuzz:
         where=st.integers(0, 1 << 20),
         token=st.sampled_from(FUZZ_TOKENS),
     )
-    # meta.json's keys are sorted, so its third token from the end is num_classes.
+    # meta.json's keys are sorted, so its third token from the end is num_classes
+    # and its fifteenth is n.
     @example(name="meta.json", where=-3, token="1" * 30)
+    @example(name="meta.json", where=14, token="1" * 30)
     @settings(max_examples=200, deadline=None)
     def test_train_exits_0_or_2(self, base, tmp_path_factory, name, where, token):
         assert self.train_exit(self.mutant(base, tmp_path_factory, name, where, token)) in (0, 2)
@@ -656,7 +663,7 @@ class TestSeedWorkers:
         rows = json.loads((out / "summary.json").read_text())["per_seed"]
         assert rows[1]["checkpoint"] == str(out / "seed_2" / "checkpoint.json")
         assert sorted(p.name for p in (out / "seed_2").iterdir()) == [
-            "checkpoint.json", "metrics.csv"]
+            "checkpoint.json", "metrics.csv", "pgd_trace.csv"]
 
     def test_rows_arrive_in_seed_order_when_seed_1_finishes_last(
         self, data_dir, tmp_path, capsys, monkeypatch
@@ -688,7 +695,7 @@ class TestSeedWorkers:
         # the sweep is closed after its first row, with seeds still queued.
         slow = _seeds_that(lambda s: time.sleep(0.2), set(range(2, 11)))
         monkeypatch.setattr(cli_mod, "train", slow)
-        job = (load_dataset(data_dir), TrainConfig(epochs=2, hidden_dims=(8,)), tmp_path, False)
+        job = (load_dataset(data_dir), TrainConfig(epochs=2, hidden_dims=(8,)), tmp_path)
         rows = cli_mod._seed_rows(list(range(1, 11)), job)
         assert next(rows)["seed"] == 1
         rows.close()
@@ -1050,7 +1057,7 @@ def _save_ring(path: Path, n: int, d: int, decimals: int | None = None) -> None:
 
 
 def _train_ring(data: Path, out: Path, env: dict, cpus: str = "", main=_PINNABLE_MAIN):
-    """Train 2 traced ``cap`` epochs in a subprocess (pinned to ``cpus`` if given).
+    """Train 2 ``cap`` epochs in a subprocess (pinned to ``cpus`` if given).
 
     Returns the checkpoint, the PGD trace and the metrics rows without
     their ``wall_ms`` column.
@@ -1059,7 +1066,7 @@ def _train_ring(data: Path, out: Path, env: dict, cpus: str = "", main=_PINNABLE
         [sys.executable, "-c", main, cpus, "train",
          "--dataset_dir", str(data), "--out_dir", str(out),
          "--seeds", "1", "--epochs", "2", "--skip_epochs", "0", "--frequency", "2",
-         "--mode", "cap", "--hidden_dims", "64", "--pgd_trace"],
+         "--mode", "cap", "--hidden_dims", "64"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1132,7 +1139,8 @@ def test_seed_sweep_outputs_do_not_depend_on_cpu_affinity(tmp_path):
                 files[str(path.relative_to(cwd))] = text
         outputs.append((proc.stdout, files))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0][1]) == 2 + 3 * 2  # manifest, summary; metrics, checkpoint
+    # manifest, summary; per seed metrics, pgd_trace, checkpoint
+    assert len(outputs[0][1]) == 2 + 3 * 3
     assert outputs[0][0].count("\n") == 4
 
 

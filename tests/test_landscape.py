@@ -196,12 +196,20 @@ class TestProbeLandscape:
                 assert profile.losses[i, j] == masked_cross_entropy(
                     logits, ds.labels, ds.train_mask)
 
-    def test_feature_direction_of_another_shape_rejected(self, small_sbm, trained_small):
+    def test_feature_direction_of_another_shape_rejected(
+        self, small_sbm, trained_small, monkeypatch
+    ):
         # Longer by 7 rows: the ranges would read only the first n of them.
         n, d = small_sbm.features.shape
         dirs = DirectionSet("feature", [np.ones((n, d)), np.ones((n + 7, d))])
         with pytest.raises(ValueError, match=rf"feature direction 1 is \({n + 7}, {d}\)"):
             probe_landscape(trained_small, small_sbm, dirs, grid())
+        # A kind sample_directions does not draw, refused before any forward.
+        seen = count_forwards(monkeypatch)
+        with pytest.raises(ValueError, match="kind must be 'weight' or 'feature'"):
+            probe_landscape(trained_small, small_sbm,
+                            DirectionSet("spectral", [np.ones((n, d))]), grid())
+        assert seen == []
 
     def test_weight_direction_of_another_shape_rejected(self, small_sbm, trained_small):
         # One row where the layer has d: w + alpha * d would broadcast it.

@@ -3,12 +3,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from capgnn import linalg
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import CsrMatrix, make_rng, spmm
 from capgnn.model import (
+    ForwardCache,
     GnnModel,
+    _loss_grad_logits,
     _workspace,
     accuracy,
     backward,
@@ -460,6 +465,30 @@ class TestMaskedCrossEntropy:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="mask"):
             masked_cross_entropy(np.zeros((2, 2)), [0, 1], [False, False])
+
+    @given(data=st.data(), n=st.integers(1, 6), k=st.integers(2, 4))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_backward_loss_and_logit_gradient_are_the_separate_bits(self, data, n, k):
+        # Any float64 logits, +-inf and NaN included; one layer on the identity graph.
+        entries = st.one_of(st.floats(), st.sampled_from([np.inf, -np.inf, np.nan, 0.0]))
+        logits = data.draw(hnp.arrays(np.float64, (n, k), elements=entries))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        mask = data.draw(hnp.arrays(bool, n).filter(np.any))
+        model = GnnModel([np.ones((2, k))], dropout_rate=0.0)
+        cache = ForwardCache(model.weights, [np.ones((n, 2))], [], logits)
+        got = backward(model, csr_identity(n), cache, labels, mask, need_features=False)
+        want = masked_cross_entropy(logits, labels, mask)
+        assert np.float64(got.loss).tobytes() == np.float64(want).tobytes()
+        # The gradient as it was computed before the loss shared its softmax.
+        idx, y = np.flatnonzero(mask), labels[mask]
+        sub = logits[idx]
+        e = np.exp(sub - sub.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        p[np.arange(idx.size), y] -= 1.0
+        grad = np.zeros_like(logits)
+        grad[idx] = p / idx.size
+        assert _loss_grad_logits(logits, labels, mask)[1].tobytes() == grad.tobytes()
 
 
 class TestEvaluate:

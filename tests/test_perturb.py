@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import capgnn.perturb as perturb_mod
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
 from capgnn.linalg import lp_norm, make_rng
-from capgnn.model import GnnModel, backward, forward, init_model, masked_cross_entropy
+from capgnn.model import (
+    GnnModel, Gradients, backward, forward, init_model, masked_cross_entropy,
+)
 from capgnn.perturb import (
     PerturbConfig,
     pgd_feature_perturbation,
@@ -69,7 +72,7 @@ class TestWeightPgd:
     def test_single_step_is_normalized_gradient(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(1), dropout_rate=0.0)
         cfg = PerturbConfig(rho_w=1e6, beta=0.01, steps=1)
-        eps = pgd_weight_perturbation(model, fixture_8, cfg)
+        eps, _ = pgd_weight_perturbation(model, fixture_8, cfg)
         grads = clean_gradients(model, fixture_8)
         for e, g in zip(eps, grads.d_weights):
             want = cfg.beta * g / lp_norm(g, 2)
@@ -78,7 +81,7 @@ class TestWeightPgd:
     def test_collapsed_ball_keeps_perturbation_tiny(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(1), dropout_rate=0.0)
         cfg = PerturbConfig(rho_w=1e-15, beta=0.01, steps=3)
-        eps = pgd_weight_perturbation(model, fixture_8, cfg)
+        eps, _ = pgd_weight_perturbation(model, fixture_8, cfg)
         for e, w in zip(eps, model.weights):
             assert lp_norm(e, 2) <= 1e-15 * lp_norm(w, 2) * (1 + 1e-9)
 
@@ -88,7 +91,7 @@ class TestWeightPgd:
             before = [w.tobytes() for w in model.weights]
             feat_before = fixture_8.features.tobytes()
             cfg = PerturbConfig(rho_w=0.05, beta=0.02, steps=3)
-            eps = pgd_weight_perturbation(model, fixture_8, cfg)
+            eps, _ = pgd_weight_perturbation(model, fixture_8, cfg)
             for e, w in zip(eps, model.weights):
                 assert lp_norm(e, 2) <= cfg.rho_w * lp_norm(w, 2) + 1e-9
             assert [w.tobytes() for w in model.weights] == before
@@ -96,7 +99,7 @@ class TestWeightPgd:
 
     def test_zero_beta_gives_exact_zero(self, fixture_8):
         model = init_model([fixture_8.d, 4, 2], make_rng(3), dropout_rate=0.0)
-        eps = pgd_weight_perturbation(
+        eps, _ = pgd_weight_perturbation(
             model, fixture_8, PerturbConfig(beta=0.0, steps=3)
         )
         for e in eps:
@@ -105,7 +108,7 @@ class TestWeightPgd:
     def test_matches_reference_loop(self, fixture_8):
         model = init_model([fixture_8.d, 4, 2], make_rng(7), dropout_rate=0.0)
         cfg = PerturbConfig(rho_w=0.02, beta=0.015, steps=4)
-        got = pgd_weight_perturbation(model, fixture_8, cfg)
+        got, _ = pgd_weight_perturbation(model, fixture_8, cfg)
 
         eps = [np.zeros_like(w) for w in model.weights]
         radii = [cfg.rho_w * lp_norm(w, 2) for w in model.weights]
@@ -130,11 +133,31 @@ class TestWeightPgd:
         wins = 0
         for seed in range(100):
             model = init_model([fixture_8.d, 4, 2], make_rng(seed), dropout_rate=0.0)
-            eps = pgd_weight_perturbation(model, fixture_8, cfg)
+            eps, _ = pgd_weight_perturbation(model, fixture_8, cfg)
             w_eff = [w + e for w, e in zip(model.weights, eps)]
             if train_loss(model, fixture_8, w_eff=w_eff) >= train_loss(model, fixture_8):
                 wins += 1
         assert wins >= 95
+
+    def test_trace_rows_hold_each_layer_after_projection(self, fixture_8):
+        # Steps of 0.03 against a ball of radius 0.04 * ||W_l||: the ball binds
+        # from the second step on.
+        model = init_model([fixture_8.d, 4, 2], make_rng(7), dropout_rate=0.0)
+        cfg = PerturbConfig(rho_w=0.04, beta=0.03, steps=3)
+        eps, trace = pgd_weight_perturbation(model, fixture_8, cfg)
+        radii = [cfg.rho_w * lp_norm(w, 2) for w in model.weights]
+        assert [(r.step, r.layer) for r in trace] == [
+            (t, f"w{l}") for t in range(cfg.steps) for l in range(model.depth)
+        ]
+        clean = clean_gradients(model, fixture_8)
+        for l, row in enumerate(trace[:model.depth]):
+            assert row.grad_norm == lp_norm(clean.d_weights[l], 2)
+            assert row.loss == train_loss(model, fixture_8)
+        for row in trace:
+            assert row.eps_norm <= radii[int(row.layer[1:])] * (1 + 1e-12)
+        last = trace[-model.depth:]
+        assert [r.eps_norm for r in last] == [lp_norm(e, 2) for e in eps]
+        assert [r.eps_norm for r in last] == pytest.approx(radii, rel=1e-12)
 
     def test_saturated_model_logs_zero_gradient_steps(self, fixture_8):
         # A model that classifies the fixture perfectly with huge margin has
@@ -142,10 +165,7 @@ class TestWeightPgd:
         w0 = np.zeros((fixture_8.d, 2))
         w0[:2, :2] = np.eye(2) * 400.0
         model = GnnModel([w0], dropout_rate=0.0)
-        trace = []
-        eps = pgd_weight_perturbation(
-            model, fixture_8, PerturbConfig(steps=2), trace=trace
-        )
+        eps, trace = pgd_weight_perturbation(model, fixture_8, PerturbConfig(steps=2))
         assert np.count_nonzero(eps[0]) == 0
         assert len(trace) == 2
         assert all(row.grad_norm < 1e-12 for row in trace)
@@ -206,8 +226,7 @@ class TestFeaturePgd:
         snapshot = ds.features.tobytes()
         model = init_model([ds.d, *hidden, ds.num_classes], make_rng(9), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=rho_x, beta=beta, steps=steps)
-        trace = []
-        got = pgd_feature_perturbation(model, ds, cfg, trace=trace)
+        got, trace = pgd_feature_perturbation(model, ds, cfg)
         eps, want_trace = reference_feature_pgd(model, ds, cfg)
         assert got.tobytes() == eps.tobytes()
         assert np.any(np.abs(eps) == cfg.rho_x) == on_face
@@ -230,8 +249,7 @@ class TestFeaturePgd:
                           ds.train_mask, ds.val_mask, ds.test_mask)
         model = init_model([ds.d, 5, 2], make_rng(9), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=0.05, beta=beta, steps=2)
-        trace = []
-        got = pgd_feature_perturbation(model, ds, cfg, trace=trace)
+        got, trace = pgd_feature_perturbation(model, ds, cfg)
         eps, want_trace = reference_feature_pgd(model, ds, cfg)
         assert got.tobytes() == eps.tobytes()
         assert [
@@ -256,7 +274,7 @@ class TestFeaturePgd:
         cfg = PerturbConfig(rho_x=rho_x, beta=beta, steps=steps)
         want, _ = reference_feature_pgd(model, small_sbm, cfg)
         with row_blocks(blocks, chunk=chunk_rows * small_sbm.d):
-            got = pgd_feature_perturbation(model, small_sbm, cfg)
+            got, _ = pgd_feature_perturbation(model, small_sbm, cfg)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -294,7 +312,7 @@ class TestFeaturePgd:
         cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
         trace = []
         peak = peak_traced_bytes(
-            lambda: pgd_feature_perturbation(model, wide_sbm, cfg, trace=trace)
+            lambda: trace.extend(pgd_feature_perturbation(model, wide_sbm, cfg)[1])
         )
         # The trace's max-abs norms of the gradient and of eps add no n x d array.
         assert len(trace) == cfg.steps
@@ -314,7 +332,7 @@ class TestFeaturePgd:
         cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
         trace = []
         peak = peak_traced_bytes(
-            lambda: pgd_feature_perturbation(model, wide_sbm, cfg, trace=trace)
+            lambda: trace.extend(pgd_feature_perturbation(model, wide_sbm, cfg)[1])
         )
         assert len(trace) == cfg.steps
         assert peak < 2.5 * wide_sbm.features.nbytes
@@ -326,18 +344,42 @@ class TestFeaturePgd:
         model = init_model([small_sbm.d, 5, 2], make_rng(9), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=steps)
         want, want_trace = reference_feature_pgd(model, small_sbm, cfg)
-        trace = []
         with row_blocks(2, chunk=3 * small_sbm.d):
-            got = pgd_feature_perturbation(model, small_sbm, cfg, trace=trace)
+            got, trace = pgd_feature_perturbation(model, small_sbm, cfg)
         assert got.tobytes() == want.tobytes()
         assert [
             (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
         ] == want_trace
 
+    @pytest.mark.parametrize("where", ["max_in_first_chunk", "min_in_last_chunk", "nan"])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_trace_norms_are_lp_norms_over_every_chunk(
+        self, small_sbm, monkeypatch, width, where
+    ):
+        # A planted gradient over 14 three-row chunks, on ``width`` threads.
+        ds = small_sbm
+        planted = make_rng(3).standard_normal(ds.features.shape)
+        row, value = {"max_in_first_chunk": (0, 50.0), "min_in_last_chunk": (-1, -50.0),
+                      "nan": (ds.n // 2, np.nan)}[where]
+        planted[row, 1] = value
+
+        def planting_backward(*args, out, **kwargs):
+            np.copyto(out, planted)
+            return Gradients(None, out, 0.25)
+
+        monkeypatch.setattr(perturb_mod, "backward", planting_backward)
+        model = init_model([ds.d, 5, 2], make_rng(9), dropout_rate=0.0)
+        with row_blocks(width, chunk=3 * ds.d):
+            eps, trace = pgd_feature_perturbation(model, ds, PerturbConfig(steps=1))
+        want = [lp_norm(planted, math.inf), lp_norm(eps, math.inf)]
+        got = [trace[0].grad_norm, trace[0].eps_norm]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert math.isnan(got[0]) == (where == "nan")
+
     def test_single_step_is_sign_of_gradient(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(2), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=1.0, beta=0.01, steps=1)
-        eps = pgd_feature_perturbation(model, fixture_8, cfg)
+        eps, _ = pgd_feature_perturbation(model, fixture_8, cfg)
         grads = clean_gradients(model, fixture_8)
         assert np.array_equal(eps, cfg.beta * np.sign(grads.d_features))
 
@@ -357,14 +399,14 @@ class TestFeaturePgd:
             [False, False, False, True, True, True],
         )
         model = init_model([3, 4, 2], rng, dropout_rate=0.0)
-        eps = pgd_feature_perturbation(model, ds, PerturbConfig(steps=3))
+        eps, _ = pgd_feature_perturbation(model, ds, PerturbConfig(steps=3))
         assert np.array_equal(eps[3:], np.zeros((3, 3)))
         assert np.abs(eps[:3]).max() > 0
 
     def test_large_beta_saturates_touched_entries(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(4), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=0.01, beta=0.05, steps=3)
-        eps = pgd_feature_perturbation(model, fixture_8, cfg)
+        eps, _ = pgd_feature_perturbation(model, fixture_8, cfg)
         touched = eps != 0.0
         assert touched.any()
         assert np.all(np.abs(eps[touched]) == cfg.rho_x)
@@ -374,13 +416,13 @@ class TestFeaturePgd:
         for seed in range(10):
             model = init_model([fixture_8.d, 4, 2], make_rng(seed), dropout_rate=0.0)
             cfg = PerturbConfig(rho_x=0.03, beta=0.02, steps=3)
-            eps = pgd_feature_perturbation(model, fixture_8, cfg)
+            eps, _ = pgd_feature_perturbation(model, fixture_8, cfg)
             assert lp_norm(eps, math.inf) <= cfg.rho_x + 1e-12
         assert fixture_8.features.tobytes() == snapshot
 
     def test_zero_beta_gives_exact_zero(self, fixture_8):
         model = init_model([fixture_8.d, 4, 2], make_rng(3), dropout_rate=0.0)
-        eps = pgd_feature_perturbation(
+        eps, _ = pgd_feature_perturbation(
             model, fixture_8, PerturbConfig(beta=0.0, steps=3)
         )
         assert np.count_nonzero(eps) == 0
@@ -390,7 +432,7 @@ class TestFeaturePgd:
         wins = 0
         for seed in range(100):
             model = init_model([fixture_8.d, 4, 2], make_rng(seed), dropout_rate=0.0)
-            eps = pgd_feature_perturbation(model, fixture_8, cfg)
+            eps, _ = pgd_feature_perturbation(model, fixture_8, cfg)
             perturbed = train_loss(model, fixture_8, x_eff=fixture_8.features + eps)
             if perturbed >= train_loss(model, fixture_8):
                 wins += 1
@@ -404,10 +446,10 @@ class TestMeanAscent:
         for seed in range(50):
             model = init_model([fixture_8.d, 4, 2], make_rng(seed), dropout_rate=0.0)
             base = train_loss(model, fixture_8)
-            eps_w = pgd_weight_perturbation(model, fixture_8, cfg)
+            eps_w, _ = pgd_weight_perturbation(model, fixture_8, cfg)
             w_eff = [w + e for w, e in zip(model.weights, eps_w)]
             deltas_w.append(train_loss(model, fixture_8, w_eff=w_eff) - base)
-            eps_x = pgd_feature_perturbation(model, fixture_8, cfg)
+            eps_x, _ = pgd_feature_perturbation(model, fixture_8, cfg)
             deltas_x.append(
                 train_loss(model, fixture_8, x_eff=fixture_8.features + eps_x) - base
             )

@@ -164,7 +164,7 @@ class TestTrainStep:
         )
         replay = init_model([small_sbm.d, 6, 2], make_rng(9), dropout_rate=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(replay.weights, old))
-        eps = pgd_weight_perturbation(replay, small_sbm, cfg.perturb)
+        eps, _ = pgd_weight_perturbation(replay, small_sbm, cfg.perturb)
         w_eff = [w + e for w, e in zip(old, eps)]
         cache = forward(replay, small_sbm.a_hat, small_sbm.features, w_eff)
         grads = backward(
@@ -202,15 +202,15 @@ class TestWorkspace:
         """Weights, records and PGD rows of two train_steps from one initial model."""
         cfg = quick_cfg(hidden_dims=hidden, dropout=0.5, optimizer="adam")
         model = init_model([ds.d, *hidden, ds.num_classes], make_rng(4), dropout_rate=0.5)
-        opt, rng, rows = make_optimizer(cfg), make_rng(5), []
+        opt, rng = make_optimizer(cfg), make_rng(5)
         records = [
-            train_step(model, ds, mode, cfg, opt, rng, epoch=e, pgd_trace=rows, work=work)
+            train_step(model, ds, mode, cfg, opt, rng, epoch=e, work=work)
             for e in (1, 2)
         ]
         return ([w.tobytes() for w in model.weights],
                 [(r.train_loss, r.adv_loss, r.train_acc, r.val_acc, r.test_acc)
                  for r in records],
-                rows)
+                [r.pgd_rows for r in records])
 
     @pytest.mark.parametrize("hidden", [(6,), (6, 5)], ids=["one_hidden", "two_hidden"])
     @pytest.mark.parametrize("mode", MODES)
@@ -373,12 +373,11 @@ class TestTrain:
     def test_pgd_trace_covers_stage_two_only(self, small_sbm):
         cfg = quick_cfg(epochs=6, skip_epochs=3, frequency=3,
                         perturb=PerturbConfig(steps=2))
-        rows = []
-        train(small_sbm, cfg, pgd_trace=rows)
-        epochs = sorted({e for e, _ in rows})
+        _, hist = train(small_sbm, cfg)
+        by_epoch = {r.epoch: r.pgd_rows for r in hist if r.pgd_rows}
+        epochs = sorted(by_epoch)
         assert epochs == [4, 5, 6]
         # Weight epochs log one row per (step, layer); feature epochs one per step.
-        by_epoch = {e: [r for ee, r in rows if ee == e] for e in epochs}
         assert {r.layer for r in by_epoch[4]} == {"w0", "w1"}
         assert {r.layer for r in by_epoch[6]} == {"x"}
         assert all(len(by_epoch[e]) in (2, 4) for e in epochs)
