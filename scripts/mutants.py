@@ -45,6 +45,7 @@ RANGE_BITS = ("tests/test_graph.py::TestFeatureRanges::"
 STREAMED_ATTACK = ("tests/test_landscape.py::TestGaussianAttack::"
                    "test_streamed_chunks_match_reference_draws")
 PROBE = "tests/test_landscape.py::TestProbeLandscape"
+EDGE_TEXTS = "tests/test_graph.py::TestDatasetIO::test_edges_read_as_the_line_loop_reads_them"
 
 MUTATIONS = {
     # Numerics that tier-1 once let through.
@@ -94,7 +95,7 @@ MUTATIONS = {
     "transposed_cut_at_the_sparse_floor": Mutation(
         LINALG,
         "return _row_cuts(rows, row_work, _MIN_TRANSPOSED, 1)",
-        "return _row_cuts(rows, row_work, _MIN_BLOCK, 1)",
+        "return _row_cuts(rows, row_work, _CHUNK, 1)",
         ("tests/test_linalg.py::TestMatmulRows::test_weight_gradient_bitwise_equal",),
     ),
     # The shared queue of ranges: what it hands out, and who drains it.
@@ -107,6 +108,10 @@ MUTATIONS = {
         LINALG, "while (i := next(taken)) < ranges:", "while (i := next(taken)) < ranges - 1:",
         ("tests/test_linalg.py::TestSharedQueue",),
     ),
+    "cancelled_drain_keeps_fn": Mutation(
+        LINALG, "        fn = None\n", "",
+        ("tests/test_linalg.py::TestSharedQueue::test_a_cancelled_drain_keeps_no_array_alive",),
+    ),
     # The child waits on a pool thread it does not have; the test kills it at 10 s.
     "no_fork_hook": Mutation(
         LINALG, "    os.register_at_fork(after_in_child=_drop_pool)", "    pass",
@@ -115,8 +120,9 @@ MUTATIONS = {
     ),
     "sweep_skips_its_last_block": Mutation(
         LINALG,
-        "            fn(c, min(c + step, hi))",
-        "            if lo == 0 or hi < rows:\n                fn(c, min(c + step, hi))",
+        "_run_row_blocks(_row_cuts(*shape, _CHUNK, 1), fn)",
+        "_run_row_blocks(_row_cuts(*shape, _CHUNK, 1),\n"
+        "                    lambda lo, hi: (lo == 0 or hi < shape[0]) and fn(lo, hi))",
         ("tests/test_model.py::TestSplitSweeps",
          f"{FEATURE_PGD}::test_split_sweeps_match_the_reference_at_every_step"),
     ),
@@ -147,8 +153,8 @@ MUTATIONS = {
     ),
     # The workspace's lifetime rule, and feature PGD's start on X.
     "back_into_the_live_hidden_output": Mutation(
-        MODEL, "prod, _, grad = work[l - 1] if work else _FRESH",
-        "_, prod, grad = work[l - 1] if work else _FRESH",
+        MODEL, "prod, _, grad = cache.work[l - 1] if cache.work else _FRESH",
+        "_, prod, grad = cache.work[l - 1] if cache.work else _FRESH",
         ("tests/test_train.py::TestWorkspace::"
          "test_train_step_gives_the_bytes_of_fresh_arrays",),
     ),
@@ -168,6 +174,15 @@ MUTATIONS = {
         "alpha, out=rows), x[lo:hi], out=rows)",
         "alpha, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
         (f"{PROBE}::test_chunked_products_match_reference",),
+    ),
+    # edges.tsv: what np.loadtxt may read, and the rows it may hand back.
+    "edges_without_byte_screen": Mutation(
+        "graph.py", "buf[-1] == _LF and _EDGE_BYTE[buf].all()", "buf[-1] == _LF",
+        (f"{EDGE_TEXTS}[latin1_nbsp]", f"{EDGE_TEXTS}[file_separator]"),
+    ),
+    "edges_any_column_count": Mutation(
+        "graph.py", "edges is not None and (edges.shape[1] == 2 or not len(edges))",
+        "edges is not None", (f"{EDGE_TEXTS}[three_fields]",),
     ),
     # features.csv in forked ranges: where a range starts, and where its rows go.
     "cut_not_at_a_line_start": Mutation(

@@ -317,51 +317,34 @@ def load_dataset(directory, row_normalize_features: bool = False) -> Dataset:
 
 
 _TAB, _LF = 9, 10
-_EDGE_BYTE = np.zeros(256, dtype=bool)  # the bytes _parse_edges reads: digits, TAB, LF
+_EDGE_BYTE = np.zeros(256, dtype=bool)  # the bytes np.loadtxt may read of edges.tsv
 _EDGE_BYTE[[_TAB, _LF, *range(ord("0"), ord("9") + 1)]] = True
 
 
 def _read_edges(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Both endpoint arrays of edges.tsv, each undirected edge once.
 
-    Parsed in numpy when ``_parse_edges`` reads the file; otherwise line
-    by line, which reads what ``int()`` reads and names the first bad line.
+    A file of digits, TABs and LFs that ends in an LF is read by one
+    ``np.loadtxt`` call, one character per byte whatever the locale. That
+    byte screen keeps out what ``np.loadtxt`` reads and the line loop does
+    not (``0<TAB>\\x1c1`` and ``0<TAB>\\xa01`` read as 0, 1). Any other
+    file, and a parse other than no rows or ``u<TAB>v`` rows of in-range,
+    distinct, loop-free edges, is read line by line, which reads what
+    ``int()`` reads and names the first bad line.
     """
-    edges = _parse_edges(path.read_bytes(), n)
-    if edges is None:
-        edges = tuple(np.array(e, dtype=np.int64) for e in _edge_lines(path, n))
-    return edges
-
-
-def _parse_edges(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(us, vs)`` of an edges.tsv whose lines are all ``digits TAB digits LF``
-    or empty, naming in-range, distinct, loop-free edges; else None.
-
-    Each endpoint's digits are read by Horner's rule, a column at a time,
-    so one takes at most 18 digits (below 2^63).
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.size and (buf[-1] != _LF or not _EDGE_BYTE[buf].all()):
-        return None
-    seps = np.flatnonzero(buf < ord("0"))  # TAB or LF
-    digits = np.diff(seps, prepend=-1) - 1  # before each separator
-    tab = buf[seps] == _TAB
-    # An empty line: an LF with no digit since the last LF, or since the start.
-    blank = ~tab & (digits == 0) & np.concatenate(([True], ~tab[:-1]))
-    ends, digits, tab = seps[~blank], digits[~blank], tab[~blank]
-    if (len(ends) % 2 or not tab[0::2].all() or tab[1::2].any()
-            or not ((digits >= 1) & (digits <= 18)).all()):
-        return None
-    values = np.zeros(len(ends), dtype=np.int64)
-    for back in range(int(digits.max(initial=0)), 0, -1):  # the digit `back` before the end
-        at = np.maximum(ends - back, 0)
-        values = values * 10 + np.where(digits >= back, buf[at] - ord("0"), 0)
-    us, vs = values[0::2], values[1::2]
-    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    if (n >= 1 << 31 or not (hi < n).all() or (lo == hi).any()  # lo * n + hi < 2^62
-            or len(np.unique(lo * n + hi)) < len(lo)):
-        return None
-    return us, vs
+    buf = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    if not buf.size or buf[-1] == _LF and _EDGE_BYTE[buf].all():
+        try:
+            edges = _loadtxt(path, dtype=np.int64, delimiter="\t", encoding="latin1")
+        except ValueError:
+            edges = None
+        if edges is not None and (edges.shape[1] == 2 or not len(edges)):
+            us, vs = edges.reshape(-1, 2).T  # no rows: no edges
+            lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+            if (n < 1 << 31 and (hi < n).all() and (lo < hi).all()  # lo * n + hi < 2^62
+                    and len(np.unique(lo * n + hi)) == len(lo)):
+                return us, vs
+    return tuple(np.array(e, dtype=np.int64) for e in _edge_lines(path, n))
 
 
 def _edge_lines(path: Path, n: int) -> tuple[list, list]:
@@ -396,11 +379,11 @@ def _edge_lines(path: Path, n: int) -> tuple[list, list]:
     return us, vs
 
 
-def _loadtxt(source, **kw) -> np.ndarray:
+def _loadtxt(source, dtype=np.float64, delimiter=",", **kw) -> np.ndarray:
     with warnings.catch_warnings():
         # An empty file is rejected by its shape.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2, comments=None,
+        return np.loadtxt(source, delimiter=delimiter, dtype=dtype, ndmin=2, comments=None,
                           **kw)
 
 

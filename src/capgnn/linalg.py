@@ -8,21 +8,23 @@ runs with the same inputs are bit-identical.
 
 Row blocks: ``spmm``, the model's dense products ``H @ W``, ``g @ W.T``
 and ``H.T @ g``, and the elementwise sweeps (forward's ReLU and dropout,
-backward's dropout and ReLU gating, the feature ascent's step) cut their
-output rows into contiguous ranges on one shared queue, which the caller
-and up to ``_WIDTH - 1`` pool threads drain (``_WIDTH``: the CPUs the
-process may run on when capgnn is imported), so a thread whose CPU is
-busy elsewhere leaves its share to the others. The pool is created on
-first use and dropped in a forked child; its threads run only numpy
-array operations, ``np.matmul`` and scipy's CSR kernel. ``_row_cuts``
-places every cut: as many ranges as fit on multiples of an alignment
-while each does at least a floor of work, whatever ``_WIDTH`` is, so
-small outputs such as the 400-node SBM's stay one inline range. Sparse
-and elementwise rows come from the same kernel and operands whatever
-range holds them, so any cut keeps their bytes (floor ``_MIN_BLOCK`` =
-2^18 output entries). A dense range is one single-threaded BLAS call on
-a slice of rows, whose inner kernels OpenBLAS picks by row offset and
-product size; two rules keep its bytes equal to one ``a @ b`` call:
+backward's dropout and ReLU gating, the feature ascent's step and
+``X + eps``) cut their output rows into contiguous ranges on one shared
+queue, which the caller and up to ``_WIDTH - 1`` pool threads drain
+(``_WIDTH``: the CPUs the process may run on when capgnn is imported),
+so a thread whose CPU is busy elsewhere leaves its share to the others.
+The pool is created on first use and dropped in a forked child; its
+threads run only numpy array operations, ``np.matmul`` and scipy's CSR
+kernel. ``_row_cuts`` places every cut: as many ranges as fit on
+multiples of an alignment while each does at least a floor of work,
+whatever ``_WIDTH`` is, so small outputs such as the 400-node SBM's stay
+one inline range. Sparse and elementwise rows come from the same kernel
+and operands whatever range holds them, so any cut keeps their bytes.
+Their one floor is ``_CHUNK`` = 2^16 output entries per range, and a
+range is one call, small enough that every pass of it runs in cache. A
+dense range is one single-threaded BLAS call on a slice of rows, whose
+inner kernels OpenBLAS picks by row offset and product size; two rules
+keep its bytes equal to one ``a @ b`` call:
 
 - a C-ordered left operand (``H @ W``, ``g @ W.T``): multiples of
   ``_ROW_ALIGN`` = 192 rows, at least ``_MIN_MATMUL`` = 2^22
@@ -61,11 +63,10 @@ import numpy as np
 # write into one output. tests/test_linalg.py pins it against the public @.
 from scipy.sparse._sparsetools import csr_matvecs
 
-_MIN_BLOCK = 1 << 18  # output entries per sparse or elementwise row block
 _MIN_MATMUL = 1 << 22  # multiply-adds per row block of a dense product
 _MIN_TRANSPOSED = 1 << 27  # multiply-adds per row block of a transposed product
 _ROW_ALIGN = 192  # every cut of a C-ordered dense product falls on a multiple of this
-_CHUNK = 1 << 16  # entries per cache-resident chunk of an elementwise sweep
+_CHUNK = 1 << 16  # output entries per sparse or elementwise row range
 _LEAF = 1 << 16  # most entries in one leaf of lp_norm's summation tree
 # CPUs this process may run on at import: the most threads draining one call's ranges.
 _WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")  # Linux
@@ -237,6 +238,9 @@ def _run_row_blocks(bounds: list[int], fn) -> None:
         for f in futures:
             f.cancel()  # one still queued would find every range taken
         _finish(futures)
+        # A cancelled drain stays in the pool's queue until a worker takes it;
+        # it must not keep fn's arrays alive until then.
+        fn = None
 
 
 def _stream_normal(rng: np.random.Generator, cuts: list[int], into, fn) -> None:
@@ -283,28 +287,12 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
 
 
 def _sweep_rows(shape: tuple[int, int], fn) -> None:
-    """Call ``fn(lo, hi)`` over row chunks of ~_CHUNK entries, in row blocks.
+    """Call ``fn(lo, hi)`` on row ranges of at least ``_CHUNK`` entries.
 
     For elementwise passes over n x d arrays: ``fn`` runs every pass on
-    one chunk while it sits in cache.
+    one range while it sits in cache.
     """
-    rows, cols = shape
-    step = max(1, _CHUNK // max(cols, 1))
-    if rows <= step:  # one chunk: no row blocks to run
-        fn(0, rows)
-        return
-
-    def block(lo, hi):
-        for c in range(lo, hi, step):
-            fn(c, min(c + step, hi))
-
-    _run_row_blocks(_row_cuts(rows, cols, _MIN_BLOCK, 1), block)
-
-
-def _add_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.add(x, y, out=out)`` for equal-shape 2-D arrays, in row blocks."""
-    _sweep_rows(x.shape, lambda lo, hi: np.add(x[lo:hi], y[lo:hi], out=out[lo:hi]))
-    return out
+    _run_row_blocks(_row_cuts(*shape, _CHUNK, 1), fn)
 
 
 def spmm(a: CsrMatrix, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -313,9 +301,10 @@ def spmm(a: CsrMatrix, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     Accumulation is row-major and index-ascending within each row (the
     scipy CSR kernel walks nonzeros in storage order), matching a naive
     triple loop bit for bit on canonical input. Large outputs are
-    computed in row blocks (module docstring), each zeroed and written
-    in place in the one output. ``out`` must be a C-contiguous float64
-    array of the product's shape that does not overlap ``b``.
+    computed in row ranges of at least ``_CHUNK`` entries (module
+    docstring), each zeroed and written in place in the one output.
+    ``out`` must be a C-contiguous float64 array of the product's shape
+    that does not overlap ``b``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
@@ -337,7 +326,7 @@ def spmm(a: CsrMatrix, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
         y.fill(0.0)
         csr_matvecs(hi - lo, a.cols, k, a.row_ptr[lo:hi + 1], a.col_idx, a.values, xs, y)
 
-    _run_row_blocks(_row_cuts(a.rows, k, _MIN_BLOCK, 1), block)
+    _run_row_blocks(_row_cuts(a.rows, k, _CHUNK, 1), block)
     return out
 
 

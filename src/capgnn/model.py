@@ -99,15 +99,19 @@ class ForwardCache:
     ``weights`` are the effective weights the pass used, in a list of its
     own so an optimizer step on ``model.weights`` leaves it unchanged;
     ``layer_inputs[l]`` is the matrix fed into layer l (index 0 holds the
-    effective features, or None if ``forward`` got ``first`` alone), and ``drop_scales[l]`` the inverted-dropout
-    multiplier applied after the ReLU of layer l (None when dropout was
-    off); ``backward`` reads its ReLU masks from ``layer_inputs``.
+    effective features, or None if ``forward`` got ``first`` alone), and
+    ``drop_scales[l]`` the inverted-dropout multiplier applied after the
+    ReLU of layer l (None when dropout was off); ``backward`` reads its
+    ReLU masks from ``layer_inputs``. ``work`` is the ``_workspace`` the
+    pass wrote into (None: fresh arrays), which ``backward`` writes into
+    too.
     """
 
     weights: list[np.ndarray]
     layer_inputs: list[np.ndarray | None]
     drop_scales: list[np.ndarray | None]
     logits: np.ndarray
+    work: list | None = None
 
 
 @dataclass
@@ -220,7 +224,7 @@ def forward(
         drop_scales.append(scale)
         layer_inputs.append(h)
     logits = spmm(a_hat, _matmul_rows(layer_inputs[-1], ws[-1]) if first is None else first)
-    return ForwardCache(ws, layer_inputs, drop_scales, logits)
+    return ForwardCache(ws, layer_inputs, drop_scales, logits, work)
 
 
 def _masked_rows(labels, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +275,6 @@ def backward(
     need_features: bool = True,
     need_weights: bool = True,
     out: np.ndarray | None = None,
-    work: list | None = None,
 ) -> Gradients:
     """Exact gradients of the masked cross-entropy at the point ``cache`` evaluated.
 
@@ -288,15 +291,15 @@ def backward(
     is the masked cross-entropy there, from the logit gradient's softmax.
 
     ``out``, when given, receives ``d_features`` (an n x d C-contiguous
-    float64 array). ``work``, when given, is the ``_workspace`` the
-    cache's ``forward`` wrote into; each array of it is written only
-    after the cache's last read of it. Lifetime rule: a cache is spent
-    once ``backward`` returns, and the next ``forward`` reuses its
-    arrays; ``out`` may be the cache's own ``layer_inputs[0]`` only with
-    ``need_weights=False``, as nothing else reads that array then.
-    Without ``work``, each hidden layer's gradient is freed once the next
-    one is computed from it, so backward itself holds at most two
-    n x hidden arrays.
+    float64 array). A cache whose ``forward`` wrote into a workspace
+    (``cache.work``) has ``backward`` write into it too; each array of it
+    is written only after the cache's last read of it. Lifetime rule: a
+    cache is spent once ``backward`` returns, and the next ``forward``
+    reuses its arrays; ``out`` may be the cache's own ``layer_inputs[0]``
+    only with ``need_weights=False``, as nothing else reads that array
+    then. Without a workspace, each hidden layer's gradient is freed once
+    the next one is computed from it, so backward itself holds at most
+    two n x hidden arrays.
 
     The ReLU mask of layer l is ``layer_inputs[l + 1] > 0``, with the bytes
     of ``z > 0`` on its pre-activation: where the dropout scale is 1/keep
@@ -312,7 +315,7 @@ def backward(
     loss, g = _loss_grad_logits(cache.logits, labels, mask)
     g = spmm(a_hat, g)
     for l in range(len(ws) - 1, 0, -1):
-        prod, _, grad = work[l - 1] if work else _FRESH
+        prod, _, grad = cache.work[l - 1] if cache.work else _FRESH
         if need_weights:
             d_weights[l] = _matmul_rows(cache.layer_inputs[l].T, g)
         back = _matmul_rows(g, ws[l].T, prod)

@@ -17,15 +17,15 @@ the perturbation and the effective features X + eps. Step 0 runs
 which no product sum starting at +0.0 can tell apart. Once ``forward``
 has run, X + eps is idle (a ``need_weights=False`` backward never reads
 it), so ``backward`` writes the feature gradient there. The step then
-takes each chunk of the gradient, notes its max and min, writes its sign
-into a fresh chunk-sized temporary (with numpy 2.4 an in-place
+takes each row range of the gradient, notes its max and min, writes its
+sign into a fresh range-sized temporary (with numpy 2.4 an in-place
 ``np.sign`` is several times slower), adds it to eps (step 0 writes eps
 as ``step + 0.0``, the bits of ``0.0 + step``), clamps, notes eps's max
-and min, and rebuilds that chunk of X + eps over the spent gradient. The
-whole step is one sweep over row chunks of ~2^16 entries, each taken
-through every pass while it sits in cache, with the chunks split across
-CPUs in row blocks (see ``linalg``); every pass is elementwise, so the
-bytes do not depend on the partition. At most two n x d arrays are live
+and min, and rebuilds that range of X + eps over the spent gradient. The
+whole step is one sweep over row ranges of at least 2^16 entries, each
+taken through every pass while it sits in cache, with the ranges drained
+across CPUs (see ``linalg``); every pass is elementwise, so the bytes do
+not depend on the partition. At most two n x d arrays are live
 at once. The l-infinity clamp runs only once the ascent could have
 reached the ball (see ``pgd_feature_perturbation``). The returned
 perturbation owns its memory and belongs to the caller, who may
@@ -110,7 +110,7 @@ def pgd_weight_perturbation(
         cache = forward(model, dataset.a_hat, dataset.features, w_eff, work=work)
         grads = backward(
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_features=False, work=work,
+            need_features=False,
         )
         for l, g in enumerate(grads.d_weights):
             gn = lp_norm(g, 2)
@@ -163,18 +163,18 @@ def pgd_feature_perturbation(
             raise FloatingPointError(f"feature ascent step {t}: non-finite logits")
         grads = backward(  # into X + eps, idle until the step rebuilds it
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_weights=False, out=x_eff, work=work,
+            need_weights=False, out=x_eff,
         )
         reach += cfg.beta
         clamp = reach > cfg.rho_x
         first = t == 0
         rebuild = t + 1 < cfg.steps  # the caller adds the final eps itself
-        g_ends, e_ends = [], []  # each chunk's (max, min) of grad, of eps
+        g_ends, e_ends = [], []  # each range's (max, min) of grad, of eps
 
         def step(lo, hi):
             g = grads.d_features[lo:hi]
             g_ends.append((g.max(), g.min()))
-            s = np.sign(g)  # a chunk temporary: in place is slower
+            s = np.sign(g)  # a range temporary: in place is slower
             s *= cfg.beta
             e = eps[lo:hi]
             if first:
@@ -193,6 +193,6 @@ def pgd_feature_perturbation(
 
 
 def _max_abs(ends: list[tuple[float, float]]) -> float:
-    """``lp_norm(a, math.inf)`` from each chunk's (max, min); exact, NaN passes."""
+    """``lp_norm(a, math.inf)`` from each range's (max, min); exact, NaN passes."""
     highs, lows = zip(*ends)
     return float(np.maximum(np.abs(np.max(highs)), np.abs(np.min(lows))))

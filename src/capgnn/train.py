@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Dataset
-from .linalg import _add_rows, make_rng
+from .linalg import _sweep_rows, make_rng
 from .model import GnnModel, _workspace, backward, forward, init_model, split_metrics
 from .perturb import PerturbConfig, pgd_feature_perturbation, pgd_weight_perturbation
 
@@ -196,15 +196,16 @@ def train_step(
             w_eff = [w + e for w, e in zip(model.weights, eps_w)]
         elif mode_used == FEATURE_PERTURB:
             eps_x, rows = pgd_feature_perturbation(model, dataset, cfg.perturb, work=work)
-            x_eff = _add_rows(x, eps_x, out=eps_x)  # eps_x is discarded after this step
+            x_eff = eps_x  # X + eps, written over eps, which this step discards
+            _sweep_rows(x.shape,
+                        lambda lo, hi: np.add(x[lo:hi], x_eff[lo:hi], out=x_eff[lo:hi]))
         elif mode_used != STANDARD:
             raise ValueError(f"unknown epoch mode {mode_used!r}")
     except FloatingPointError as e:
         raise TrainingDivergedError(f"at epoch {epoch} ({mode_used}), {e}") from e
 
     cache = forward(model, a_hat, x_eff, w_eff, training=True, rng=rng, work=work)
-    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False,
-                     work=work)
+    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False)
     if not np.isfinite(grads.loss):
         raise TrainingDivergedError(
             f"non-finite training loss at epoch {epoch} ({mode_used})"

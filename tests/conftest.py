@@ -34,16 +34,13 @@ def wide_sbm():
 def row_blocks(count: int, chunk: int | None = None):
     """Drain every row-blocked kernel's ranges on ``count`` threads, the caller's first.
 
-    Each sparse or elementwise output is cut into one-row ranges; with
-    ``chunk`` (the entries per chunk of an elementwise sweep), into ranges
-    of at least two chunks. Dense products keep their own alignment and
-    floors, so they are cut as at full size.
+    Each sparse or elementwise output is cut into one-row ranges, or with
+    ``chunk``, into ranges of at least ``chunk`` entries. Dense products
+    keep their own alignment and floors, so they are cut as at full size.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_MIN_BLOCK", 1 if chunk is None else 2 * chunk)
+        mp.setattr(linalg, "_CHUNK", 1 if chunk is None else chunk)
         mp.setattr(linalg, "_WIDTH", count)
-        if chunk is not None:
-            mp.setattr(linalg, "_CHUNK", chunk)
         yield
 
 

@@ -1084,12 +1084,13 @@ def _train_ring(data: Path, out: Path, env: dict, cpus: str = "", main=_PINNABLE
     reason="needs two CPUs to compare against one",
 )
 def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
-    # 9,216 nodes x 64 features (and 64 hidden units): a 2^18-entry range
-    # holds 4,096 rows, so spmm and the feature sweep run in two ranges; the
-    # 9,216 x 64 @ 64 x 64 products X @ W0 and g @ W0.T (6 aligned 192-row
-    # units per 2^22 multiply-adds) in eight. One CPU drains them all alone.
+    # 9,216 nodes x 64 features (and 64 hidden units): a 2^16-entry range
+    # holds 1,024 rows, so spmm and the elementwise sweeps run in nine
+    # ranges (ten cuts); the 9,216 x 64 @ 64 x 64 products X @ W0 and
+    # g @ W0.T (6 aligned 192-row units per 2^22 multiply-adds) in eight.
+    # One CPU drains them all alone.
     n, d = 9216, 64
-    assert len(linalg._row_cuts(n, d, linalg._MIN_BLOCK, 1)) == 3
+    assert len(linalg._row_cuts(n, d, linalg._CHUNK, 1)) == 10
     assert len(linalg._dense_cuts(np.empty((n, d)), 64)) == 9
     _save_ring(tmp_path / "data", n, d)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

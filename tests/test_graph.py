@@ -181,6 +181,8 @@ class TestDatasetIO:
         "twenty_digits": b"0\t1\n1\t" + b"9" * 20 + b"\n", "three_fields": b"0\t1\t2\n",
         "one_field": b"0\t1\n3\n", "empty_field": b"0\t\n", "tab_first": b"\t1\n",
         "comma": b"0,1\n", "not_utf8": b"0\t1\n\xff\n",
+        # np.loadtxt reads both as the edge 0-1; the byte screen keeps them out.
+        "latin1_nbsp": b"0\t\xa01\n", "file_separator": b"0\t\x1c1\n",
     }
 
     @pytest.mark.parametrize("name", EDGE_TEXTS)

@@ -105,6 +105,16 @@ class TestSampleDirections:
         for d in dirs.directions:
             assert lp_norm(d, 2) == pytest.approx(want, rel=1e-10)
 
+    def test_a_feature_direction_holds_one_feature_array(self, wide_sbm):
+        # Each direction is drawn, summed and scaled in place, so two peak at
+        # ~2.1 feature arrays; a draw, its square and a scaled copy per
+        # direction would peak at ~4.
+        features = wide_sbm.features
+        peak = peak_traced_bytes(
+            lambda: sample_directions(features, "feature", 2, make_rng(4))
+        )
+        assert peak < 2.5 * features.nbytes
+
     def test_deterministic_given_seed(self, small_sbm):
         a = sample_directions(small_sbm.features, "feature", 2, make_rng(5))
         b = sample_directions(small_sbm.features, "feature", 2, make_rng(5))
@@ -156,7 +166,7 @@ class TestProbeLandscape:
     def test_split_feature_sweep_matches_one_block_and_reference(
         self, monkeypatch, wide_sbm
     ):
-        # Two threads on six-row ranges of three-row chunks, against one 218-row chunk.
+        # Two threads on three-row ranges, against five 240-row ranges.
         ds = wide_sbm
         model = init_model([ds.d, 16, 2], make_rng(1), dropout_rate=0.0)
         dirs = sample_directions(ds.features, "feature", 2, make_rng(3))
@@ -344,7 +354,7 @@ class TestGaussianAttack:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_noise_matches_reference_draws(self, monkeypatch, wide_sbm, split):
-        # split: two threads on six-row ranges of three-row chunks, against one block.
+        # split: two threads on three-row ranges, against five 240-row ranges.
         ds = wide_sbm
         model = init_model([ds.d, 16, 2], make_rng(1), dropout_rate=0.0)
         one = gaussian_attack_trials(model, ds, 0.7, 3, make_rng(9))

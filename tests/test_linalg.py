@@ -4,6 +4,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ BLOCK_CASES = {
 
 # rule -> (floor, alignment) of every row-blocked kernel's cuts
 RULES = {
-    "sparse": (linalg._MIN_BLOCK, 1),
+    "sparse": (linalg._CHUNK, 1),
     "dense": (linalg._MIN_MATMUL, linalg._ROW_ALIGN),
     "transposed": (linalg._MIN_TRANSPOSED, 1),
 }
@@ -146,8 +147,8 @@ class TestRowCuts:
     # hidden, K=3) and the 400-node SBM (d=8, 64 hidden, K=2). A rule
     # change that moves how any of them splits fails here.
     SHIPPED = {
-        "pubmed_sweep_x": (19717, 500, "sparse", 37),
-        "pubmed_spmm_hidden": (19717, 64, "sparse", 4),
+        "pubmed_sweep_x": (19717, 500, "sparse", 149),
+        "pubmed_spmm_hidden": (19717, 64, "sparse", 19),
         "pubmed_spmm_classes": (19717, 3, "sparse", 1),
         "sbm_spmm_hidden": (400, 64, "sparse", 1),
         "pubmed_x_at_w0": (19717, 500 * 64, "dense", 102),
@@ -324,6 +325,19 @@ class TestSharedQueue:
         call.join(timeout=10)
         assert not call.is_alive()
         assert sorted(ranges) == [(lo, True) for lo in self.CUTS[:-1]]
+
+    def test_a_cancelled_drain_keeps_no_array_alive(self, monkeypatch):
+        # The pool's queue holds a cancelled drain until a worker takes it.
+        queued = []
+        monkeypatch.setattr(linalg, "_WIDTH", 2)
+        monkeypatch.setattr(linalg, "_submit",
+                            lambda fn: queued.append(fn) or concurrent.futures.Future())
+        rows = np.zeros(2)
+        held = weakref.ref(rows)
+        linalg._run_row_blocks([0, 1, 2], rows.__setitem__)
+        assert rows.tolist() == [1.0, 2.0] and len(queued) == 1
+        del rows
+        assert held() is None
 
     @pytest.mark.parametrize("kernel", ["spmm", "x_at_w", "xt_at_g"])
     def test_a_late_worker_keeps_the_bytes(self, monkeypatch, kernel):

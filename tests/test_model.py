@@ -344,8 +344,7 @@ class TestSplitSweeps:
     """Forward's ReLU and dropout and backward's gating give one block's bytes.
 
     Under ``row_blocks(2, chunk=...)`` each 40 x 16 hidden array is swept
-    by two threads in six-row ranges of three-row chunks; outside it, in
-    one chunk.
+    by two threads in three-row ranges; outside it, in one range.
     """
 
     CHUNK = 3 * 16
@@ -432,11 +431,15 @@ class TestWorkspace:
         cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7),
                         work=work)
         assert cache_bytes(cache) == cache_bytes(fresh)
+        assert cache.work is work and fresh.work is None
         for j, (_, hidden_out, scale) in enumerate(work):
             assert cache.layer_inputs[j + 1] is hidden_out
             assert cache.drop_scales[j] is scale
-        got = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask, work=work)
+        products = [prod.copy() for prod, _, _ in work]
+        got = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
         assert gradient_bytes(got) == want
+        # Each layer's g @ W.T went into the cache's workspace, over the product.
+        assert all((prod != old).any() for (prod, _, _), old in zip(work, products))
 
 
 class TestMaskedCrossEntropy:
