@@ -175,6 +175,11 @@ MUTATIONS = {
         "alpha, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
         (f"{PROBE}::test_chunked_products_match_reference",),
     ),
+    "probe_rows_in_the_direction_dtype": Mutation(
+        "landscape.py", "rows = np.empty((hi - lo, x.shape[1]))",
+        "rows = np.empty_like(direction[lo:hi])",
+        (f"{PROBE}::test_a_float32_direction_is_computed_in_float64",),
+    ),
     # edges.tsv: what np.loadtxt may read, and the rows it may hand back.
     "edges_without_byte_screen": Mutation(
         "graph.py", "buf[-1] == _LF and _EDGE_BYTE[buf].all()", "buf[-1] == _LF",
@@ -191,11 +196,17 @@ MUTATIONS = {
     "range_rows_at_row_0": Mutation(
         "graph.py", "dst = out[row:end]", "dst = out[:end - row]", (RANGE_BITS,),
     ),
-    # Streamed draws: the norm's summation tree, and the attack's ranges and buffers.
+    # A direction's norm: the summation tree, and what is summed.
     "pairwise_split_at_half": Mutation(
         LINALG, "half = n // 2 - (n // 2) % 8", "half = n // 2",
         ("tests/test_linalg.py::TestLpNorm::test_leaf_sums_add_up_to_the_bits_of_np_sum",),
     ),
+    "direction_scaled_by_the_template_norm": Mutation(
+        "landscape.py", "lp_norm(g, 2)", "lp_norm(template, 2)",
+        ("tests/test_landscape.py::TestSampleDirections::"
+         "test_feature_direction_matches_matrix_norm",),
+    ),
+    # The attack's streamed ranges: each shifted, and each multiplied.
     "attack_shift_in_first_chunk_only": Mutation(
         "landscape.py", "sigma, out=rows), x[lo:hi], out=rows)",
         "sigma, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
@@ -206,14 +217,6 @@ MUTATIONS = {
         "        np.matmul(rows, w0, out=first[lo:hi])",
         "        if hi < len(x):\n            np.matmul(rows, w0, out=first[lo:hi])",
         (STREAMED_ATTACK,),
-    ),
-    # A range's buffer spare again as soon as it is drawn, before its product.
-    "attack_buffer_reused_before_its_product": Mutation(
-        "landscape.py", "_stream_normal(rng, cuts, take, shift_and_multiply)",
-        "_stream_normal(rng, cuts, lambda lo, hi: (rows := take(lo, hi), give(rows))[0],"
-        " shift_and_multiply)",
-        ("tests/test_landscape.py::TestGaussianAttack::"
-         "test_a_lagging_pool_reads_every_range_as_drawn",),
     ),
     # The chunked X @ W0 written where forward's spmm writes the hidden output.
     "probe_product_into_the_hidden_slot": Mutation(

@@ -390,7 +390,7 @@ def _loadtxt(source, dtype=np.float64, delimiter=",", **kw) -> np.ndarray:
 def _read_features(path: Path, n: int, d: int) -> np.ndarray:
     """Parse features.csv in this process, or raise naming its first bad line."""
     try:
-        features = _loadtxt(path)
+        features = _loadtxt(path, encoding="utf-8")  # the format's encoding, not the locale's
     except ValueError:
         _locate_bad_csv_line(path, d)
         raise _fail(path, "malformed features file")

@@ -14,14 +14,14 @@ into (``linalg._dense_cuts``) is built in a buffer of that range's size,
 features`` for the attack, and multiplied by ``W_0`` while it is in
 cache, into the first layer's product; ``forward`` takes that product
 in place of the features. A profile runs its ranges on the row-block
-pool. The attack draws each range on the caller's thread, one serial
-stream (``linalg._stream_normal``), with the pool shifting and
-multiplying the ranges already drawn. A buffer is reused only once its
-product is written, so a call holds one per range in flight: a few at
-most while the pool keeps up with the draws, all of them (one n x d
+pool. The attack draws each range into a fresh array on the caller's
+thread, one serial stream (``linalg._stream_normal``), with the pool
+shifting and multiplying the ranges already drawn. A buffer lives until
+its product is written, so a call holds one per range in flight: a few
+at most while the pool keeps up with the draws, all of them (one n x d
 array in total) if it does not. Every forward of one call writes into
 one ``model._workspace``, and its first ``prod`` array takes the chunked
-product. A direction's l2 norm is summed as it is drawn, once per draw.
+product.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import (
-    _dense_cuts, _normal_norm, _run_row_blocks, _stream_normal, _sweep_rows, lp_norm,
-)
+from .linalg import _dense_cuts, _run_row_blocks, _stream_normal, _sweep_rows, lp_norm
 from .model import GnnModel, _workspace, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
@@ -70,41 +68,14 @@ def _norm(source: np.ndarray) -> float:
 def _scaled_like(
     template: np.ndarray, target: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """A Gaussian draw shaped like ``template``, rescaled to l2 norm ``target``.
-
-    The bits of ``g = rng.standard_normal(shape); g *= target / lp_norm(g, 2)``.
-    """
+    """A Gaussian draw shaped like ``template``, rescaled in place to l2 norm ``target``."""
     if target == 0.0:
         return np.zeros_like(template)
-    g = np.empty(template.shape)
-    scale = target / _normal_norm(rng, g)
+    g = rng.standard_normal(template.shape)
+    scale = target / lp_norm(g, 2)
     # In place: no second n x d array.
     _sweep_rows(g.shape, lambda lo, hi: np.multiply(g[lo:hi], scale, out=g[lo:hi]))
     return g
-
-
-def _range_buffers(cols: int):
-    """``(take, give)``: ``take(lo, hi)`` is a ``(hi - lo) x cols`` buffer for
-    rows [lo, hi), and ``give(rows)`` hands it back once they are read.
-
-    A buffer is handed out again only once given back, so no two ranges
-    in flight share one. A new one is made only when no spare one is long
-    enough, and a spare one too short is dropped, so there are never more
-    buffers than the most ranges in flight at once.
-    """
-    spare = []
-
-    def take(lo, hi):
-        try:
-            buf = spare.pop()
-        except IndexError:  # none is spare
-            buf = None
-        if buf is None or len(buf) < hi - lo:
-            buf = None  # frees a short one before the one replacing it is made
-            buf = np.empty((hi - lo, cols))
-        return buf[:hi - lo]
-
-    return take, lambda rows: spare.append(rows.base)
 
 
 def _call_space(model: GnnModel, n: int):
@@ -182,14 +153,12 @@ def probe_landscape(
         return masked_cross_entropy(cache.logits, dataset.labels, mask)
 
     cuts = _dense_cuts(x, w0.shape[1])
-    take, give = _range_buffers(x.shape[1])
 
     def displaced_first(direction, alpha) -> np.ndarray:
         def displace_and_multiply(lo, hi):
-            rows = take(lo, hi)
+            rows = np.empty((hi - lo, x.shape[1]))  # float64 whatever the direction's dtype
             np.add(np.multiply(direction[lo:hi], alpha, out=rows), x[lo:hi], out=rows)
             np.matmul(rows, w0, out=prod[lo:hi])
-            give(rows)
 
         _run_row_blocks(cuts, displace_and_multiply)
         return prod
@@ -265,16 +234,14 @@ def gaussian_attack_trials(
         raise ValueError(f"features must be {x.shape[0]}x{w0.shape[0]}, got {x.shape}")
     cuts = _dense_cuts(x, w0.shape[1])
     work, first = _call_space(model, len(x))
-    take, give = _range_buffers(x.shape[1])
 
     def shift_and_multiply(lo, hi, rows):
         np.add(np.multiply(rows, sigma, out=rows), x[lo:hi], out=rows)
         np.matmul(rows, w0, out=first[lo:hi])
-        give(rows)
 
     accs = np.empty(trials)
     for t in range(trials):
-        _stream_normal(rng, cuts, take, shift_and_multiply)
+        _stream_normal(rng, cuts, x.shape[1], shift_and_multiply)
         cache = forward(model, dataset.a_hat, None, first=first, work=work)
         accs[t] = accuracy(cache.logits, dataset.labels, dataset.test_mask)
     return accs

@@ -39,15 +39,12 @@ keep its bytes equal to one ``a @ b`` call:
 A second BLAS thread does change bytes, so ``import capgnn`` pins BLAS
 to one thread; the pool is the only way capgnn uses more cores.
 
-Streamed draws (``_stream_normal``): a large Gaussian draw is made in
-consecutive chunks on the caller's thread, which keeps the bytes and the
-generator state of one draw, while the pool works on each drawn chunk.
-The caller says where each chunk is drawn: a landscape direction draws
-into its own output and sums its squares leaf by leaf (``_normal_norm``);
-the noise attack draws each range of rows, cut as ``_matmul_rows`` cuts
-them (``_dense_cuts``), into a buffer of that range's size, which the
-pool shifts and multiplies by the first layer's weights before the
-buffer is drawn into again.
+Streamed draws (``_stream_normal``): the noise attack's Gaussian draw is
+made on the caller's thread one range of rows at a time, cut as
+``_matmul_rows`` cuts them (``_dense_cuts``), each into a fresh array of
+that range's size. That keeps the bytes and the generator state of one
+draw, while the pool shifts each range already drawn and multiplies it
+by the first layer's weights.
 """
 
 from __future__ import annotations
@@ -243,23 +240,22 @@ def _run_row_blocks(bounds: list[int], fn) -> None:
         fn = None
 
 
-def _stream_normal(rng: np.random.Generator, cuts: list[int], into, fn) -> None:
-    """One standard normal draw, made in order range by range between ``cuts``.
+def _stream_normal(rng: np.random.Generator, cuts: list[int], cols: int, fn) -> None:
+    """One ``cuts[-1] x cols`` standard normal draw, made range by range in order.
 
-    Range [lo, hi) is drawn into the array ``into(lo, hi)`` returns, on
-    the caller's thread, so the bytes and the generator state are those
-    of one ``rng.standard_normal`` call over all the ranges in order.
-    ``fn(lo, hi, drawn)`` runs on the pool as soon as they are drawn
-    (inline at width 1 or with one range), so it must not use the pool.
+    The rows [lo, hi) between consecutive ``cuts`` are drawn as
+    ``rng.standard_normal((hi - lo, cols))`` on the caller's thread, so
+    the bytes and the generator state are those of one
+    ``rng.standard_normal((cuts[-1], cols))`` call. ``fn(lo, hi, drawn)``
+    runs on the pool as soon as they are drawn (inline at width 1 or with
+    one range), so it must not use the pool.
     """
     futures = []
     run = fn if _WIDTH < 2 or len(cuts) == 2 else (
         lambda *args: futures.append(_submit(fn, *args)))
     try:
         for lo, hi in zip(cuts, cuts[1:]):
-            # Nothing here keeps the drawn rows once fn has them, so ``into``
-            # may free their buffer.
-            run(lo, hi, rng.standard_normal(out=into(lo, hi)))
+            run(lo, hi, rng.standard_normal((hi - lo, cols)))
     finally:
         _finish(futures)
 
@@ -346,18 +342,6 @@ def _pairwise_sum(lo: int, hi: int, leaf) -> float:
 
 def _square_sum(v: np.ndarray) -> float:
     return np.sum(np.square(v, dtype=np.float64))
-
-
-def _normal_norm(rng: np.random.Generator, out: np.ndarray) -> float:
-    """Draw ``out`` (C-contiguous) as ``_stream_normal`` does; return ``lp_norm(out, 2)``.
-
-    Each leaf's squares are summed on the pool behind the draw.
-    """
-    flat, cuts, sums = out.reshape(-1), [0], {}
-    _pairwise_sum(0, flat.size, lambda lo, hi: cuts.append(hi) or 0.0)
-    _stream_normal(rng, cuts, lambda lo, hi: flat[lo:hi],
-                   lambda lo, hi, leaf: sums.__setitem__(lo, _square_sum(leaf)))
-    return float(np.sqrt(_pairwise_sum(0, flat.size, lambda lo, hi: sums[lo])))
 
 
 def lp_norm(m: np.ndarray, p) -> float:

@@ -1,10 +1,14 @@
+import ast
 import json
 import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,27 @@ class TestDatasetIO:
         (fixture_dir / "features.csv").write_text("1.0,0.0\n0.0,oops\n")
         with pytest.raises(DatasetError, match=r"features\.csv:2"):
             load_dataset(fixture_dir)
+
+    def test_features_load_alike_under_any_locale(self, fixture_dir):
+        # features.csv is UTF-8 text: its bytes decode alike under a C locale.
+        # The child parses in as many ranges as this process would.
+        (fixture_dir / "features.csv").write_bytes("1.0\u00a0,0.0\n0.0,1.0\n".encode())
+        tests = Path(__file__).resolve().parent
+        code = ("import sys; from capgnn import graph, linalg; "
+                "from conftest import load_outcome; "
+                "graph._RANGE_BYTES, linalg._WIDTH = map(int, sys.argv[2:]); "
+                "print(repr(load_outcome(sys.argv[1])))")
+        args = [str(fixture_dir), str(graph._RANGE_BYTES), str(linalg._WIDTH)]
+        outcomes = []
+        for env in ({"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+                    {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+            env["PYTHONPATH"] = f"{tests.parent / 'src'}{os.pathsep}{tests}"
+            proc = subprocess.run([sys.executable, "-c", code, *args],
+                                  env=dict(os.environ, **env), capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outcomes.append(ast.literal_eval(proc.stdout))
+        assert outcomes[0][0] == "rows"
+        assert outcomes[1] == outcomes[0]
 
     def test_wrong_feature_arity_reports_line(self, fixture_dir):
         (fixture_dir / "features.csv").write_text("1.0,0.0\n0.0\n")

@@ -1,8 +1,5 @@
 import contextlib
 import math
-import sys
-import threading
-import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -205,6 +202,16 @@ class TestProbeLandscape:
                 logits = forward(model, ds.a_hat, x).logits
                 assert profile.losses[i, j] == masked_cross_entropy(
                     logits, ds.labels, ds.train_mask)
+
+    def test_a_float32_direction_is_computed_in_float64(self, small_sbm, trained_small):
+        # Each alpha is a numpy float64, so numpy multiplies a float32 row in
+        # float64 and adds it to the features in the float64 range buffer.
+        drawn = sample_directions(small_sbm.features, "feature", 2, make_rng(8)).directions
+        low = [d.astype(np.float32) for d in drawn]
+        got, want = (
+            probe_landscape(trained_small, small_sbm, DirectionSet("feature", dirs), grid())
+            for dirs in (low, [d.astype(np.float64) for d in low]))
+        assert got.losses.tobytes() == want.losses.tobytes()
 
     def test_feature_direction_of_another_shape_rejected(
         self, small_sbm, trained_small, monkeypatch
@@ -446,35 +453,3 @@ class TestFeatureSideMemory:
                 lambda: gaussian_attack_trials(model, ds, 0.5, 2, make_rng(0)))
         assert ds.features.nbytes < peak < 1.1 * ds.features.nbytes
 
-
-class TestRangeBuffers:
-    """``_range_buffers``, the spare list the pool's threads share."""
-
-    def test_no_two_threads_hold_one_buffer_under_fast_switching(self):
-        # More threads than cores take and give back ranges of three sizes;
-        # a buffer handed to two at once would show the other's marks.
-        take, give = landscape._range_buffers(64)
-        clashes = []
-
-        def worker(mark):
-            for k in range(300):
-                lo = 7 * (k % 3)
-                rows = take(lo, lo + 5 + k % 3)
-                rows.fill(mark)
-                time.sleep(0)  # lets another thread run while this one holds rows
-                if not (rows == mark).all():
-                    clashes.append(mark)
-                give(rows)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(m,)) for m in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert clashes == []

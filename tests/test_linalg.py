@@ -714,37 +714,45 @@ class TestCsrValidation:
 class TestStreamNormal:
     """``_stream_normal`` draws range by range, ``fn`` behind each range."""
 
-    @staticmethod
-    def _stream(width, cuts, into):
-        """The rows ``fn`` saw of a 1000 x 7 stream drawn ``into(lo, hi)``, checked
-        against one draw; and the output ``into`` may slice."""
-        rng, ref = make_rng(4), make_rng(4)
-        copy = np.full((1000, 7), np.nan)
-        seen = []
-
-        def fn(lo, hi, drawn):
-            copy[lo:hi] = drawn  # what fn reads of its range is drawn
-            seen.append((lo, hi))
-
-        with row_blocks(width):
-            linalg._stream_normal(rng, cuts, into, fn)
-        want = ref.standard_normal((1000, 7))
-        assert copy.tobytes() == want.tobytes()
-        assert sorted(seen) == list(zip(cuts, cuts[1:]))
-        assert rng.random() == ref.random()
-        return want
-
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("cuts", [[0, 1000], [0, 3, 500, 999, 1000]])
     def test_bytes_and_state_of_one_draw(self, width, cuts):
-        out = np.empty((1000, 7))
-        want = self._stream(width, cuts, lambda lo, hi: out[lo:hi])
-        assert out.tobytes() == want.tobytes()
+        # fn keeps every range it is handed, read only once all are drawn: a
+        # range drawn into an array another range reuses would show.
+        rng, ref = make_rng(4), make_rng(4)
+        drawn = {}
+
+        def fn(lo, hi, rows):
+            drawn[lo, hi] = rows
+
+        with row_blocks(width):
+            linalg._stream_normal(rng, cuts, 7, fn)
+        ranges = list(zip(cuts, cuts[1:]))
+        assert sorted(drawn) == ranges
+        assert [drawn[r].shape for r in ranges] == [(hi - lo, 7) for lo, hi in ranges]
+        got = np.concatenate([drawn[r] for r in ranges])
+        assert got.tobytes() == ref.standard_normal((1000, 7)).tobytes()
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("cuts", [[0, 1000], [0, 3, 500, 999, 1000]])
     def test_each_range_into_a_buffer_of_its_own(self, width, cuts):
-        self._stream(width, cuts, lambda lo, hi: np.empty((hi - lo, 7)))
+        # What fn is handed stays as drawn after every later range is drawn,
+        # and no two ranges share memory.
+        kept, copies = {}, {}
+
+        def fn(lo, hi, rows):
+            kept[lo, hi], copies[lo, hi] = rows, rows.copy()
+
+        with row_blocks(width):
+            linalg._stream_normal(make_rng(4), cuts, 7, fn)
+        ranges = list(zip(cuts, cuts[1:]))
+        assert sorted(kept) == ranges
+        for r in ranges:
+            assert kept[r].tobytes() == copies[r].tobytes()
+        for i, r in enumerate(ranges):
+            for s in ranges[i + 1:]:
+                assert not np.shares_memory(kept[r], kept[s])
 
     def test_an_error_in_fn_is_raised_after_every_range_is_done(self):
         done = []
@@ -754,8 +762,6 @@ class TestStreamNormal:
                 raise RuntimeError("range 0")
             done.append(lo)
 
-        out = np.empty(40)
         with row_blocks(2), pytest.raises(RuntimeError, match="range 0"):
-            linalg._stream_normal(make_rng(1), [0, 10, 20, 30, 40],
-                                  lambda lo, hi: out[lo:hi], fn)
+            linalg._stream_normal(make_rng(1), [0, 10, 20, 30, 40], 1, fn)
         assert sorted(done) == [10, 20, 30]
