@@ -45,6 +45,7 @@ RANGE_BITS = ("tests/test_graph.py::TestFeatureRanges::"
 STREAMED_ATTACK = ("tests/test_landscape.py::TestGaussianAttack::"
                    "test_streamed_chunks_match_reference_draws")
 PROBE = "tests/test_landscape.py::TestProbeLandscape"
+DENSE_RANGES = f"{FEATURE_PGD}::test_dense_ranges_match_the_reference"
 EDGE_TEXTS = "tests/test_graph.py::TestDatasetIO::test_edges_read_as_the_line_loop_reads_them"
 
 MUTATIONS = {
@@ -123,12 +124,11 @@ MUTATIONS = {
         "_run_row_blocks(_row_cuts(*shape, _CHUNK, 1), fn)",
         "_run_row_blocks(_row_cuts(*shape, _CHUNK, 1),\n"
         "                    lambda lo, hi: (lo == 0 or hi < shape[0]) and fn(lo, hi))",
-        ("tests/test_model.py::TestSplitSweeps",
-         f"{FEATURE_PGD}::test_split_sweeps_match_the_reference_at_every_step"),
+        ("tests/test_model.py::TestSplitSweeps",),
     ),
     "clamp_in_first_chunk_only": Mutation(
-        PERTURB, "            if clamp:", "            if clamp and lo == 0:",
-        (FEATURE_PGD,),
+        PERTURB, "                if clamp:", "                if clamp and lo == 0:",
+        (DENSE_RANGES,),
     ),
     # The PGD trace: each norm from the right point and over every chunk.
     "trace_eps_norm_before_projection": Mutation(
@@ -137,13 +137,13 @@ MUTATIONS = {
          "test_trace_rows_hold_each_layer_after_projection",),
     ),
     "trace_max_without_the_first_chunk": Mutation(
-        PERTURB, "g_ends.append((g.max(), g.min()))",
-        "g_ends.append((g.max() if lo else -np.inf, g.min()))",
+        PERTURB, "g_ends.append((ga.max(), ga.min()))",
+        "g_ends.append((ga.max() if lo + a else -np.inf, ga.min()))",
         (f"{FEATURE_PGD}::test_trace_norms_are_lp_norms_over_every_chunk",),
     ),
     # Memory: arrays kept alive longer than their readers need them.
-    "feature_gradient_without_out": Mutation(
-        PERTURB, "need_weights=False, out=x_eff,", "need_weights=False,",
+    "sign_step_keeps_its_temporary": Mutation(
+        PERTURB, "                del s  # before the next sub-range's sign is made\n", "",
         (f"{FEATURE_PGD}::test_peak_memory_is_two_feature_arrays",),
     ),
     "backward_keeps_back": Mutation(
@@ -159,8 +159,26 @@ MUTATIONS = {
          "test_train_step_gives_the_bytes_of_fresh_arrays",),
     ),
     "first_eps_without_plus_zero": Mutation(
-        PERTURB, "np.add(s, 0.0, out=e)", "np.copyto(e, s)",
+        PERTURB, "np.add(s, 0.0, out=ea)", "np.copyto(ea, s)",
         (f"{FEATURE_PGD}::test_negative_zero_features_match_the_reference",),
+    ),
+    # Feature PGD's next first-layer product: from clamped eps, on every range.
+    "next_product_before_the_clamp": Mutation(
+        PERTURB,
+        "                if clamp:\n"
+        "                    np.clip(ea, -cfg.rho_x, cfg.rho_x, out=ea)\n"
+        "                e_ends.append((ea.max(), ea.min()))\n"
+        "                np.copyto(ga, ea)",
+        "                np.copyto(ga, ea)\n"
+        "                if clamp:\n"
+        "                    np.clip(ea, -cfg.rho_x, cfg.rho_x, out=ea)\n"
+        "                e_ends.append((ea.max(), ea.min()))",
+        (DENSE_RANGES,),
+    ),
+    "last_range_without_next_product": Mutation(
+        PERTURB, "            if rebuild:\n                _shifted_product(",
+        "            if rebuild and hi < len(x):\n                _shifted_product(",
+        (DENSE_RANGES,),
     ),
     # The features.csv writer's segments, and the feature profile's range build.
     "line_end_one_column_early": Mutation(
@@ -168,12 +186,6 @@ MUTATIONS = {
     ),
     "zero_run_one_long": Mutation(
         "graph.py", "gaps[cols - prev - 1 +", "gaps[cols - prev +", (FEATURES_CSV,),
-    ),
-    "shift_in_first_chunk_only": Mutation(
-        "landscape.py",
-        "alpha, out=rows), x[lo:hi], out=rows)",
-        "alpha, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
-        (f"{PROBE}::test_chunked_products_match_reference",),
     ),
     "probe_rows_in_the_direction_dtype": Mutation(
         "landscape.py", "rows = np.empty((hi - lo, x.shape[1]))",
@@ -206,16 +218,17 @@ MUTATIONS = {
         ("tests/test_landscape.py::TestSampleDirections::"
          "test_feature_direction_matches_matrix_norm",),
     ),
-    # The attack's streamed ranges: each shifted, and each multiplied.
-    "attack_shift_in_first_chunk_only": Mutation(
-        "landscape.py", "sigma, out=rows), x[lo:hi], out=rows)",
-        "sigma, out=rows), x[lo:hi] if lo == 0 else 0.0, out=rows)",
-        (STREAMED_ATTACK,),
+    # The displaced ranges the probe, the attack and feature PGD multiply into
+    # W_0 (one helper): each shifted, and each multiplied.
+    "shift_in_first_chunk_only": Mutation(
+        LINALG, "np.add(rows, x[lo:hi], out=rows)",
+        "np.add(rows, x[lo:hi] if lo == 0 else 0.0, out=rows)",
+        (f"{PROBE}::test_chunked_products_match_reference", STREAMED_ATTACK, DENSE_RANGES),
     ),
-    "drawn_chunk_without_product": Mutation(
-        "landscape.py",
-        "        np.matmul(rows, w0, out=first[lo:hi])",
-        "        if hi < len(x):\n            np.matmul(rows, w0, out=first[lo:hi])",
+    "last_range_without_product": Mutation(
+        LINALG,
+        "    np.matmul(rows, w, out=out[lo:hi])",
+        "    if hi < len(x):\n        np.matmul(rows, w, out=out[lo:hi])",
         (STREAMED_ATTACK,),
     ),
     # The chunked X @ W0 written where forward's spmm writes the hidden output.

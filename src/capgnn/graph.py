@@ -186,6 +186,7 @@ def row_normalize(features: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 _FILES = ("meta.json", "edges.tsv", "features.csv", "labels.txt", "split.json")
 _RANGE_BYTES = 1 << 22  # least features.csv bytes per parse range (4 MiB)
+_SBM_DRAWS = 1 << 20  # uniform draws per row block of generate_sbm's edge sample
 
 
 def dataset_fingerprint(directory) -> str:
@@ -672,19 +673,21 @@ def generate_sbm(
 
     Draw order is fixed (edges, then block means where random, then
     feature jitter, then split), so a given seed fully determines the
-    dataset. Intended for desk-scale graphs; edge sampling materializes
-    an n*n uniform draw.
+    dataset. Edges come from one n x n uniform draw, made in row blocks of
+    about ``_SBM_DRAWS`` numbers, so one block at a time is held; O(n^2) time.
     """
     sizes = params.block_sizes
     n = int(sum(sizes))
     k = len(sizes)
     labels = np.repeat(np.arange(k, dtype=np.int64), sizes)
 
-    same_block = labels[:, None] == labels[None, :]
-    prob = np.where(same_block, params.p_in, params.p_out)
-    draw = rng.random((n, n))
-    upper = np.triu(draw < prob, k=1)
-    us, vs = np.nonzero(upper)
+    step, us, vs = max(1, _SBM_DRAWS // n), [], []
+    for lo in range(0, n, step):
+        prob = np.where(labels[lo:lo + step, None] == labels, params.p_in, params.p_out)
+        rows, cols = np.nonzero(np.triu(rng.random(prob.shape) < prob, k=1 + lo))
+        us.append(rows + lo)
+        vs.append(cols)
+    us, vs = np.concatenate(us), np.concatenate(vs)
 
     if params.feature_dim is None:
         means = np.eye(k)

@@ -7,21 +7,19 @@ matrix norm) by a scalar grid of magnitudes. The sharpness scalar is a
 pragmatic summary of such a profile, not a Hessian quantity: the mean
 symmetric loss rise at a reference magnitude.
 
-The feature-side passes never build a displaced n x d matrix whole. Each
-range of rows that ``_matmul_rows`` would cut the first layer's product
-into (``linalg._dense_cuts``) is built in a buffer of that range's size,
-``alpha * direction + features`` for a profile and ``sigma * draw +
-features`` for the attack, and multiplied by ``W_0`` while it is in
-cache, into the first layer's product; ``forward`` takes that product
-in place of the features. A profile runs its ranges on the row-block
-pool. The attack draws each range into a fresh array on the caller's
-thread, one serial stream (``linalg._stream_normal``), with the pool
-shifting and multiplying the ranges already drawn. A buffer lives until
-its product is written, so a call holds one per range in flight: a few
-at most while the pool keeps up with the draws, all of them (one n x d
-array in total) if it does not. Every forward of one call writes into
-one ``model._workspace``, and its first ``prod`` array takes the chunked
-product.
+The feature-side passes never build a displaced n x d matrix whole: each
+``_dense_cuts`` range of rows, ``alpha * direction`` for a profile and
+``sigma * draw`` for the attack, is built in a buffer of that range's
+size, shifted by the features and multiplied by ``W_0`` in cache
+(``linalg._shifted_product``, which feature PGD shares), into the first
+layer's product that ``forward`` takes in place of the features. A
+profile runs its ranges on the row-block pool; the attack draws each
+range on the caller's thread, one serial stream
+(``linalg._stream_normal``), while the pool shifts and multiplies the
+ranges already drawn. A buffer lives until its product is written: a few
+at a time while the pool keeps up, one n x d array in all if it does
+not. Every forward of one call writes into one ``model._workspace``,
+whose first ``prod`` array takes the product.
 """
 
 from __future__ import annotations
@@ -32,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .linalg import _dense_cuts, _run_row_blocks, _stream_normal, _sweep_rows, lp_norm
+from .linalg import (
+    _dense_cuts, _run_row_blocks, _shifted_product, _stream_normal, _sweep_rows, lp_norm,
+)
 from .model import GnnModel, _workspace, accuracy, forward, masked_cross_entropy
 
 WEIGHT_KIND = "weight"
@@ -157,8 +157,8 @@ def probe_landscape(
     def displaced_first(direction, alpha) -> np.ndarray:
         def displace_and_multiply(lo, hi):
             rows = np.empty((hi - lo, x.shape[1]))  # float64 whatever the direction's dtype
-            np.add(np.multiply(direction[lo:hi], alpha, out=rows), x[lo:hi], out=rows)
-            np.matmul(rows, w0, out=prod[lo:hi])
+            np.multiply(direction[lo:hi], alpha, out=rows)
+            _shifted_product(rows, x, w0, prod, lo, hi)
 
         _run_row_blocks(cuts, displace_and_multiply)
         return prod
@@ -236,8 +236,7 @@ def gaussian_attack_trials(
     work, first = _call_space(model, len(x))
 
     def shift_and_multiply(lo, hi, rows):
-        np.add(np.multiply(rows, sigma, out=rows), x[lo:hi], out=rows)
-        np.matmul(rows, w0, out=first[lo:hi])
+        _shifted_product(np.multiply(rows, sigma, out=rows), x, w0, first, lo, hi)
 
     accs = np.empty(trials)
     for t in range(trials):

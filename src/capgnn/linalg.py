@@ -8,11 +8,11 @@ runs with the same inputs are bit-identical.
 
 Row blocks: ``spmm``, the model's dense products ``H @ W``, ``g @ W.T``
 and ``H.T @ g``, and the elementwise sweeps (forward's ReLU and dropout,
-backward's dropout and ReLU gating, the feature ascent's step and
-``X + eps``) cut their output rows into contiguous ranges on one shared
-queue, which the caller and up to ``_WIDTH - 1`` pool threads drain
-(``_WIDTH``: the CPUs the process may run on when capgnn is imported),
-so a thread whose CPU is busy elsewhere leaves its share to the others.
+backward's dropout and ReLU gating) cut their output rows into
+contiguous ranges on one shared queue, which the caller and up to
+``_WIDTH - 1`` pool threads drain (``_WIDTH``: the CPUs the process may
+run on when capgnn is imported), so a thread whose CPU is busy
+elsewhere leaves its share to the others.
 The pool is created on first use and dropped in a forked child; its
 threads run only numpy array operations, ``np.matmul`` and scipy's CSR
 kernel. ``_row_cuts`` places every cut: as many ranges as fit on
@@ -38,13 +38,6 @@ keep its bytes equal to one ``a @ b`` call:
 
 A second BLAS thread does change bytes, so ``import capgnn`` pins BLAS
 to one thread; the pool is the only way capgnn uses more cores.
-
-Streamed draws (``_stream_normal``): the noise attack's Gaussian draw is
-made on the caller's thread one range of rows at a time, cut as
-``_matmul_rows`` cuts them (``_dense_cuts``), each into a fresh array of
-that range's size. That keeps the bytes and the generator state of one
-draw, while the pool shifts each range already drawn and multiplies it
-by the first layer's weights.
 """
 
 from __future__ import annotations
@@ -280,6 +273,16 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
         out = np.empty((a.shape[0], b.shape[1]))
     _run_row_blocks(bounds, lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
     return out
+
+
+def _shifted_product(rows, x, w, out, lo, hi) -> None:
+    """Rows [lo, hi) of ``(S + x) @ w`` into ``out``, from ``rows = S[lo:hi]``.
+
+    ``rows`` (float64, C-contiguous) takes the sum. On a ``_dense_cuts``
+    range this is ``_matmul_rows``'s call there, so it has those rows' bytes.
+    """
+    np.add(rows, x[lo:hi], out=rows)
+    np.matmul(rows, w, out=out[lo:hi])
 
 
 def _sweep_rows(shape: tuple[int, int], fn) -> None:

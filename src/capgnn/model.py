@@ -2,13 +2,14 @@
 
 The layer rule is ``H_l = act(A_hat @ H_{l-1} @ W_l)`` with ReLU between
 layers and no activation or bias on the output layer. ``backward``
-returns the exact gradient of the masked cross-entropy with respect to
-the weight matrices, the input features, or both (verified against
-central finite differences in the test suite). Each loop asks only for
-what it reads: the outer descent and the weight ascent loop read the
-weight gradients alone, and the feature ascent loop reads the feature
-gradient alone. Both kinds cost n x d work at the first layer (the
-feature gradient ``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
+returns the exact gradients of the masked cross-entropy with respect to
+the weight matrices and to the first layer's product ``X @ W_0``; the
+latter, ``g``, times ``W_0.T`` is the feature gradient (both verified
+against central finite differences in the test suite). Each loop asks
+only for what it reads: the outer descent and the weight ascent loop
+read the weight gradients, and the feature ascent loop reads ``g`` alone
+and multiplies it by ``W_0.T`` itself. Both first-layer products cost
+n x d work (``g @ W_0.T`` and the weight gradient ``X.T @ g``), so
 computing the one nobody reads would nearly double that layer's cost.
 
 Effective inputs: ``forward`` takes an explicit feature matrix and an
@@ -117,7 +118,7 @@ class ForwardCache:
 @dataclass
 class Gradients:
     d_weights: list[np.ndarray] | None
-    d_features: np.ndarray | None
+    d_first: np.ndarray  # g at X @ W_0; the feature gradient is g @ W_0.T
     loss: float  # the masked cross-entropy at the cache's point
 
 
@@ -174,10 +175,10 @@ def forward(
     not kept past the first ``spmm``. ``x_eff`` may then be None, so a
     caller that builds the features chunk by chunk never passes an n x d
     array that ``first`` might not match; the cache then keeps None as
-    layer 0's input, and ``backward`` rejects it. ``work``, when given, is
-    a ``_workspace`` the pass writes into in place of fresh arrays
-    (lifetime rule in ``backward``), with the same bytes; ``first`` may
-    be its first ``prod`` array.
+    layer 0's input, so ``backward`` cannot give weight gradients. ``work``,
+    when given, is a ``_workspace`` the pass writes into in place of fresh
+    arrays (lifetime rule in ``backward``), with the same bytes; ``first``
+    may be its first ``prod`` array.
     """
     ws = list(model.weights if w_eff is None else w_eff)
     if len(ws) != model.depth:
@@ -241,16 +242,11 @@ def masked_cross_entropy(logits: np.ndarray, labels, mask) -> float:
     Uses max-subtraction log-sum-exp, so arbitrarily large logits stay
     finite.
     """
-    idx, y = _masked_rows(labels, mask)
-    sub = logits[idx]
-    m = sub.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(sub - m).sum(axis=1))
-    picked = sub[np.arange(idx.size), y]
-    return float(np.mean(lse - picked))
+    return _loss_grad_logits(logits, labels, mask)[0]
 
 
 def _loss_grad_logits(logits: np.ndarray, labels, mask) -> tuple[float, np.ndarray]:
-    """``masked_cross_entropy`` (same bits) and its logit gradient, from one softmax."""
+    """``masked_cross_entropy`` and its logit gradient, from one softmax."""
     idx, y = _masked_rows(labels, mask)
     sub = logits[idx]
     m = sub.max(axis=1, keepdims=True)
@@ -272,34 +268,30 @@ def backward(
     labels,
     mask,
     *,
-    need_features: bool = True,
     need_weights: bool = True,
-    out: np.ndarray | None = None,
 ) -> Gradients:
     """Exact gradients of the masked cross-entropy at the point ``cache`` evaluated.
 
     That point is (``cache.weights``, ``cache.layer_inputs[0]``). Relies
     on the normalized adjacency being symmetric, so its transpose in the
     chain rule is itself. The per-layer weight gradient is
-    ``layer_input.T @ g`` with ``g = A_hat @ delta``, and the feature
-    gradient is the first layer's ``g @ W_0.T``; each dense product runs
-    in row blocks (``linalg``). Both first-layer products are as large as
-    the features, so each is computed only on request: the outer descent
-    and weight PGD pass ``need_features=False`` (``d_features`` is None),
-    feature PGD passes ``need_weights=False`` (``d_weights`` is None).
-    What is computed is the same bytes whichever flags are set. ``loss``
-    is the masked cross-entropy there, from the logit gradient's softmax.
+    ``layer_input.T @ g`` with ``g = A_hat @ delta``, each dense product in
+    row blocks (``linalg``). The first layer's ``g`` is ``d_first``, and
+    the feature gradient is ``d_first @ W_0.T``, which a caller that wants
+    it computes. ``need_weights=False`` (feature PGD) skips the weight
+    gradients (``d_weights`` is None); ``d_first`` has the same bytes
+    either way. Only the weight gradients read the features, so only they
+    reject a cache whose ``forward`` got ``first`` alone.
+    ``loss`` is the masked cross-entropy there, from the logit softmax.
 
-    ``out``, when given, receives ``d_features`` (an n x d C-contiguous
-    float64 array). A cache whose ``forward`` wrote into a workspace
-    (``cache.work``) has ``backward`` write into it too; each array of it
-    is written only after the cache's last read of it. Lifetime rule: a
-    cache is spent once ``backward`` returns, and the next ``forward``
-    reuses its arrays; ``out`` may be the cache's own ``layer_inputs[0]``
-    only with ``need_weights=False``, as nothing else reads that array
-    then. Without a workspace, each hidden layer's gradient is freed once
-    the next one is computed from it, so backward itself holds at most
-    two n x hidden arrays.
+    A cache whose ``forward`` wrote into a workspace (``cache.work``) has
+    ``backward`` write into it too; each array of it is written only after
+    the cache's last read of it. Lifetime rule: a cache is spent once
+    ``backward`` returns, and the next ``forward`` reuses its arrays,
+    ``d_first`` (the first layer's ``scale``) among them; the others are
+    free as soon as it returns. Without a workspace, each hidden layer's
+    gradient is freed once the next one is computed from it, so backward
+    itself holds at most two n x hidden arrays.
 
     The ReLU mask of layer l is ``layer_inputs[l + 1] > 0``, with the bytes
     of ``z > 0`` on its pre-activation: where the dropout scale is 1/keep
@@ -309,7 +301,7 @@ def backward(
     ws = cache.weights
     if len(ws) != model.depth:
         raise ValueError("cache does not match the model depth")
-    if cache.layer_inputs[0] is None:
+    if need_weights and cache.layer_inputs[0] is None:
         raise ValueError("cache has no layer-0 input: its forward got first, not x_eff")
     d_weights = [np.empty(0)] * len(ws) if need_weights else None
     loss, g = _loss_grad_logits(cache.logits, labels, mask)
@@ -333,8 +325,7 @@ def backward(
         del back
     if need_weights:
         d_weights[0] = _matmul_rows(cache.layer_inputs[0].T, g)
-    d_features = _matmul_rows(g, ws[0].T, out) if need_features else None
-    return Gradients(d_weights, d_features, loss)
+    return Gradients(d_weights, g, loss)
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:

@@ -11,23 +11,22 @@ forward pass's effective-input channel.
 
 Each loop asks ``backward`` only for the gradient its step reads, and
 traces each step from values it already has (below, and ``backward``'s
-loss). The feature loop runs on n x d arrays, so it keeps two of them:
-the perturbation and the effective features X + eps. Step 0 runs
-``forward`` on X itself: X + 0.0 differs from X only at -0.0 entries,
-which no product sum starting at +0.0 can tell apart. Once ``forward``
-has run, X + eps is idle (a ``need_weights=False`` backward never reads
-it), so ``backward`` writes the feature gradient there. The step then
-takes each row range of the gradient, notes its max and min, writes its
-sign into a fresh range-sized temporary (with numpy 2.4 an in-place
-``np.sign`` is several times slower), adds it to eps (step 0 writes eps
-as ``step + 0.0``, the bits of ``0.0 + step``), clamps, notes eps's max
-and min, and rebuilds that range of X + eps over the spent gradient. The
-whole step is one sweep over row ranges of at least 2^16 entries, each
-taken through every pass while it sits in cache, with the ranges drained
-across CPUs (see ``linalg``); every pass is elementwise, so the bytes do
-not depend on the partition. At most two n x d arrays are live
-at once. The l-infinity clamp runs only once the ascent could have
-reached the ball (see ``pgd_feature_perturbation``). The returned
+loss). The feature loop holds one n x d array, eps. Step 0 runs
+``forward`` on X itself (X + 0.0 differs from X only at -0.0 entries,
+which no product sum starting at +0.0 can tell apart); each later step's
+``forward`` takes (X + eps) @ W_0 through ``first``. ``backward`` returns
+the first layer's n x hidden gradient; one pass over the ranges
+``_matmul_rows`` would cut the feature gradient into (``_dense_cuts``)
+multiplies each range of it by W_0.T, with those rows' bytes, into a
+range-sized array. On its sub-ranges of 2^16 entries, in cache, the pass
+notes the gradient's max and min, adds the sign step to eps (a sub-range
+temporary: an in-place ``np.sign`` is several times slower with numpy
+2.4; step 0 writes ``step + 0.0``, the bits of ``0.0 + step``), clamps,
+notes eps's max and min, and copies eps over the spent gradient. Before
+every step but the last, that copy is shifted by X and multiplied into
+the next first-layer product (``linalg._shifted_product``). The clamp
+runs only once the ascent could have reached the ball (see
+``pgd_feature_perturbation``). The returned
 perturbation owns its memory and belongs to the caller, who may
 overwrite it.
 
@@ -43,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .graph import Dataset
-from .linalg import _sweep_rows, lp_norm
+from .linalg import _dense_cuts, _row_cuts, _run_row_blocks, _shifted_product, lp_norm
 from .model import GnnModel, backward, forward
 
 _GRAD_NORM_FLOOR = 1e-12
@@ -108,10 +108,7 @@ def pgd_weight_perturbation(
     for t in range(cfg.steps):
         w_eff = [w + e for w, e in zip(model.weights, eps)]
         cache = forward(model, dataset.a_hat, dataset.features, w_eff, work=work)
-        grads = backward(
-            model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_features=False,
-        )
+        grads = backward(model, dataset.a_hat, cache, dataset.labels, dataset.train_mask)
         for l, g in enumerate(grads.d_weights):
             gn = lp_norm(g, 2)
             if not math.isfinite(gn):
@@ -154,45 +151,47 @@ def pgd_feature_perturbation(
     perturbation, the caller's to keep or overwrite, and one trace row
     per step.
     """
-    x = dataset.features
-    eps, x_eff = np.empty_like(x), np.empty_like(x)  # both filled by step 0
+    x, w0 = dataset.features, model.weights[0]
+    eps = np.empty_like(x)  # filled by step 0
+    prod = work[0][0] if work else np.empty((len(x), w0.shape[1]))  # (X + eps) @ W_0
     reach, rows = 0.0, []
     for t in range(cfg.steps):
-        cache = forward(model, dataset.a_hat, x_eff if t else x, work=work)
+        cache = (forward(model, dataset.a_hat, None, first=prod, work=work) if t
+                 else forward(model, dataset.a_hat, x, work=work))
         if not np.isfinite(cache.logits).all():
             raise FloatingPointError(f"feature ascent step {t}: non-finite logits")
-        grads = backward(  # into X + eps, idle until the step rebuilds it
+        grads = backward(
             model, dataset.a_hat, cache, dataset.labels, dataset.train_mask,
-            need_weights=False, out=x_eff,
+            need_weights=False,
         )
         reach += cfg.beta
         clamp = reach > cfg.rho_x
-        first = t == 0
         rebuild = t + 1 < cfg.steps  # the caller adds the final eps itself
-        g_ends, e_ends = [], []  # each range's (max, min) of grad, of eps
+        g_ends, e_ends = [], []  # each sub-range's (max, min) of grad, of eps
 
         def step(lo, hi):
-            g = grads.d_features[lo:hi]
-            g_ends.append((g.max(), g.min()))
-            s = np.sign(g)  # a range temporary: in place is slower
-            s *= cfg.beta
+            g = np.matmul(grads.d_first[lo:hi], w0.T)  # rows [lo, hi) of the gradient
             e = eps[lo:hi]
-            if first:
-                np.add(s, 0.0, out=e)  # 0.0 + s: a -0.0 step gives +0.0
-            else:
-                e += s
-            if clamp:
-                np.clip(e, -cfg.rho_x, cfg.rho_x, out=e)
-            e_ends.append((e.max(), e.min()))
+            sub = _row_cuts(*g.shape, linalg._CHUNK, 1)  # the grain read at each call
+            for a, b in zip(sub, sub[1:]):  # one sub-range at a time, in cache
+                ga, ea = g[a:b], e[a:b]
+                g_ends.append((ga.max(), ga.min()))
+                s = np.sign(ga)  # a sub-range temporary: in place is slower
+                s *= cfg.beta
+                if t == 0:
+                    np.add(s, 0.0, out=ea)  # 0.0 + s: a -0.0 step gives +0.0
+                else:
+                    ea += s
+                del s  # before the next sub-range's sign is made
+                if clamp:
+                    np.clip(ea, -cfg.rho_x, cfg.rho_x, out=ea)
+                e_ends.append((ea.max(), ea.min()))
+                np.copyto(ga, ea)  # eps over the spent gradient, shifted below
             if rebuild:
-                np.add(x[lo:hi], e, out=x_eff[lo:hi])  # over the spent gradient
+                _shifted_product(g, x, w0, prod, lo, hi)
 
-        _sweep_rows(x.shape, step)
-        rows.append(PgdTraceRow(t, "x", _max_abs(g_ends), _max_abs(e_ends), grads.loss))
+        _run_row_blocks(_dense_cuts(x, w0.shape[1]), step)
+        g_norm, e_norm = (lp_norm(np.array(ends), math.inf) for ends in (g_ends, e_ends))
+        rows.append(PgdTraceRow(t, "x", g_norm, e_norm, grads.loss))
     return eps, rows
 
-
-def _max_abs(ends: list[tuple[float, float]]) -> float:
-    """``lp_norm(a, math.inf)`` from each range's (max, min); exact, NaN passes."""
-    highs, lows = zip(*ends)
-    return float(np.maximum(np.abs(np.max(highs)), np.abs(np.min(lows))))

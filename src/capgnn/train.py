@@ -205,7 +205,7 @@ def train_step(
         raise TrainingDivergedError(f"at epoch {epoch} ({mode_used}), {e}") from e
 
     cache = forward(model, a_hat, x_eff, w_eff, training=True, rng=rng, work=work)
-    grads = backward(model, a_hat, cache, labels, train_mask, need_features=False)
+    grads = backward(model, a_hat, cache, labels, train_mask)
     if not np.isfinite(grads.loss):
         raise TrainingDivergedError(
             f"non-finite training loss at epoch {epoch} ({mode_used})"

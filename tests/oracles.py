@@ -74,7 +74,7 @@ def assert_close_to_fd(analytic, fd, rel=1e-4, floor=1e-8):
 
 
 def reference_backward(a_hat, cache, labels, mask) -> Gradients:
-    """Both gradients, masking each hidden layer by ``z > 0`` on its pre-activation.
+    """``backward``'s gradients, masking each hidden layer by ``z > 0`` on its pre-activation.
 
     ``z`` is recomputed from ``cache.layer_inputs`` and every step is out
     of place. Dense products are single ``@`` calls, the bytes of
@@ -92,7 +92,7 @@ def reference_backward(a_hat, cache, labels, mask) -> Gradients:
         g = spmm(a_hat, back * (z > 0.0))
     d_weights[0] = cache.layer_inputs[0].T @ g
     loss = masked_cross_entropy(cache.logits, labels, mask)
-    return Gradients(d_weights, g @ ws[0].T, loss)
+    return Gradients(d_weights, g, loss)
 
 
 def reference_feature_pgd(model, ds, cfg):
@@ -106,7 +106,8 @@ def reference_feature_pgd(model, ds, cfg):
     for t in range(cfg.steps):
         cache = forward(model, ds.a_hat, ds.features + eps)
         loss = masked_cross_entropy(cache.logits, ds.labels, ds.train_mask)
-        g = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask).d_features
+        grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        g = grads.d_first @ model.weights[0].T
         eps = np.clip(eps + cfg.beta * np.sign(g), -cfg.rho_x, cfg.rho_x)
         trace.append((t, "x", lp_norm(g, math.inf), lp_norm(eps, math.inf), loss))
     return eps, trace

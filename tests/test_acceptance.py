@@ -117,7 +117,7 @@ def test_c1_gradient_oracle():
             fd_x = fd_feature_grad(
                 model, ds.a_hat, ds.features, ds.labels, ds.train_mask
             )
-            assert_close_to_fd(grads.d_features, fd_x)
+            assert_close_to_fd(grads.d_first @ model.weights[0].T, fd_x)
 
 
 def test_c2_projection_and_pgd_properties(sbm200):

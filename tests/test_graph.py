@@ -30,8 +30,22 @@ from capgnn.graph import (
 )
 from capgnn.linalg import CsrMatrix, make_rng
 
-from conftest import feature_ranges, load_outcome, two_node_dataset
+from conftest import feature_ranges, load_outcome, peak_traced_bytes, two_node_dataset
 from oracles import csr_from_dense, csr_to_dense, reference_features_csv
+
+
+class SpyRng:
+    """A generator that records the shape of every ``random`` draw."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def normalize_oracle(dense_adj: np.ndarray) -> np.ndarray:
@@ -703,6 +717,41 @@ class TestGenerateSbm:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(csr_to_dense(a.adjacency), csr_to_dense(b.adjacency))
         assert np.array_equal(a.train_mask, b.train_mask)
+
+    def test_row_blocks_give_the_one_draw_edges(self, monkeypatch):
+        # 137-row blocks of a 1,000-node draw against one (n, n) draw.
+        params = SbmParams((300, 450, 250), 0.05, 0.01, 0.5)
+        labels = np.repeat([0, 1, 2], params.block_sizes)
+        prob = np.where(labels[:, None] == labels, params.p_in, params.p_out)
+        us, vs = np.nonzero(np.triu(make_rng(17).random((1000, 1000)) < prob, k=1))
+        want = CsrMatrix.from_coo(1000, 1000, np.r_[us, vs], np.r_[vs, us], np.ones(2 * len(us)))
+        whole = SpyRng(make_rng(17))
+        one = generate_sbm(params, whole)
+        monkeypatch.setattr(graph, "_SBM_DRAWS", 137 * 1000)
+        blocks = SpyRng(make_rng(17))
+        ds = generate_sbm(params, blocks)
+        assert whole.shapes == [(1000, 1000)]
+        assert blocks.shapes == [(137, 1000)] * 7 + [(41, 1000)]
+        for got in (one, ds):
+            assert got.adjacency.row_ptr.tobytes() == want.row_ptr.tobytes()
+            assert got.adjacency.col_idx.tobytes() == want.col_idx.tobytes()
+        for key in ("features", "train_mask", "val_mask", "test_mask"):
+            assert getattr(ds, key).tobytes() == getattr(one, key).tobytes()
+        assert blocks.rng.random() == whole.rng.random()
+
+    def test_a_400_node_draw_is_one_block(self):
+        rng = SpyRng(make_rng(2024))
+        generate_sbm(SbmParams((200, 200), 0.05, 0.02, 1.2, feature_dim=8), rng)
+        assert rng.shapes == [(400, 400)]
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # An n x n draw at n = 4,000 would be 128 MB, and its probabilities as much.
+        rng = SpyRng(make_rng(4))
+        peak = peak_traced_bytes(
+            lambda: generate_sbm(SbmParams((2000, 2000), 0.01, 0.001), rng)
+        )
+        assert len(rng.shapes) == 16
+        assert peak < 3 * 8 * graph._SBM_DRAWS
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ class TestGradientsAgainstFiniteDifferences:
             )
             assert_close_to_fd(grads.d_weights[layer], fd)
         fd_x = fd_feature_grad(model, ds.a_hat, ds.features, ds.labels, ds.train_mask)
-        assert_close_to_fd(grads.d_features, fd_x)
+        assert_close_to_fd(grads.d_first @ model.weights[0].T, fd_x)
 
     def test_saturated_predictions_give_near_zero_gradients(self):
         ds = two_node_dataset()
@@ -68,7 +68,7 @@ class TestGradientsAgainstFiniteDifferences:
             model, csr_identity(2), cache, ds.labels, np.array([True, True])
         )
         assert np.max(np.abs(grads.d_weights[0])) < 1e-8
-        assert np.max(np.abs(grads.d_features)) < 1e-8
+        assert np.max(np.abs(grads.d_first @ model.weights[0].T)) < 1e-8
 
     def test_gradient_is_taken_at_the_cached_point(self, small_sbm):
         ds = small_sbm
@@ -83,24 +83,21 @@ class TestGradientsAgainstFiniteDifferences:
         moved_cache = forward(moved, ds.a_hat, x_eff)
         want = backward(moved, ds.a_hat, moved_cache, ds.labels, ds.train_mask)
         got = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
-        for a, b in zip(got.d_weights, want.d_weights):
-            assert a.tobytes() == b.tobytes()
-        assert got.d_features.tobytes() == want.d_features.tobytes()
+        assert gradient_bytes(got) == gradient_bytes(want)
 
-    def test_weight_gradients_alone_are_the_same_bytes(self, small_sbm):
-        ds = small_sbm
-        model = init_model([ds.d, 8, 4, ds.num_classes], make_rng(6), dropout_rate=0.5)
-        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7))
-        assert all(s is not None for s in cache.drop_scales)
-        full = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
-        alone = backward(
-            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=False
+    def test_weight_gradients_alone_are_the_same_bytes(self):
+        # backward builds no n x d feature gradient: 400 x 384 features, 64 hidden.
+        ds = generate_sbm(
+            SbmParams((200, 200), 0.05, 0.02, 1.0, feature_dim=384), make_rng(13)
         )
-        assert alone.d_features is None
-        assert full.d_features.shape == ds.features.shape
-        assert [w.tobytes() for w in alone.d_weights] == [
-            w.tobytes() for w in full.d_weights
-        ]
+        model = init_model([ds.d, 64, ds.num_classes], make_rng(14), dropout_rate=0.5)
+        cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(15))
+        want = reference_backward(ds.a_hat, cache, ds.labels, ds.train_mask)
+        got, _, peak = traced_bytes(
+            lambda: backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        )
+        assert gradient_bytes(got) == gradient_bytes(want)
+        assert peak < 0.5 * ds.features.nbytes
 
     def test_feature_gradient_alone_is_the_same_bytes(self, small_sbm):
         ds = small_sbm
@@ -111,7 +108,8 @@ class TestGradientsAgainstFiniteDifferences:
             model, ds.a_hat, cache, ds.labels, ds.train_mask, need_weights=False
         )
         assert alone.d_weights is None
-        assert alone.d_features.tobytes() == full.d_features.tobytes()
+        assert alone.d_first.tobytes() == full.d_first.tobytes()
+        assert alone.loss == full.loss
 
     def test_weight_gradients_do_not_depend_on_the_cpu_count(self, monkeypatch):
         # X.T @ g is 384 x 400 @ 400 x 64: one range at the transposed floor;
@@ -123,9 +121,7 @@ class TestGradientsAgainstFiniteDifferences:
         cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(15))
 
         def weight_grads():
-            grads = backward(
-                model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=False
-            )
+            grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
             return [w.tobytes() for w in grads.d_weights]
 
         assert linalg._dense_cuts(ds.features.T, 64) == [0, 384]
@@ -136,24 +132,15 @@ class TestGradientsAgainstFiniteDifferences:
             monkeypatch.setattr(linalg, "_WIDTH", width)
             assert weight_grads() == want
 
-    @pytest.mark.parametrize("need_features", [True, False])
-    def test_output_masks_give_the_bytes_of_pre_activation_masks(
-        self, small_sbm, need_features
-    ):
+    def test_output_masks_give_the_bytes_of_pre_activation_masks(self, small_sbm):
         ds = small_sbm
         model = init_model([ds.d, 16, 16, ds.num_classes], make_rng(6), dropout_rate=0.5)
         cache = forward(model, ds.a_hat, ds.features, training=True, rng=make_rng(7))
         z = spmm(ds.a_hat, ds.features @ model.weights[0])
         assert ((cache.drop_scales[0] == 0.0) & (z > 0.0)).any()  # the masks differ here
         want = reference_backward(ds.a_hat, cache, ds.labels, ds.train_mask)
-        got = backward(
-            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_features=need_features
-        )
-        assert [w.tobytes() for w in got.d_weights] == [w.tobytes() for w in want.d_weights]
-        if need_features:
-            assert got.d_features.tobytes() == want.d_features.tobytes()
-        else:
-            assert got.d_features is None
+        got = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+        assert gradient_bytes(got) == gradient_bytes(want)
 
     def test_out_of_receptive_field_rows_exactly_zero(self):
         # Two disconnected triangles; only the first is supervised. With two
@@ -169,8 +156,9 @@ class TestGradientsAgainstFiniteDifferences:
         model = init_model([3, 4, 2], rng, dropout_rate=0.0)
         cache = forward(model, ds.a_hat, ds.features, training=False)
         grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
-        assert np.array_equal(grads.d_features[3:], np.zeros((3, 3)))
-        assert np.abs(grads.d_features[:3]).max() > 0
+        d_features = grads.d_first @ model.weights[0].T
+        assert np.array_equal(d_features[3:], np.zeros((3, 3)))
+        assert np.abs(d_features[:3]).max() > 0
 
 
 class TestForward:
@@ -243,12 +231,25 @@ class TestForward:
             forward(model, ds.a_hat, None)
 
     def test_backward_refuses_a_cache_without_features(self, small_sbm):
+        # Only the weight gradients read the features.
         ds = small_sbm
         model = init_model([ds.d, 4, ds.num_classes], make_rng(0))
         cache = forward(model, ds.a_hat, None, first=ds.features @ model.weights[0])
-        for flags in ({}, {"need_weights": False}, {"need_features": False}):
-            with pytest.raises(ValueError, match="no layer-0 input"):
-                backward(model, ds.a_hat, cache, ds.labels, ds.train_mask, **flags)
+        with pytest.raises(ValueError, match="no layer-0 input"):
+            backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+
+    def test_backward_without_weights_needs_no_features(self, small_sbm):
+        ds = small_sbm
+        model = init_model([ds.d, 4, ds.num_classes], make_rng(0), dropout_rate=0.0)
+
+        def run(x, **first):
+            cache = forward(model, ds.a_hat, x, **first)
+            return gradient_bytes(backward(model, ds.a_hat, cache, ds.labels, ds.train_mask,
+                                           need_weights=False))
+
+        got = run(None, first=ds.features @ model.weights[0])
+        assert got == run(ds.features)
+        assert got[0] is None
 
     def test_first_product_of_the_wrong_shape_rejected(self, small_sbm):
         model = init_model([small_sbm.d, 4, 2], make_rng(0))
@@ -337,7 +338,7 @@ def cache_bytes(cache):
 
 def gradient_bytes(grads):
     weights = None if grads.d_weights is None else [w.tobytes() for w in grads.d_weights]
-    return weights, None if grads.d_features is None else grads.d_features.tobytes()
+    return weights, grads.d_first.tobytes(), grads.loss
 
 
 class TestSplitSweeps:
@@ -370,16 +371,18 @@ class TestSplitSweeps:
         assert (got[1][0] is None) == (dropout_rate == 0.0)
 
     @pytest.mark.parametrize(
-        "need_features, need_weights", [(True, True), (True, False), (False, True)]
+        "dropout, need_weights",
+        [(True, True), (True, False), (False, True), (False, False)],
     )
-    def test_backward(self, small_sbm, model, need_features, need_weights):
+    def test_backward(self, small_sbm, dropout, need_weights):
         ds = small_sbm
+        model = init_model([ds.d, 16, 16, ds.num_classes], make_rng(6), 0.5 if dropout else 0.0)
         cache = self._forward(model, ds)
+        assert (cache.drop_scales[0] is None) != dropout
 
         def run():
             return backward(
-                model, ds.a_hat, cache, ds.labels, ds.train_mask,
-                need_features=need_features, need_weights=need_weights,
+                model, ds.a_hat, cache, ds.labels, ds.train_mask, need_weights=need_weights
             )
 
         want = gradient_bytes(run())
@@ -387,24 +390,28 @@ class TestSplitSweeps:
             got = gradient_bytes(run())
         assert got == want
 
-    @pytest.mark.parametrize("into", ["fresh_buffer", "cached_features"])
-    def test_backward_into_a_buffer(self, small_sbm, model, into):
-        # The lifetime rule: the cache's own features may take the gradient
-        # when no weight gradient reads them.
-        ds = small_sbm
-        x = ds.features.copy()
-        cache = forward(model, ds.a_hat, x, training=True, rng=make_rng(7))
-        want = backward(
-            model, ds.a_hat, cache, ds.labels, ds.train_mask, need_weights=False
-        ).d_features
-        buf = x if into == "cached_features" else np.full_like(x, np.nan)
-        with row_blocks(2, chunk=self.CHUNK):
-            got = backward(
-                model, ds.a_hat, cache, ds.labels, ds.train_mask,
-                need_weights=False, out=buf,
-            ).d_features
-        assert got is buf
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("ranges", [1, 4])
+    def test_first_layer_gradient_times_w0_is_the_feature_gradient(
+        self, small_sbm, ranges, width
+    ):
+        # Feature PGD multiplies d_first by W_0.T range by range itself, with
+        # the bytes of one product.
+        ds, hidden = small_sbm, 16
+        if ranges > 1:  # 800 x 120 features into 256 hidden units
+            ds = generate_sbm(SbmParams((400, 400), 0.01, 0.002, 1.0, feature_dim=120),
+                              make_rng(3))
+            hidden = 256
+        model = init_model([ds.d, hidden, ds.num_classes], make_rng(6), dropout_rate=0.5)
+        cache = self._forward(model, ds)
+        cuts = linalg._dense_cuts(ds.features, hidden)
+        assert len(cuts) - 1 == ranges
+        with row_blocks(width):
+            grads = backward(model, ds.a_hat, cache, ds.labels, ds.train_mask,
+                             need_weights=False)
+        w0t = model.weights[0].T
+        products = [np.matmul(grads.d_first[lo:hi], w0t) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(products).tobytes() == (grads.d_first @ w0t).tobytes()
 
     def test_dropout_draw_leaves_the_generator_where_one_draw_per_layer_does(
         self, small_sbm, model
@@ -480,7 +487,7 @@ class TestMaskedCrossEntropy:
         mask = data.draw(hnp.arrays(bool, n).filter(np.any))
         model = GnnModel([np.ones((2, k))], dropout_rate=0.0)
         cache = ForwardCache(model.weights, [np.ones((n, 2))], [], logits)
-        got = backward(model, csr_identity(n), cache, labels, mask, need_features=False)
+        got = backward(model, csr_identity(n), cache, labels, mask)
         want = masked_cross_entropy(logits, labels, mask)
         assert np.float64(got.loss).tobytes() == np.float64(want).tobytes()
         # The gradient as it was computed before the loss shared its softmax.

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capgnn.perturb as perturb_mod
+from capgnn import linalg
 from capgnn.graph import SbmParams, generate_sbm, make_dataset
-from capgnn.linalg import lp_norm, make_rng
+from capgnn.linalg import _dense_cuts, lp_norm, make_rng
 from capgnn.model import (
-    GnnModel, Gradients, backward, forward, init_model, masked_cross_entropy,
+    GnnModel, Gradients, _workspace, backward, forward, init_model, masked_cross_entropy,
 )
 from capgnn.perturb import (
     PerturbConfig,
@@ -30,6 +31,12 @@ def train_loss(model, ds, w_eff=None, x_eff=None):
 def clean_gradients(model, ds):
     cache = forward(model, ds.a_hat, ds.features, training=False)
     return backward(model, ds.a_hat, cache, ds.labels, ds.train_mask)
+
+
+@pytest.fixture(scope="module")
+def dense_ranges_sbm():
+    """800 x 120 features: X @ W_0 into 256 hidden units is four dense ranges."""
+    return generate_sbm(SbmParams((400, 400), 0.01, 0.002, 1.0, feature_dim=120), make_rng(3))
 
 
 @pytest.fixture(scope="module")
@@ -305,15 +312,30 @@ class TestFeaturePgd:
         peak = peak_traced_bytes(
             lambda: trace.extend(pgd_feature_perturbation(model, wide_sbm, cfg)[1])
         )
-        # eps and X + eps, which takes each feature gradient in turn; the
-        # trace's max-abs norms add no n x d array, and n x hidden arrays
-        # are ~5% each.
+        # eps, and the one dense range's feature gradient, over which eps is
+        # copied and shifted by X; the sign steps add one sub-range each, the
+        # trace's max-abs norms nothing, and n x hidden arrays are ~5% each.
         assert len(trace) == cfg.steps
         assert peak < 2.5 * wide_sbm.features.nbytes
 
+    def test_peak_memory_is_one_feature_array(self, monkeypatch):
+        # 2,304 rows at d=350 and 64 hidden units: twelve dense ranges.
+        ds = generate_sbm(SbmParams((1152, 1152), 0.002, 0.0005, 1.0, feature_dim=350),
+                          make_rng(13))
+        model = init_model([ds.d, 64, 2], make_rng(1), dropout_rate=0.0)
+        assert len(_dense_cuts(ds.features, 64)) - 1 >= 8
+        monkeypatch.setattr(linalg, "_WIDTH", 1)
+        work = _workspace(model, ds.n)
+        cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=3)
+        peak = peak_traced_bytes(lambda: pgd_feature_perturbation(model, ds, cfg, work=work))
+        # eps, one range's feature gradient and one sub-range's sign step.
+        assert peak <= 1.25 * ds.features.nbytes
+
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_split_sweeps_match_the_reference_at_every_step(self, small_sbm, steps):
-        # Two threads on three-row ranges; the clamp binds at the third step.
+        # Forward and backward on two threads in three-row ranges, and feature
+        # PGD's one dense range in three-row sub-ranges; the clamp binds at
+        # the third step.
         model = init_model([small_sbm.d, 5, 2], make_rng(9), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=0.05, beta=0.02, steps=steps)
         want, want_trace = reference_feature_pgd(model, small_sbm, cfg)
@@ -324,37 +346,61 @@ class TestFeaturePgd:
             (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
         ] == want_trace
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_dense_ranges_match_the_reference(self, dense_ranges_sbm, monkeypatch, width):
+        # Four ranges of the first-layer products; the clamp binds from step 2,
+        # so the product that step 3's forward takes is built from clamped eps.
+        ds = dense_ranges_sbm
+        model = init_model([ds.d, 256, 2], make_rng(9), dropout_rate=0.0)
+        assert len(_dense_cuts(ds.features, 256)) - 1 == 4
+        cfg = PerturbConfig(rho_x=0.03, beta=0.02, steps=3)
+        want, want_trace = reference_feature_pgd(model, ds, cfg)
+        monkeypatch.setattr(linalg, "_WIDTH", width)
+        got, trace = pgd_feature_perturbation(model, ds, cfg, work=_workspace(model, ds.n))
+        assert got.tobytes() == want.tobytes()
+        assert [
+            (r.step, r.layer, r.grad_norm, r.eps_norm, r.loss) for r in trace
+        ] == want_trace
+
     @pytest.mark.parametrize("where", ["max_in_first_chunk", "min_in_last_chunk", "nan"])
     @pytest.mark.parametrize("width", [1, 2])
     def test_trace_norms_are_lp_norms_over_every_chunk(
-        self, small_sbm, monkeypatch, width, where
+        self, dense_ranges_sbm, monkeypatch, width, where
     ):
-        # A planted gradient over 13 ranges of three or four rows, on ``width`` threads.
-        ds = small_sbm
-        planted = make_rng(3).standard_normal(ds.features.shape)
-        row, value = {"max_in_first_chunk": (0, 50.0), "min_in_last_chunk": (-1, -50.0),
+        # A planted first-layer gradient, whose 800 x 120 feature gradient is
+        # four dense ranges drained by ``width`` threads, each swept in
+        # three-row sub-ranges; the max, the min and the NaN sit in the first,
+        # the last and the third range.
+        ds = dense_ranges_sbm
+        model = init_model([ds.d, 256, 2], make_rng(9), dropout_rate=0.0)
+        w0 = model.weights[0]
+        assert _dense_cuts(ds.features, 256) == [0, 192, 384, 576, 800]
+        np.abs(w0[:, 1], out=w0[:, 1])  # the planted row holds the max or the min
+        planted = make_rng(3).standard_normal((ds.n, 256))
+        row, value = {"max_in_first_chunk": (0, 500.0), "min_in_last_chunk": (-1, -500.0),
                       "nan": (ds.n // 2, np.nan)}[where]
         planted[row, 1] = value
+        d_features = planted @ w0.T
 
-        def planting_backward(*args, out, **kwargs):
-            np.copyto(out, planted)
-            return Gradients(None, out, 0.25)
+        def planting_backward(*args, **kwargs):
+            return Gradients(None, planted, 0.25)
 
         monkeypatch.setattr(perturb_mod, "backward", planting_backward)
-        model = init_model([ds.d, 5, 2], make_rng(9), dropout_rate=0.0)
+        cfg = PerturbConfig(steps=1)
         with row_blocks(width, chunk=3 * ds.d):
-            eps, trace = pgd_feature_perturbation(model, ds, PerturbConfig(steps=1))
-        want = [lp_norm(planted, math.inf), lp_norm(eps, math.inf)]
+            eps, trace = pgd_feature_perturbation(model, ds, cfg)
+        want = [lp_norm(d_features, math.inf), lp_norm(eps, math.inf)]
         got = [trace[0].grad_norm, trace[0].eps_norm]
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert math.isnan(got[0]) == (where == "nan")
+        assert eps.tobytes() == (cfg.beta * np.sign(d_features) + 0.0).tobytes()
 
     def test_single_step_is_sign_of_gradient(self, fixture_8):
         model = init_model([fixture_8.d, 5, 2], make_rng(2), dropout_rate=0.0)
         cfg = PerturbConfig(rho_x=1.0, beta=0.01, steps=1)
         eps, _ = pgd_feature_perturbation(model, fixture_8, cfg)
         grads = clean_gradients(model, fixture_8)
-        assert np.array_equal(eps, cfg.beta * np.sign(grads.d_features))
+        assert np.array_equal(eps, cfg.beta * np.sign(grads.d_first @ model.weights[0].T))
 
     def test_zero_gradient_rows_stay_zero(self):
         # Two disconnected triangles, supervision only in the first one.

@@ -302,7 +302,7 @@ class TestTrain:
     def test_only_feature_pgd_asks_for_the_feature_gradient(
         self, small_sbm, monkeypatch
     ):
-        # Per epoch, the (module, need_features, need_weights) of every backward call.
+        # Per epoch, the (module, need_weights) of every backward call.
         calls: list[tuple[str, list]] = []
         real_step, real_backward = train_mod.train_step, train_mod.backward
 
@@ -311,11 +311,9 @@ class TestTrain:
             return real_step(model, dataset, mode_used, *a, **k)
 
         def backward_spy(where):
-            def spy(*a, need_features=True, need_weights=True, **k):
-                calls[-1][1].append((where, need_features, need_weights))
-                return real_backward(
-                    *a, need_features=need_features, need_weights=need_weights, **k
-                )
+            def spy(*a, need_weights=True, **k):
+                calls[-1][1].append((where, need_weights))
+                return real_backward(*a, need_weights=need_weights, **k)
 
             return spy
 
@@ -330,12 +328,12 @@ class TestTrain:
         assert [mode for mode, _ in calls] == [schedule(e, cfg) for e in range(1, 9)]
         assert sum(mode == FEATURE_PERTURB for mode, _ in calls) == 2
         for mode, backwards in calls:
-            # Feature PGD reads only the feature gradient, the rest only weights.
-            is_fp = mode == FEATURE_PERTURB
-            pgd = [("perturb", is_fp, not is_fp)] * steps
+            # Feature PGD multiplies the first layer's gradient into its feature
+            # gradient itself and reads no weight gradient; the rest read weights.
+            pgd = [("perturb", mode != FEATURE_PERTURB)] * steps
             if mode == STANDARD:
                 pgd = []
-            assert backwards == pgd + [("train", False, True)]
+            assert backwards == pgd + [("train", True)]
 
     def test_cap_with_full_skip_equals_vanilla(self, small_sbm):
         cap = quick_cfg(mode="cap", epochs=7, skip_epochs=7, dropout=0.5)
